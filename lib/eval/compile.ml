@@ -40,9 +40,24 @@ let tick st =
   st.ticks <- st.ticks + 1;
   if st.ticks land (budget_stride - 1) = 0 then Budget.poll st.budget
 
-(* Materialize one atom: select rows matching the constant and
-   repeated-variable pattern, project to the distinct variables (schema =
-   variable names), into the global dictionary. *)
+(* Materialize one atom as a relation over its distinct variables
+   (schema = variable names, global dictionary), without copying what
+   need not be copied:
+
+   - a plain atom (no constants, no repeated variable) is a view: the
+     base relation renamed, sharing its row store and memoized key
+     indexes, so every plan compiled on one snapshot builds each base
+     index once;
+   - an atom with constants probes the base's memoized index on the
+     selection positions, so its cost is the matching rows, not n;
+   - an atom with only repeated variables scans.
+
+   Matching rows agree on every constant and repeated position, so the
+   projection to first occurrences is injective on them and the result
+   is built sealed, without dedup hashing.  The base is only read
+   densely and through the locked index memo — never [Row_set.add] or
+   [mem], which would build a shared sealed set's probe table
+   unsynchronized. *)
 let materialize ?budget db scan atom =
   let rel = Database.find db scan.Planner.rel in
   (* Code-level work assumes the shared dictionary; re-encode the odd
@@ -53,45 +68,59 @@ let materialize ?budget db scan atom =
       Relation.create ~name:(Relation.name rel)
         ~schema:(Relation.schema_list rel) (Relation.tuples rel)
   in
-  let arity = Atom.arity atom in
-  if Relation.arity rel <> arity then
+  let vars = scan.Planner.vars in
+  let empty () = Relation.of_unique_codes ~name:scan.Planner.rel ~schema:vars [||] in
+  if Relation.arity rel <> Atom.arity atom then
     (* Interpreters treat arity-mismatched tuples as non-matching. *)
-    Relation.of_codes ~name:scan.Planner.rel ~schema:scan.Planner.vars Seq.empty
+    empty ()
+  else if scan.Planner.selections = [] && scan.Planner.equalities = [] then
+    Relation.rename_positional vars rel
   else begin
-    let sels =
+    let sel_pos = Array.of_list (List.map fst scan.Planner.selections) in
+    let sel_key =
       Array.of_list
         (List.map
-           (fun (pos, v) -> (pos, Dictionary.intern Dictionary.global v))
+           (fun (_, v) -> Dictionary.code_opt Dictionary.global v)
            scan.Planner.selections)
     in
-    let eqs = Array.of_list scan.Planner.equalities in
-    (* First-occurrence position of each distinct variable, in [vars]
-       order: the projection that turns a stored row into a plan row. *)
-    let fpos =
-      let first = Hashtbl.create 4 in
-      List.iteri
-        (fun i t ->
-          match t with
-          | Term.Var x when not (Hashtbl.mem first x) -> Hashtbl.add first x i
-          | _ -> ())
-        atom.Atom.args;
-      Array.of_list (List.map (Hashtbl.find first) scan.Planner.vars)
-    in
-    let keep row =
-      Array.for_all (fun (pos, c) -> row.(pos) = c) sels
-      && Array.for_all (fun (a, b) -> row.(a) = row.(b)) eqs
-    in
-    let n = ref 0 in
-    let rows =
-      Relation.fold_codes
-        (fun row acc ->
-          incr n;
-          if !n land (budget_stride - 1) = 0 then Budget.poll budget;
-          if keep row then Code_row.sub row fpos :: acc else acc)
-        rel []
-    in
-    Relation.of_codes ~name:scan.Planner.rel ~schema:scan.Planner.vars
-      (List.to_seq rows)
+    (* Constants absent from the dictionary match nothing. *)
+    if Array.mem None sel_key then empty ()
+    else begin
+      let sel_key = Array.map Option.get sel_key in
+      (* Mutation hook: ignore the repeated-variable equalities on the
+         index-probe path, a single-point bug the oracle must catch. *)
+      let eqs =
+        if sel_pos <> [||] && Mutate.enabled "materialize_drop_eq" then [||]
+        else Array.of_list scan.Planner.equalities
+      in
+      (* First-occurrence position of each distinct variable, in [vars]
+         order: the projection that turns a stored row into a plan row. *)
+      let fpos =
+        let first = Hashtbl.create 4 in
+        List.iteri
+          (fun i t ->
+            match t with
+            | Term.Var x when not (Hashtbl.mem first x) -> Hashtbl.add first x i
+            | _ -> ())
+          atom.Atom.args;
+        Array.of_list (List.map (Hashtbl.find first) vars)
+      in
+      let n = ref 0 and rows = ref [] in
+      let visit row =
+        incr n;
+        if !n land (budget_stride - 1) = 0 then Budget.poll budget;
+        if Array.for_all (fun (a, b) -> row.(a) = row.(b)) eqs then
+          rows := Code_row.sub row fpos :: !rows
+      in
+      (if sel_pos = [||] then Relation.iter_codes visit rel
+       else
+         let idx = Relation.hash_index rel sel_pos in
+         Relation.probe_iter rel idx sel_key
+           (Array.init (Array.length sel_key) Fun.id)
+           visit);
+      Relation.of_unique_codes ~name:scan.Planner.rel ~schema:vars
+        (Array.of_list (List.rev !rows))
+    end
   end
 
 let ground_holds c =

@@ -2,8 +2,9 @@
 
     [compile] lowers a {!Paradb_planner.Planner.t} against one database
     snapshot into a pipeline of fused OCaml closures over the
-    dictionary-encoded code rows: per-atom selections and projections are
-    materialized once, acyclic plans are fully semijoin-reduced (the
+    dictionary-encoded code rows: plain atoms are views of the base
+    relations (sharing their memoized key indexes), atoms with constants
+    are index-probe selections, acyclic plans are fully semijoin-reduced (the
     Yannakakis guarantee: enumeration from the root never dead-ends), and
     each plan step becomes a scan / hash-probe / membership closure
     writing variable codes into a flat register file.  Running the

@@ -190,6 +190,13 @@ let with_scratch_dir f =
       end)
     (fun () -> f dir)
 
+(* [with_reopened db f] compacts [db] into a scratch segment directory
+   and runs [f] on the mmap-reopened snapshot. *)
+let with_reopened db f =
+  with_scratch_dir (fun dir ->
+      ignore (Paradb_storage.Store.compact ~dir db);
+      f (Paradb_storage.Store.open_dir dir))
+
 let all ?serve ?cluster () =
   [
     query_engine ~name:"naive-unordered" ~mode:Exact (fun db q ->
@@ -224,9 +231,15 @@ let all ?serve ?cluster () =
        [Corrupt]) isolates a storage bug — writer, checksum, mmap decode
        or manifest — never an engine bug. *)
     query_engine ~name:"segment" ~mode:Exact (fun db q ->
-        with_scratch_dir (fun dir ->
-            ignore (Paradb_storage.Store.compact ~dir db);
-            Rows (canon (Cq_naive.evaluate (Paradb_storage.Store.open_dir dir) q))));
+        with_reopened db (fun db -> Rows (canon (Cq_naive.evaluate db q))));
+    (* The compiled pipelines over the reopened snapshot: their views and
+       index probes read the sealed, segment-decoded base relations
+       directly. *)
+    query_engine ~name:"segment-compiled" ~mode:Exact (fun db q ->
+        with_reopened db (fun db ->
+            Rows (canon (Paradb_eval.Compile.evaluate db q))));
+    query_engine ~name:"count-segment-compiled" ~mode:Exact_count (fun db q ->
+        with_reopened db (fun db -> Count (Paradb_eval.Compile.count db q)));
     query_engine ~name:"datalog" ~mode:Exact
       ~guard:(fun q -> no_constraints q && q.Cq.body <> [])
       (fun db q ->

@@ -22,6 +22,7 @@ let classes =
     "acyclic-mixed";
     "sentence";
     "boolean-neq";
+    "anchored";
   ]
 
 (* Per-case RNG: independent of every other case, reproducible from
@@ -47,6 +48,62 @@ let chain_instance rng ~max_tuples =
   let edges = 1 + Random.State.int rng max_tuples in
   let db = Generators.edge_database rng ~nodes ~edges in
   (db, Generators.chain_query ~length ~neq)
+
+(* Anchored queries: the shapes the compiler materializes by probing a
+   base index instead of scanning.  The first atom is pinned by a
+   constant in argument 0; later atoms join on at most one earlier
+   variable (so the acyclic engines apply) and mix in constants — one in
+   eight absent from the data — ground atoms, and constants beside a
+   repeated variable, as in [r3(2, V0, V0)]. *)
+let anchored_cq rng ~max_atoms ~domain_size =
+  let const () =
+    if Random.State.int rng 8 = 0 then
+      Term.int (domain_size + Random.State.int rng 3)
+    else Term.int (Random.State.int rng domain_size)
+  in
+  let vars = ref [] in
+  let new_var () =
+    let v = Printf.sprintf "V%d" (List.length !vars) in
+    vars := v :: !vars;
+    v
+  in
+  let old_var () = List.nth !vars (Random.State.int rng (List.length !vars)) in
+  let atom i =
+    let arity = 1 + Random.State.int rng 3 in
+    let name = Printf.sprintf "r%d" arity in
+    if i > 0 && Random.State.int rng 6 = 0 then
+      Atom.make name (List.init arity (fun _ -> const ()))
+    else begin
+      (* [local]: the variable a repeat refers to; [joined]: this atom
+         already shares an earlier variable *)
+      let local = ref None and joined = ref false in
+      let var_arg () =
+        match Random.State.int rng 3 with
+        | 0 when !vars <> [] && not !joined ->
+            joined := true;
+            old_var ()
+        | _ -> new_var ()
+      in
+      let bind v =
+        if !local = None then local := Some v;
+        Term.var v
+      in
+      let first =
+        if i = 0 || Random.State.int rng 3 = 0 then const () else bind (var_arg ())
+      in
+      let rest =
+        List.init (arity - 1) (fun _ ->
+            match (Random.State.int rng 3, !local) with
+            | 0, _ -> const ()
+            | 1, Some v -> Term.var v
+            | _ -> bind (var_arg ()))
+      in
+      Atom.make name (first :: rest)
+    end
+  in
+  let body = List.init (1 + Random.State.int rng max_atoms) atom in
+  let head = List.filter (fun _ -> Random.State.bool rng) (List.rev !vars) in
+  Cq.make ~head:(List.map Term.var head) body
 
 let instance ~seed ~index ~max_vars ~max_tuples =
   let rng = case_rng ~seed ~index in
@@ -101,6 +158,12 @@ let instance ~seed ~index ~max_vars ~max_tuples =
             ~depth:(2 + Random.State.int rng 2)
         in
         (db, Sentence f)
+    | "anchored" ->
+        let q = anchored_cq rng ~max_atoms ~domain_size in
+        let db =
+          Generators.tree_cq_database rng ~max_arity:3 ~domain_size ~tuples
+        in
+        (db, Query q)
     | _ ->
         (* boolean-neq *)
         let db, q = tree ~neq_tries:3 () in

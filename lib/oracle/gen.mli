@@ -4,8 +4,9 @@
     Case classes cycle deterministically with the case index so every
     run of [n] cases covers the same mix: acyclic CQs (bare, with [<>],
     with comparisons, mixed), far-apart-[<>] chain queries (I1-rich, the
-    Theorem-2 core), cyclic CQs, closed positive FO sentences, and
-    Boolean [<>] queries. *)
+    Theorem-2 core), cyclic CQs, closed positive FO sentences, Boolean
+    [<>] queries, and anchored CQs (constants in argument 0, ground
+    atoms, absent constants, constants beside repeated variables). *)
 
 type shape = Query of Paradb_query.Cq.t | Sentence of Paradb_query.Fo.t
 

@@ -147,8 +147,11 @@ let recode_into dict r =
    concurrent domains sharing a relation build it once. *)
 let rec index_cap n c = if c >= n then c else index_cap n (c * 2)
 
+let m_key_index_builds = Paradb_telemetry.Metrics.counter "relation.key_index.builds"
+
 let key_index r (positions : int array) =
   let build () =
+    Paradb_telemetry.Metrics.incr m_key_index_builds;
     let n = cardinality r in
     let cap = index_cap (2 * max 8 n) 16 in
     let ktable = Array.make cap (-1) in
@@ -351,9 +354,24 @@ let semijoin r1 r2 =
         make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict (Row_set.create 1)
       else r1
   | _ ->
+      (* The kept rows are a subset of a set, collected in r1's order:
+         seal them instead of rehashing, and when nothing is dropped
+         return r1 itself so its memoized indexes stay live. *)
       let key1 = positions r1 common and key2 = positions r2 common in
       let idx = key_index r2 key2 in
-      select_codes (fun row -> probe_mem r2 idx row key1) r1
+      let n = cardinality r1 in
+      let kept = Array.make n [||] and k = ref 0 in
+      Row_set.iter
+        (fun row ->
+          if probe_mem r2 idx row key1 then begin
+            kept.(!k) <- row;
+            incr k
+          end)
+        r1.rows;
+      if !k = n then r1
+      else
+        make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict
+          (Row_set.of_unique_array kept !k)
 
 (* Reorder r2's columns to match r1's schema; fail if attribute sets
    differ. *)

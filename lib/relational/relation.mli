@@ -88,7 +88,14 @@ val sort_merge_join : t -> t -> t
     [s] on their common attributes.  With no common attributes this
     degenerates to the cartesian guard: [r] itself when [s] is nonempty
     (including 0-ary [s] holding the empty tuple), the empty relation over
-    [r]'s schema when [s] is empty. *)
+    [r]'s schema when [s] is empty.
+
+    When no row of [r] is dropped the result is [r] itself (physically),
+    so [r]'s memoized key indexes serve later probes.  Otherwise the kept
+    rows, in [r]'s order, form a sealed row store (no dedup hashing; the
+    probe table is built on a first [mem]/[add]) and a fresh index memo.
+    [r] is only read densely and [s] only through its locked index memo,
+    so both may be shared across domains. *)
 val semijoin : t -> t -> t
 
 val union : t -> t -> t

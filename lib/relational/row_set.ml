@@ -60,7 +60,9 @@ let get s i = s.rows.(i)
 
 let grow_dense s =
   let n = Array.length s.rows in
-  let rows = Array.make (2 * n) [||] and hashes = Array.make (2 * n) 0 in
+  (* a sealed set may own an exactly-sized (even empty) row array *)
+  let cap = max 8 (2 * n) in
+  let rows = Array.make cap [||] and hashes = Array.make cap 0 in
   Array.blit s.rows 0 rows 0 n;
   Array.blit s.hashes 0 hashes 0 n;
   s.rows <- rows;

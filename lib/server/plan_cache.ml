@@ -1,15 +1,28 @@
 (* Classic hash-table-plus-intrusive-doubly-linked-list LRU; the list
    head is the most recently used entry.  All structure mutations happen
-   under [lock]. *)
+   under [lock].
+
+   Scoped entries carry their (database, generation).  Generations are
+   catalog-wide and monotone, so once a generation of a database has
+   been cached, entries of its older generations can never hit again:
+   they are unlinked at once instead of waiting for LRU eviction, and a
+   late build for an older generation is not inserted. *)
 
 type node = {
   key : string;
+  scope : (string * int) option;
   mutable plan : Plan.t;
   mutable prev : node option; (* towards the head (more recent) *)
   mutable next : node option; (* towards the tail (less recent) *)
 }
 
-type counters = { hits : int; misses : int; evictions : int; size : int }
+type counters = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  superseded : int;
+  size : int;
+}
 
 module Metrics = Paradb_telemetry.Metrics
 
@@ -17,6 +30,7 @@ let m_hits = Metrics.counter "server.plan_cache.hits"
 let m_misses = Metrics.counter "server.plan_cache.misses"
 let m_evictions = Metrics.counter "server.plan_cache.evictions"
 let m_build_failures = Metrics.counter "server.plan_cache.build_failures"
+let m_superseded = Metrics.counter "server.plan_cache.superseded"
 
 type t = {
   capacity : int;
@@ -26,6 +40,8 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+  mutable superseded : int;
+  latest : (string, int) Hashtbl.t; (* database -> newest cached generation *)
   lock : Mutex.t;
 }
 
@@ -39,6 +55,8 @@ let create ~capacity () =
     hits = 0;
     misses = 0;
     evictions = 0;
+    superseded = 0;
+    latest = Hashtbl.create 8;
     lock = Mutex.create ();
   }
 
@@ -64,7 +82,38 @@ let evict_lru c =
       c.evictions <- c.evictions + 1;
       Metrics.incr m_evictions
 
-let find_or_build c ~key build =
+let count_superseded c =
+  c.superseded <- c.superseded + 1;
+  Metrics.incr m_superseded
+
+(* Called under [lock] before inserting an entry of [scope]: [false] when
+   a newer generation of the same database is already cached. *)
+let admit c = function
+  | None -> true
+  | Some (db, g) -> (
+      match Hashtbl.find_opt c.latest db with
+      | Some newest when newest > g ->
+          count_superseded c;
+          false
+      | Some newest when newest = g -> true
+      | _ ->
+          Hashtbl.replace c.latest db g;
+          let rec sweep = function
+            | None -> ()
+            | Some n ->
+                let next = n.next in
+                (match n.scope with
+                | Some (db', g') when db' = db && g' < g ->
+                    unlink c n;
+                    Hashtbl.remove c.table n.key;
+                    count_superseded c
+                | _ -> ());
+                sweep next
+          in
+          sweep c.head;
+          true)
+
+let find_or_build ?scope c ~key build =
   let cached =
     Mutex.protect c.lock (fun () ->
         match Hashtbl.find_opt c.table key with
@@ -101,10 +150,12 @@ let find_or_build c ~key build =
               unlink c n;
               push_front c n
           | None ->
-              if Hashtbl.length c.table >= c.capacity then evict_lru c;
-              let n = { key; plan; prev = None; next = None } in
-              Hashtbl.replace c.table key n;
-              push_front c n);
+              if admit c scope then begin
+                if Hashtbl.length c.table >= c.capacity then evict_lru c;
+                let n = { key; scope; plan; prev = None; next = None } in
+                Hashtbl.replace c.table key n;
+                push_front c n
+              end);
       (plan, `Miss)
 
 let mem c key = Mutex.protect c.lock (fun () -> Hashtbl.mem c.table key)
@@ -115,6 +166,7 @@ let counters c =
         hits = c.hits;
         misses = c.misses;
         evictions = c.evictions;
+        superseded = c.superseded;
         size = Hashtbl.length c.table;
       })
 

@@ -13,7 +13,16 @@
 
 type t
 
-type counters = { hits : int; misses : int; evictions : int; size : int }
+(** [evictions] counts LRU capacity evictions only; [superseded] counts
+    entries dropped (or never inserted) because a newer generation of
+    their database is cached. *)
+type counters = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  superseded : int;
+  size : int;
+}
 
 (** [create ~capacity ()] — [capacity] must be positive. *)
 val create : capacity:int -> unit -> t
@@ -27,8 +36,17 @@ val capacity : t -> int
     interchangeable).  A raising [build] propagates without inserting
     anything — the miss is still counted, the
     [server.plan_cache.build_failures] counter is bumped, and the next
-    request for [key] retries the build. *)
-val find_or_build : t -> key:string -> (unit -> Plan.t) -> Plan.t * [ `Hit | `Miss ]
+    request for [key] retries the build.
+
+    [scope] is the entry's (database, catalog generation).  Inserting an
+    entry of generation [g] unlinks every entry of the same database with
+    a lower generation, since those can never hit again; an entry older
+    than one already cached is returned but not inserted.  Both count as
+    [superseded] (counter [server.plan_cache.superseded]), not as
+    evictions. *)
+val find_or_build :
+  ?scope:string * int -> t -> key:string -> (unit -> Plan.t) ->
+  Plan.t * [ `Hit | `Miss ]
 
 (** Peek without counting or bumping recency (tests). *)
 val mem : t -> string -> bool

@@ -125,7 +125,8 @@ let run_eval s ~db ~kind q =
         (* The budget covers the whole request: planning and
            pipeline compilation on a miss, then evaluation. *)
         let plan, outcome =
-          Plan_cache.find_or_build s.shared.cache ~key (fun () ->
+          Plan_cache.find_or_build ~scope:(db, generation) s.shared.cache
+            ~key (fun () ->
               Plan.prepare ?budget (Plan.analyze kind q) database ~generation)
         in
         ( plan,
@@ -171,7 +172,8 @@ let run_count s ~db ~kind q =
       let t0 = now_ns () in
       match
         let plan, outcome =
-          Plan_cache.find_or_build s.shared.cache ~key (fun () ->
+          Plan_cache.find_or_build ~scope:(db, generation) s.shared.cache
+            ~key (fun () ->
               Plan.prepare_count ?budget (Plan.analyze kind q) database
                 ~generation)
         in
@@ -385,6 +387,7 @@ let do_stats s =
         Printf.sprintf "server.cache.capacity %d"
           (Plan_cache.capacity s.shared.cache);
         Printf.sprintf "server.cache.evictions %d" cache.Plan_cache.evictions;
+        Printf.sprintf "server.cache.superseded %d" cache.Plan_cache.superseded;
       ]
     @ List.concat_map
         (fun e ->

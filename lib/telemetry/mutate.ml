@@ -12,6 +12,8 @@ let known =
      "tropical ⊕ sums alternative costs instead of keeping the best one");
     ("count_dedup_drop",
      "annotated projection keeps the first annotation, collapsing multiplicities");
+    ("materialize_drop_eq",
+     "compiled index-probe materialization skips the repeated-variable equalities");
   ]
 
 let known_names = List.map fst known

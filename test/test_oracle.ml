@@ -264,6 +264,10 @@ let test_mutant_count_dedup_drop () =
   check_mutant_caught ~cases:400 ~mutant:"count_dedup_drop"
     ~engines:[ "count-yannakakis" ] ()
 
+let test_mutant_materialize_drop_eq () =
+  check_mutant_caught ~mutant:"materialize_drop_eq"
+    ~engines:[ "compiled"; "segment-compiled" ] ()
+
 let test_unknown_mutant_rejected () =
   with_mutation "not_a_mutant" @@ fun () ->
   Alcotest.(check bool) "raises" true
@@ -308,6 +312,8 @@ let () =
             test_mutant_sum_instead_of_max;
           Alcotest.test_case "count dedup drop" `Quick
             test_mutant_count_dedup_drop;
+          Alcotest.test_case "materialize drop eq" `Quick
+            test_mutant_materialize_drop_eq;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

@@ -13,6 +13,7 @@ module Relation = Paradb_relational.Relation
 module Database = Paradb_relational.Database
 module Value = Paradb_relational.Value
 module Budget = Paradb_telemetry.Budget
+module Metrics = Paradb_telemetry.Metrics
 module Generators = Paradb_workload.Generators
 open Paradb_query
 
@@ -128,6 +129,74 @@ let test_compiled_edge_cases () =
      Alcotest.(check bool) "error names the relation" true
        (Test_support.contains msg "r9"))
 
+(* Materialization shapes: arity mismatch, 0-ary atoms, ground atoms,
+   constants absent from the data, and a constant beside a repeated
+   variable — each must agree with the interpreters on answers and on
+   counts. *)
+let test_materialization_shapes () =
+  let db =
+    Database.of_relations
+      [
+        Relation.create ~name:"e" ~schema:[ "a"; "b" ]
+          (List.map
+             (fun (a, b) -> [| Value.Int a; Value.Int b |])
+             [ (1, 2); (2, 3); (3, 1); (2, 2) ]);
+        Relation.create ~name:"t" ~schema:[ "a"; "b"; "c" ]
+          (List.map
+             (fun (a, b, c) -> [| Value.Int a; Value.Int b; Value.Int c |])
+             [ (2, 5, 5); (2, 5, 6); (3, 4, 4); (2, 1, 1) ]);
+        Relation.create ~name:"yes" ~schema:[] [ [||] ];
+        Relation.create ~name:"no" ~schema:[] [];
+      ]
+  in
+  let agree q =
+    let text = Cq.to_string q in
+    Alcotest.(check (list string)) text
+      (rows (Cq_naive.evaluate db q))
+      (rows (Compile.evaluate db q));
+    Alcotest.(check int) ("count " ^ text) (Cq_naive.count db q)
+      (Compile.count db q)
+  in
+  let same text = agree (Parser.parse_cq text) in
+  let v = Term.var and c i = Term.Const (Value.Int i) in
+  let cq body = Cq.make ~name:"ans" ~head:[ v "X" ] body in
+  (* arity mismatch: no stored tuple matches *)
+  same "ans(X) :- e(X).";
+  same "ans(X) :- e(1, X, Y).";
+  (* 0-ary atoms, holding and empty *)
+  agree (cq [ Atom.make "e" [ v "X"; v "Y" ]; Atom.make "yes" [] ]);
+  agree (cq [ Atom.make "e" [ v "X"; v "Y" ]; Atom.make "no" [] ]);
+  (* ground atoms: present, absent, and naming a value never stored *)
+  agree (cq [ Atom.make "e" [ v "X"; v "Y" ]; Atom.make "e" [ c 1; c 2 ] ]);
+  agree (cq [ Atom.make "e" [ v "X"; v "Y" ]; Atom.make "e" [ c 2; c 1 ] ]);
+  agree (cq [ Atom.make "e" [ v "X"; v "Y" ]; Atom.make "e" [ c 1; c 987654 ] ]);
+  same "ans(X) :- e(X, Y), e(nowhere, Y).";
+  (* a constant beside a repeated variable *)
+  same "ans(X) :- t(2, X, X).";
+  same "ans(X, Y) :- t(2, X, X), e(X, Y).";
+  same "ans(Y) :- t(X, Y, Y), e(X, 2)."
+
+(* Plain atoms compile to views sharing the base relation's memoized key
+   indexes, and reducers that drop nothing keep them: compiling a second
+   plan on the same snapshot builds no index again. *)
+let test_base_indexes_built_once () =
+  let db = edge [ (1, 2); (2, 3); (3, 1) ] in
+  let builds = Metrics.counter "relation.key_index.builds" in
+  let delta f =
+    let before = Metrics.counter_value builds in
+    f ();
+    Metrics.counter_value builds - before
+  in
+  let compile text = ignore (Compile.compile (plan text) db) in
+  let first = delta (fun () -> compile "ans(X, Z) :- e(X, Y), e(Y, Z).") in
+  Alcotest.(check bool) "first plan builds base indexes" true (first > 0);
+  Alcotest.(check int) "same plan again builds none" 0
+    (delta (fun () -> compile "ans(X, Z) :- e(X, Y), e(Y, Z)."));
+  Alcotest.(check int) "another plan over the same keys builds none" 0
+    (delta (fun () ->
+         compile "ans(A) :- e(A, B), e(B, C).";
+         compile "ans(X) :- e(1, X)."))
+
 (* ------------------------------------------------------------------ *)
 (* Budget cancellation in compiled pipelines *)
 
@@ -228,6 +297,10 @@ let () =
         [
           Alcotest.test_case "edge cases = naive" `Quick
             test_compiled_edge_cases;
+          Alcotest.test_case "materialization shapes = naive" `Quick
+            test_materialization_shapes;
+          Alcotest.test_case "base indexes built once per snapshot" `Quick
+            test_base_indexes_built_once;
           Alcotest.test_case "budget cancellation" `Quick
             test_budget_cancellation;
         ] );

@@ -2,6 +2,7 @@ module Value = Paradb_relational.Value
 module Tuple = Paradb_relational.Tuple
 module Relation = Paradb_relational.Relation
 module Database = Paradb_relational.Database
+module Row_set = Paradb_relational.Row_set
 
 let rel name schema rows =
   Relation.create ~name ~schema (List.map Tuple.of_ints rows)
@@ -238,6 +239,23 @@ let test_database_unnamed () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
+(* A sealed row store may own an exactly-sized, even empty, row array:
+   its first [add] must still grow it. *)
+let test_sealed_row_set_grows () =
+  List.iter
+    (fun rows ->
+      let n = Array.length rows in
+      let s = Row_set.of_unique_array (Array.copy rows) n in
+      Row_set.add s [| 7; 7 |];
+      Row_set.add s [| 7; 7 |];
+      Alcotest.(check int) "one row added" (n + 1) (Row_set.cardinal s);
+      Alcotest.(check bool) "added row found" true (Row_set.mem s [| 7; 7 |]);
+      Array.iter
+        (fun row ->
+          Alcotest.(check bool) "sealed row found" true (Row_set.mem s row))
+        rows)
+    [ [||]; [| [| 1; 2 |] |]; Array.init 8 (fun i -> [| i; i + 1 |]) ]
+
 let qcheck_tests =
   let random_rel rng ~schema =
     Qgen.random_relation rng ~name:"r" ~arity:(List.length schema)
@@ -272,6 +290,25 @@ let qcheck_tests =
         let s = random_rel rng ~schema:[ "b"; "c" ] in
         Relation.set_equal (Relation.semijoin r s)
           (Relation.project [ "a"; "b" ] (Relation.natural_join r s)));
+    Qgen.seeded_property
+      ~name:"semijoin = select_codes reference; r1 itself when nothing drops; \
+             sealed result accepts add/mem"
+      ~count:200 (fun rng ->
+        let r = random_rel rng ~schema:[ "a"; "b" ] in
+        let s = random_rel rng ~schema:[ "b"; "c" ] in
+        let s_keys = Relation.fold_codes (fun row acc -> row.(0) :: acc) s [] in
+        let reference =
+          Relation.select_codes (fun row -> List.mem row.(1) s_keys) r
+        in
+        let got = Relation.semijoin r s in
+        let fresh = [| Value.Int 99; Value.Int 98 |] in
+        let grown = Relation.add fresh got in
+        Relation.set_equal got reference
+        && (got == r) = (Relation.cardinality got = Relation.cardinality r)
+        && Relation.fold (fun row ok -> ok && Relation.mem row got) got true
+        && (not (Relation.mem fresh got))
+        && Relation.mem fresh grown
+        && Relation.cardinality grown = Relation.cardinality got + 1);
     Qgen.seeded_property ~name:"semijoin shrinks" ~count:100 (fun rng ->
         let r = random_rel rng ~schema:[ "a"; "b" ] in
         let s = random_rel rng ~schema:[ "b"; "c" ] in
@@ -323,6 +360,8 @@ let () =
           Alcotest.test_case "join as product" `Quick test_join_no_common_is_product;
           Alcotest.test_case "product guard" `Quick test_product_rejects_shared;
           Alcotest.test_case "semijoin" `Quick test_semijoin;
+          Alcotest.test_case "sealed row set grows" `Quick
+            test_sealed_row_set_grows;
           Alcotest.test_case "degenerate cases" `Quick test_degenerate_cases;
           Alcotest.test_case "set ops" `Quick test_set_ops;
           Alcotest.test_case "extend" `Quick test_extend;

@@ -160,6 +160,34 @@ let test_lru_discipline () =
   Alcotest.(check int) "size bound" 2 counters.Plan_cache.size;
   Alcotest.(check int) "lru order" 2 (List.length (Plan_cache.keys cache))
 
+(* Generations are catalog-wide and monotone: caching generation g of a
+   database drops its older generations at once (they can never hit
+   again), and a late build for an older generation is not inserted.
+   Neither counts as an LRU eviction. *)
+let test_superseded_generations () =
+  let cache = Plan_cache.create ~capacity:8 () in
+  let text = "ans(X) :- r1(X)." in
+  let put db g =
+    let q = Parser.parse_cq text in
+    let key = Plan.scoped_key ~db ~generation:g Plan.Auto q in
+    ignore
+      (Plan_cache.find_or_build ~scope:(db, g) cache ~key (fun () ->
+           plan_for text));
+    key
+  in
+  let g1 = put "g" 1 and h1 = put "h" 1 in
+  let g3 = put "g" 3 in
+  Alcotest.(check bool) "older generation dropped" false (Plan_cache.mem cache g1);
+  Alcotest.(check bool) "newer generation cached" true (Plan_cache.mem cache g3);
+  Alcotest.(check bool) "other database untouched" true (Plan_cache.mem cache h1);
+  let g2 = put "g" 2 in
+  Alcotest.(check bool) "late older build not inserted" false
+    (Plan_cache.mem cache g2);
+  let counters = Plan_cache.counters cache in
+  Alcotest.(check int) "superseded counted" 2 counters.Plan_cache.superseded;
+  Alcotest.(check int) "not as evictions" 0 counters.Plan_cache.evictions;
+  Alcotest.(check (list string)) "keys" [ g3; h1 ] (Plan_cache.keys cache)
+
 let test_plan_dispatch () =
   (* auto always lowers to the compiled push-based pipeline; the
      interpreter engines remain reachable by explicit request *)
@@ -279,6 +307,8 @@ let test_session_dispatch () =
     (contains (List.hd metrics) "\"p99\"");
   Alcotest.(check bool) "metrics reports per-verb latency" true
     (contains (List.hd metrics) "server.verb.eval.ns");
+  Alcotest.(check bool) "metrics reports key-index builds" true
+    (contains (List.hd metrics) "relation.key_index.builds");
   Alcotest.(check bool) "stats carries telemetry lines" true
     (List.exists
        (fun l -> contains l "telemetry.server.plan_cache.hits")
@@ -327,11 +357,17 @@ let test_compiled_cache_staleness () =
   Alcotest.(check bool) "warm eval is a cache hit" true
     (contains (summary_of (run "EVAL g auto ans(X, Y) :- e(X, Y)."))
        "cache=hit");
+  let old_keys = Plan_cache.keys shared.Session.cache in
   (match run "FACT g e(5, 5)." with
   | Protocol.Ok_ _ -> ()
   | Protocol.Err e -> Alcotest.failf "FACT failed: %s" e);
   Alcotest.(check int) "compiled sees the appended fact" 3
     (List.length (eval ()));
+  (* the superseded generation's entries are gone, not merely stranded *)
+  let keys = Plan_cache.keys shared.Session.cache in
+  Alcotest.(check bool) "new generation cached" true (keys <> []);
+  Alcotest.(check bool) "no key of the old generation" false
+    (List.exists (fun k -> List.mem k old_keys) keys);
   (* full replacement via LOAD: same key text, different snapshot *)
   (match run (Printf.sprintf "LOAD g %s" path2) with
   | Protocol.Ok_ _ -> ()
@@ -590,6 +626,8 @@ let () =
         [
           Alcotest.test_case "key invariance" `Quick test_cache_key_invariance;
           Alcotest.test_case "lru discipline" `Quick test_lru_discipline;
+          Alcotest.test_case "superseded generations dropped" `Quick
+            test_superseded_generations;
           Alcotest.test_case "dispatch decisions" `Quick test_plan_dispatch;
         ] );
       ( "session",
