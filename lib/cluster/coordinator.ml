@@ -1,6 +1,7 @@
 module Value = Paradb_relational.Value
 module Tuple = Paradb_relational.Tuple
 module Relation = Paradb_relational.Relation
+module Dictionary = Paradb_relational.Dictionary
 module Database = Paradb_relational.Database
 module Source = Paradb_query.Source
 module Cq = Paradb_query.Cq
@@ -8,6 +9,7 @@ module Atom = Paradb_query.Atom
 module Term = Paradb_query.Term
 module Constr = Paradb_query.Constr
 module Fact_format = Paradb_query.Fact_format
+module Segment = Paradb_storage.Segment
 module Planner = Paradb_planner.Planner
 module Protocol = Paradb_server.Protocol
 module Client = Paradb_server.Client
@@ -19,6 +21,7 @@ module Metrics = Paradb_telemetry.Metrics
 module Export = Paradb_telemetry.Export
 module Budget = Paradb_telemetry.Budget
 module Clock = Paradb_telemetry.Clock
+module Mutate = Paradb_telemetry.Mutate
 
 (* Cluster telemetry.  Counters are cumulative over the process;
    [cluster.inflight] is a high-watermark gauge (see Metrics.set_max).
@@ -36,6 +39,10 @@ let m_admission = Metrics.counter "cluster.admission.rejected"
 let m_deadline = Metrics.counter "cluster.deadline_exceeded"
 let h_round = Metrics.histogram "cluster.round.ns"
 let g_inflight = Metrics.gauge "cluster.inflight"
+
+(* Exchange reducers answered from an identical reducer gathered
+   earlier in the same request (the triangle's three scans of [e]). *)
+let m_reducers_reused = Metrics.counter "cluster.exchange.reducers_reused"
 
 (* Replica-health telemetry: a replica write that could not be
    delivered counts on [cluster.write.replica_miss] (and is journaled
@@ -491,41 +498,75 @@ let is_missing_relation e =
   || starts_with ~prefix:"Database.find: no relation" e
   || starts_with ~prefix:"no database " e
 
-(* Gather the answer of [query_text] (a GATHER-able query whose head
-   relation is [head_name]) from every shard and union the parsed fact
-   payloads.  Each (slice, rank-failover) response contributes its
-   rows; set semantics of [parse_facts] dedups. *)
+(* One SHIP answer's segment, validated: exactly one payload line, hex,
+   every section checksum, and the arity the coordinator expects.  Any
+   failure raises [Segment.Corrupt] naming [source]. *)
+let decode_shipped ~source ~arity payload =
+  match payload with
+  | [ hex ] ->
+      let seg = Segment.decode ~source (Segment.of_hex ~source hex) in
+      if Segment.arity seg <> arity then
+        raise
+          (Segment.Corrupt
+             (Printf.sprintf "segment %s: arity %d, expected %d" source
+                (Segment.arity seg) arity));
+      seg
+  | _ ->
+      raise
+        (Segment.Corrupt
+           (Printf.sprintf "segment %s: %d payload lines, expected 1" source
+              (List.length payload)))
+
+(* The set union of decoded segments as one relation [name] over a
+   positional schema: codes go straight from the segment pages into the
+   row store, which dedups.  Decoding is lazy, so a corrupt code page
+   raises [Segment.Corrupt] from here. *)
+let union_segments ~name ~arity segs =
+  let drop_last = Mutate.enabled "ship_drop_row" in
+  let rows seg =
+    let n = Segment.rows seg in
+    Seq.take
+      (if drop_last && n > 0 then n - 1 else n)
+      (Segment.rows_seq seg ~dict:Dictionary.global)
+  in
+  Relation.of_codes ~name
+    ~size_hint:(List.fold_left (fun acc seg -> acc + Segment.rows seg) 0 segs)
+    ~schema:(positional_schema arity)
+    (Seq.concat_map rows (List.to_seq segs))
+
+let truncated_answer summary = contains_sub summary "truncated=true"
+
+(* Ship the answer of [query_text] (a query whose head relation is
+   [head_name]) from every slice and union the decoded segments.  A
+   shard that truncated its answer, or whose payload fails to decode, is
+   a clean [ERR] for the whole request: a partial reducer would be
+   silently wrong. *)
 let gather_all t conns budget ~db ~head_name ~arity query_text =
-  let chunks =
+  try
     List.init (shards t) (fun s ->
         match
           data_call t conns budget ~shard:s ~rank:0 ~db (fun name ->
-              Printf.sprintf "GATHER %s %s" name query_text)
+              Printf.sprintf "SHIP %s %s" name query_text)
         with
-        | Protocol.Ok_ { summary; payload } ->
-            if contains_sub summary "truncated=true" then
-              raise
-                (Reply
-                   (Protocol.Err
-                      (Printf.sprintf
-                         "shard %d truncated its answer; raise max-rows on \
-                          the shards"
-                         s)))
-            else payload
-        | Protocol.Err e when is_missing_relation e -> []
+        | Protocol.Ok_ { summary; _ } when truncated_answer summary ->
+            raise
+              (Reply
+                 (Protocol.Err
+                    (Printf.sprintf
+                       "shard %d truncated its answer; raise max-rows on the \
+                        shards"
+                       s)))
+        | Protocol.Ok_ { payload; _ } ->
+            Some
+              (decode_shipped ~source:(Printf.sprintf "shard %d" s) ~arity
+                 payload)
+        | Protocol.Err e when is_missing_relation e -> None
         | Protocol.Err e ->
             raise (Reply (Protocol.Err (Printf.sprintf "shard %d: %s" s e))))
-  in
-  let text = String.concat "\n" (List.concat chunks) ^ "\n" in
-  match Source.parse_facts text with
-  | Error e ->
-      raise
-        (Reply (Protocol.Err (Printf.sprintf "shard payload invalid: %s" e)))
-  | Ok gdb -> (
-      match Database.find_opt gdb head_name with
-      | Some r -> r
-      | None ->
-          Relation.create ~name:head_name ~schema:(positional_schema arity) [])
+    |> List.filter_map Fun.id
+    |> union_segments ~name:head_name ~arity
+  with Segment.Corrupt msg ->
+    raise (Reply (Protocol.Err ("shard payload invalid: " ^ msg)))
 
 (* Scatter fast path: every atom's first argument is the same variable,
    so the whole query is co-partitioned — each answer is witnessed
@@ -564,27 +605,12 @@ let scatter_count t conns budget ~db ~query =
 
 (* --- reducer exchange ------------------------------------------- *)
 
-let term_to_source = function
-  | Term.Var v -> v
-  | Term.Const c -> Fact_format.value_to_syntax c
-
-let atom_to_source a =
-  Printf.sprintf "%s(%s)" a.Atom.rel
-    (String.concat ", " (List.map term_to_source a.Atom.args))
-
-let op_to_source = function
-  | Constr.Neq -> "!="
-  | Constr.Lt -> "<"
-  | Constr.Le -> "<="
-
-let constr_to_source c =
-  Printf.sprintf "%s %s %s"
-    (term_to_source c.Constr.lhs)
-    (op_to_source c.Constr.op)
-    (term_to_source c.Constr.rhs)
-
 let first_var a =
   match a.Atom.args with Term.Var v :: _ -> Some v | _ -> None
+
+(* Every reducer is named [gx]; the exchange aliases each gathered copy
+   to [gx<i>], so identical reducers share one key and one gather. *)
+let reducer_head = "gx"
 
 (* The reducer for body atom [i]: its matching tuples, semijoin-reduced
    against whatever of the rest of the query is provably co-located.
@@ -596,7 +622,7 @@ let first_var a =
    and repeated variables included — so the gathered relation is
    exactly a reduced copy of the atom's relation, and the coordinator
    can re-join by renaming the atom to [gx<i>]. *)
-let reducer_source q i =
+let reducer q i =
   let atom = List.nth q.Cq.body i in
   let partners =
     match first_var atom with
@@ -618,11 +644,7 @@ let reducer_source q i =
         List.for_all (fun v -> StringSet.mem v bound) (Constr.vars c))
       q.Cq.constraints
   in
-  Printf.sprintf "gx%d(%s) :- %s." i
-    (String.concat ", " (List.map term_to_source atom.Atom.args))
-    (String.concat ", "
-       (List.map atom_to_source body
-       @ List.map constr_to_source constraints))
+  Cq.make ~name:reducer_head ~constraints ~head:atom.Atom.args body
 
 (* A query with no relational atoms is ground: by safety its head and
    constraints are all constants, so it touches no shard at all. *)
@@ -653,25 +675,35 @@ let eval_ground q =
    its reducer.  Linear-time class is preserved: the reducers are
    selections/semijoins (linear shard-side), the exchange moves only
    reduced relations, and the final join runs the same planner the
-   single node would. *)
+   single node would.  Reducers equal up to variable renaming (same
+   [Cq.cache_key]) are gathered once and aliased. *)
 let exchange_scratch t conns budget ~db q =
   let gname i = Printf.sprintf "gx%d" i in
+  let shipped = Hashtbl.create 4 in
   let gathered =
     round (fun () ->
         List.mapi
           (fun i atom ->
-            let arity = List.length atom.Atom.args in
-            (i, arity, reducer_source q i))
-          q.Cq.body
-        |> List.map (fun (i, arity, src) ->
-               ( i,
-                 gather_all t conns budget ~db ~head_name:(gname i) ~arity
-                   src )))
+            let r = reducer q i in
+            let key = Cq.cache_key r in
+            let rel =
+              match Hashtbl.find_opt shipped key with
+              | Some rel ->
+                  Metrics.incr m_reducers_reused;
+                  rel
+              | None ->
+                  let rel =
+                    gather_all t conns budget ~db ~head_name:reducer_head
+                      ~arity:(List.length atom.Atom.args) (Cq.to_string r)
+                  in
+                  Hashtbl.add shipped key rel;
+                  rel
+            in
+            Relation.with_name (gname i) rel)
+          q.Cq.body)
   in
   let scratch =
-    List.fold_left
-      (fun acc (_, r) -> Database.add r acc)
-      Database.empty gathered
+    List.fold_left (fun acc r -> Database.add r acc) Database.empty gathered
   in
   let rewritten =
     Cq.make ~name:q.Cq.name ~constraints:q.Cq.constraints ~head:q.Cq.head
@@ -806,6 +838,12 @@ let render_gather t ~mode:_ ~ns result =
       payload;
     }
 
+(* SHIP at the coordinator answers like a shard's SHIP, so coordinators
+   can themselves be shipped from. *)
+let render_ship t ~mode:_ ~ns result =
+  Paradb_server.Session.ship_answer ~limits:t.config.limits ~cache:"miss" ~ns
+    result
+
 (* Admission control: the inflight count is tracked (and its
    high-watermark published) unconditionally; the limit only rejects
    when configured.  Layered on the Guard limits rather than replacing
@@ -830,6 +868,10 @@ let do_eval t conns ~db ~engine ~query =
 let do_gather t conns ~db ~query =
   admitted t (fun () ->
       guarded_eval t conns ~db ~engine:"auto" ~query (render_gather t))
+
+let do_ship t conns ~db ~query =
+  admitted t (fun () ->
+      guarded_eval t conns ~db ~engine:"auto" ~query (render_ship t))
 
 (* COUNT at the coordinator: the payload is the same single bare-count
    line a single node answers, so clients (and the differential
@@ -983,73 +1025,86 @@ let repair_slice t conns ~db ~slice digests =
             lines
       | _, Error _ -> ())
     digests;
-  let buf = Buffer.create 1024 in
-  let truncated = ref false in
-  List.iter
-    (fun (rank, d) ->
-      match d with
-      | Error _ -> ()
-      | Ok _ ->
-          let target = Ring.replica_shard t.ring ~shard:slice ~rank in
-          Hashtbl.iter
-            (fun name arity ->
-              if arity >= 1 then
-                let line =
-                  Printf.sprintf "GATHER %s %s" (replica_name db ~rank)
-                    (full_scan_query name arity)
-                in
-                match
-                  raw_call t conns None target ~bytes:(String.length line + 1)
-                    (fun c -> Client.request_line c line)
-                with
-                | Protocol.Ok_ { summary; payload } ->
-                    if contains_sub summary "truncated=true" then
-                      truncated := true
-                    else
-                      List.iter
-                        (fun l ->
-                          Buffer.add_string buf l;
-                          Buffer.add_char buf '\n')
-                        payload
-                | Protocol.Err _ -> ()
-                | exception Shard_down _ -> ())
-            specs)
-    digests;
-  if !truncated then
-    Error "a rank truncated its scan; raise max-rows on the shards"
-  else
-    match Source.parse_facts (Buffer.contents buf) with
-    | Error e -> Error ("union of rank contents failed to parse: " ^ e)
-    | Ok udb ->
-        let lines = slice_lines udb in
-        let rows = Database.size udb in
-        let shipped = ref 0 in
-        for rank = 0 to t.config.replicas - 1 do
-          let target = Ring.replica_shard t.ring ~shard:slice ~rank in
-          let header =
-            Printf.sprintf "BULK %s %d" (replica_name db ~rank)
-              (List.length lines)
-          in
-          let bytes =
-            List.fold_left
-              (fun a l -> a + String.length l + 1)
-              (String.length header + 1)
-              lines
-          in
-          let frame = { Hints.header; payload = lines } in
-          match
-            raw_call t conns None target ~bytes (fun c ->
-                Client.request_bulk c ~header lines)
-          with
-          | Protocol.Ok_ _ ->
-              incr shipped;
-              Metrics.incr m_repair_reshipped
-          | Protocol.Err e -> replica_missed t ~target ~rank ~reason:e frame
-          | exception Shard_down s ->
-              replica_missed t ~target ~rank ~reason:(shard_down_msg t s) frame
-        done;
-        Metrics.incr ~by:rows m_repair_rows;
-        Ok (!shipped, rows)
+  (* Scan every readable rank with SHIP and decode everything before
+     re-shipping anything: a rank that truncated its scan or answered an
+     undecodable payload fails the slice's repair and touches no rank. *)
+  let exception Truncated_scan in
+  let scan () =
+    let scans = Hashtbl.create 8 in
+    List.iter
+      (fun (rank, d) ->
+        match d with
+        | Error _ -> ()
+        | Ok _ ->
+            let target = Ring.replica_shard t.ring ~shard:slice ~rank in
+            Hashtbl.iter
+              (fun name arity ->
+                if arity >= 1 then
+                  let line =
+                    Printf.sprintf "SHIP %s %s" (replica_name db ~rank)
+                      (full_scan_query name arity)
+                  in
+                  match
+                    raw_call t conns None target
+                      ~bytes:(String.length line + 1) (fun c ->
+                        Client.request_line c line)
+                  with
+                  | Protocol.Ok_ { summary; _ } when truncated_answer summary
+                    ->
+                      raise Truncated_scan
+                  | Protocol.Ok_ { payload; _ } ->
+                      let seg =
+                        decode_shipped
+                          ~source:(Printf.sprintf "rank %d of %s" rank name)
+                          ~arity payload
+                      in
+                      Hashtbl.replace scans name
+                        (seg
+                        :: Option.value ~default:[] (Hashtbl.find_opt scans name))
+                  | Protocol.Err _ -> ()
+                  | exception Shard_down _ -> ())
+              specs)
+      digests;
+    Database.of_relations
+      (Hashtbl.fold
+         (fun name segs acc ->
+           union_segments ~name ~arity:(Hashtbl.find specs name) segs :: acc)
+         scans [])
+  in
+  match scan () with
+  | exception Truncated_scan ->
+      Error "a rank truncated its scan; raise max-rows on the shards"
+  | exception Segment.Corrupt msg -> Error ("rank payload invalid: " ^ msg)
+  | udb ->
+      let lines = slice_lines udb in
+      let rows = Database.size udb in
+      let shipped = ref 0 in
+      for rank = 0 to t.config.replicas - 1 do
+        let target = Ring.replica_shard t.ring ~shard:slice ~rank in
+        let header =
+          Printf.sprintf "BULK %s %d" (replica_name db ~rank)
+            (List.length lines)
+        in
+        let bytes =
+          List.fold_left
+            (fun a l -> a + String.length l + 1)
+            (String.length header + 1)
+            lines
+        in
+        let frame = { Hints.header; payload = lines } in
+        match
+          raw_call t conns None target ~bytes (fun c ->
+              Client.request_bulk c ~header lines)
+        with
+        | Protocol.Ok_ _ ->
+            incr shipped;
+            Metrics.incr m_repair_reshipped
+        | Protocol.Err e -> replica_missed t ~target ~rank ~reason:e frame
+        | exception Shard_down s ->
+            replica_missed t ~target ~rank ~reason:(shard_down_msg t s) frame
+      done;
+      Metrics.incr ~by:rows m_repair_rows;
+      Ok (!shipped, rows)
 
 (* DIGEST at the coordinator: the dry run — compare every slice's
    replica digests and report divergence without touching anything. *)
@@ -1192,6 +1247,8 @@ let handler t () =
         (Some (do_count t conns ~db ~engine ~query), `Continue)
     | Protocol.Gather { db; query } ->
         (Some (do_gather t conns ~db ~query), `Continue)
+    | Protocol.Ship { db; query } ->
+        (Some (do_ship t conns ~db ~query), `Continue)
     | Protocol.Check query -> (Some (do_check query), `Continue)
     | Protocol.Explain query -> (Some (do_explain query), `Continue)
     | Protocol.Digest db -> (Some (do_digest t conns ~db), `Continue)

@@ -17,22 +17,33 @@
 
     {2 Evaluation}
 
-    [EVAL]/[GATHER] pick a strategy from
+    [EVAL]/[GATHER]/[SHIP] pick a strategy from
     {!Paradb_planner.Planner.shard_choice}:
 
     - {e scatter} (co-partitioned: every atom starts with the same
       variable) — one round; each shard evaluates the original query
-      over its slice via [GATHER] and the coordinator unions the fact
-      payloads.  Correct because every answer's witness tuples all
+      over its slice via [SHIP] and the coordinator unions the decoded
+      segments.  Correct because every answer's witness tuples all
       carry the same first value, hence live on one shard.
     - {e exchange} (general) — two rounds.  Round 1 gathers per-atom
       {e reducer relations} [gx<i>]: the atom's matching tuples,
       semijoin-reduced shard-side against co-partitioned partner atoms
-      and locally-decidable constraints.  Round 2 joins the reducers at
-      the coordinator with every atom renamed to its reducer, under the
-      original head and constraints.  Reducers are selections and
-      semijoins, so the paper's linear-time class survives
-      distribution.
+      and locally-decidable constraints.  Each reducer is a [Cq.t]
+      shipped as {!Paradb_query.Cq.to_string}; reducers with the same
+      {!Paradb_query.Cq.cache_key} are gathered once per request and
+      aliased ([cluster.exchange.reducers_reused]).  Round 2 joins the
+      reducers at the coordinator with every atom renamed to its
+      reducer, under the original head and constraints.  Reducers are
+      selections and semijoins, so the paper's linear-time class
+      survives distribution.
+
+    Every shard read ([SHIP]) answers a hex segment
+    ({!Paradb_storage.Segment}) that the coordinator validates and
+    decodes straight into code rows — no text render, no fact parse.  A
+    payload that fails validation answers
+    [ERR shard payload invalid: ...]; a shard answer marked
+    [truncated=true] answers [ERR] too, since a partial union would be
+    silently wrong.
 
     Results are rendered with the same canonical serialization as a
     single node ([Plan.sorted_tuples] / fact lines), so answers are

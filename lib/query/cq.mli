@@ -71,4 +71,9 @@ val head_tuple : Binding.t -> t -> Paradb_relational.Tuple.t
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** Source syntax without the final period: constants print as
+    {!Term.value_to_syntax} writes them, so [parse_cq (to_string q)]
+    equals [q] for any query with parser-legal names — the form the
+    cluster ships reducers in. *)
 val to_string : t -> string

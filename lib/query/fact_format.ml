@@ -1,23 +1,7 @@
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
-module Value = Paradb_relational.Value
 
-let lexes_as_lident s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-         | _ -> false)
-       s
-  && not (List.mem s [ "exists"; "forall"; "true"; "false" ])
-
-let value_to_syntax = function
-  | Value.Int i -> string_of_int i
-  | Value.Str s ->
-      (* a string of digits must be quoted or it would re-read as Int *)
-      if lexes_as_lident s && int_of_string_opt s = None then s
-      else "\"" ^ s ^ "\""
+let value_to_syntax = Term.value_to_syntax
 
 let to_string db =
   let buf = Buffer.create 1024 in

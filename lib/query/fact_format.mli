@@ -5,6 +5,8 @@
     integers bare, strings bare when they lex as lowercase identifiers
     and quoted otherwise. *)
 
+(** {!Term.value_to_syntax}: facts and printed queries share one
+    constant syntax. *)
 val value_to_syntax : Paradb_relational.Value.t -> string
 
 (** One fact per line: [name(v1, v2).]. *)

@@ -36,8 +36,27 @@ let apply binding = function
   | Var x as t -> ( match binding x with Some v -> Const v | None -> t)
   | Const _ as t -> t
 
+let lexes_as_lident s =
+  s <> ""
+  && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
+  && String.for_all
+       (function
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+         | _ -> false)
+       s
+  && not (List.mem s [ "exists"; "forall"; "true"; "false" ])
+
+let value_to_syntax = function
+  | Value.Int i -> string_of_int i
+  | Value.Str s ->
+      (* a string of digits must be quoted or it would re-read as Int *)
+      if lexes_as_lident s && int_of_string_opt s = None then s
+      else "\"" ^ s ^ "\""
+
+(* Constants print in source syntax, so a printed query re-parses to
+   the same query. *)
 let pp ppf = function
   | Var x -> Format.pp_print_string ppf x
-  | Const v -> Value.pp ppf v
+  | Const v -> Format.pp_print_string ppf (value_to_syntax v)
 
 let to_string t = Format.asprintf "%a" pp t

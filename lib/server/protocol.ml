@@ -5,6 +5,7 @@ type request =
   | Eval of { db : string; engine : string; query : string }
   | Count of { db : string; engine : string; query : string }
   | Gather of { db : string; query : string }
+  | Ship of { db : string; query : string }
   | Check of string
   | Explain of string
   | Digest of string
@@ -24,6 +25,7 @@ let verb_name = function
   | Eval _ -> "eval"
   | Count _ -> "count"
   | Gather _ -> "gather"
+  | Ship _ -> "ship"
   | Check _ -> "check"
   | Explain _ -> "explain"
   | Digest _ -> "digest"
@@ -99,6 +101,11 @@ let parse_request line =
       | "", _ -> need "database name" "GATHER"
       | db, query when trim query <> "" -> Ok (Gather { db; query = trim query })
       | _ -> need "query" "GATHER")
+  | "SHIP" -> (
+      match split_word rest with
+      | "", _ -> need "database name" "SHIP"
+      | db, query when trim query <> "" -> Ok (Ship { db; query = trim query })
+      | _ -> need "query" "SHIP")
   | "CHECK" ->
       if trim rest = "" then need "query" "CHECK" else Ok (Check (trim rest))
   | "EXPLAIN" ->
@@ -122,6 +129,7 @@ let request_to_line = function
   | Count { db; engine; query } ->
       Printf.sprintf "COUNT %s %s %s" db engine query
   | Gather { db; query } -> Printf.sprintf "GATHER %s %s" db query
+  | Ship { db; query } -> Printf.sprintf "SHIP %s %s" db query
   | Check query -> "CHECK " ^ query
   | Explain query -> "EXPLAIN " ^ query
   | Digest db -> "DIGEST " ^ db

@@ -16,7 +16,10 @@
                                   engine is auto | naive | yannakakis |
                                   compiled
       GATHER <db> <query>         evaluate and answer the result as fact
-                                  lines (the cluster reducer exchange)
+                                  lines (human-readable gather)
+      SHIP <db> <query>           evaluate like GATHER; the payload is one
+                                  line, the result's segment in hex (the
+                                  cluster's gather wire format)
       CHECK <query>               static analysis (no database touched)
       EXPLAIN <query>             physical plan: class, width, join order
                                   (no database touched)
@@ -36,6 +39,9 @@
     count is capped at {!max_payload_lines}.  [GATHER] payload lines
     are [name(v1, v2).] facts (see {!Paradb_query.Fact_format}), so
     values survive the round-trip that bare tuple lines would not.
+    [SHIP] answers the same rows as one hex line of a checksummed
+    segment ({!Paradb_storage.Segment.to_hex}), unsorted; an answer over
+    the row limit carries [truncated=true] and no payload line.
 
     Responses are framed so a client never guesses where a reply ends:
 
@@ -55,6 +61,7 @@ type request =
   | Eval of { db : string; engine : string; query : string }
   | Count of { db : string; engine : string; query : string }
   | Gather of { db : string; query : string }
+  | Ship of { db : string; query : string }
   | Check of string
   | Explain of string
   | Digest of string

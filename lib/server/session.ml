@@ -24,8 +24,8 @@ let verb_hist =
   List.map
     (fun v -> (v, Metrics.histogram (Printf.sprintf "server.verb.%s.ns" v)))
     [
-      "load"; "fact"; "bulk"; "eval"; "count"; "gather"; "check"; "explain";
-      "digest"; "repair"; "stats"; "metrics"; "quit"; "invalid";
+      "load"; "fact"; "bulk"; "eval"; "count"; "gather"; "ship"; "check";
+      "explain"; "digest"; "repair"; "stats"; "metrics"; "quit"; "invalid";
     ]
 
 let observe_verb verb ns =
@@ -249,37 +249,61 @@ let do_count s ~db ~engine ~query =
                    n ns)))
 
 (* GATHER: evaluate like EVAL (engine auto) but answer the rows as fact
-   lines [head(v1, v2).] — the only line format whose values survive a
-   round-trip through [Source.parse_facts], which is what the
-   coordinator feeds the payload to.  A truncated reducer would be
-   silently wrong at the coordinator, so truncation keeps EVAL's
-   explicit [truncated=true] marker for the coordinator to reject. *)
+   lines [head(v1, v2).] — sorted, and in the one line format whose
+   values survive a round-trip through [Source.parse_facts].  It is the
+   human- and script-readable gather; the coordinator itself reads SHIP
+   (below).  Truncation keeps EVAL's explicit [truncated=true] marker. *)
 let fact_line name tuple =
   Printf.sprintf "%s(%s)." name
     (String.concat ", "
        (List.map Paradb_query.Fact_format.value_to_syntax
           (Paradb_relational.Tuple.to_list tuple)))
 
-let do_gather s ~db ~query =
+(* GATHER and SHIP: evaluate with engine auto, then [render] the result. *)
+let gathered s ~db ~query render =
   match Source.parse_query query with
   | Error e -> err s e
   | Ok q -> (
       match run_eval s ~db ~kind:Plan.Auto q with
       | Error e -> err s e
       | Ok (_plan, hit, result, ns) ->
-          let rows = Relation.cardinality result in
-          let name = Relation.name result in
-          let lines =
-            List.map (fact_line name)
-              (List.sort Paradb_relational.Tuple.compare
-                 (Relation.tuples result))
-          in
-          let payload, truncated = truncate_rows s lines rows in
-          ok ~payload
-            (Printf.sprintf "gathered %s cache=%s rows=%d ns=%d%s" name
-               (if hit then "hit" else "miss")
-               rows ns
-               (if truncated then " truncated=true" else "")))
+          render ~cache:(if hit then "hit" else "miss") ~ns result)
+
+let do_gather s ~db ~query =
+  gathered s ~db ~query @@ fun ~cache ~ns result ->
+  let rows = Relation.cardinality result in
+  let name = Relation.name result in
+  let lines =
+    List.map (fact_line name)
+      (List.sort Paradb_relational.Tuple.compare (Relation.tuples result))
+  in
+  let payload, truncated = truncate_rows s lines rows in
+  ok ~payload
+    (Printf.sprintf "gathered %s cache=%s rows=%d ns=%d%s" name cache rows ns
+       (if truncated then " truncated=true" else ""))
+
+(* SHIP: evaluate exactly like GATHER, but answer the result relation as
+   one payload line — its segment ([Segment.encode], checksummed) in hex.
+   No sort and no per-row text: the coordinator decodes codes straight
+   into its union.  An answer over [--max-rows] is never shipped in part:
+   the summary keeps the [truncated=true] marker and the payload is
+   empty, so the coordinator refuses it exactly as it refuses a
+   truncated GATHER. *)
+let ship_answer ~limits ~cache ~ns result =
+  let rows = Relation.cardinality result in
+  let truncated =
+    match limits.Guard.max_rows with Some m -> rows > m | None -> false
+  in
+  ok
+    ~payload:
+      (if truncated then []
+       else [ Paradb_storage.Segment.(to_hex (encode result)) ])
+    (Printf.sprintf "shipped %s cache=%s rows=%d ns=%d%s"
+       (Relation.name result) cache rows ns
+       (if truncated then " truncated=true" else ""))
+
+let do_ship s ~db ~query =
+  gathered s ~db ~query (ship_answer ~limits:s.shared.limits)
 
 let finish_bulk s b =
   match Catalog.bulk_set s.shared.catalog b.bulk_db (Buffer.contents b.buf) with
@@ -416,6 +440,7 @@ let dispatch s req =
   | Protocol.Count { db; engine; query } ->
       (Some (do_count s ~db ~engine ~query), `Continue)
   | Protocol.Gather { db; query } -> (Some (do_gather s ~db ~query), `Continue)
+  | Protocol.Ship { db; query } -> (Some (do_ship s ~db ~query), `Continue)
   | Protocol.Check query -> (Some (do_check s query), `Continue)
   | Protocol.Explain query -> (Some (do_explain s query), `Continue)
   | Protocol.Digest db -> (Some (do_digest s db), `Continue)

@@ -35,7 +35,7 @@ val create : shared -> t
     for [QUIT] (after its farewell response); every error is an [Err]
     response, never an exception — except for deliberately injected
     {!Fault.Injected} faults, which propagate so the server loop's
-    catch-all can be exercised.  An [EVAL]/[GATHER] that outlives
+    catch-all can be exercised.  An [EVAL]/[GATHER]/[SHIP] that outlives
     [limits.deadline_ns] answers [ERR deadline-exceeded after <ns>ns]
     and bumps [server.deadline_exceeded]; a result wider than
     [limits.max_rows] is truncated, marked by [truncated=true] in the
@@ -46,6 +46,16 @@ val create : shared -> t
     batch is answered once, on its [n]-th fact line. *)
 val handle :
   t -> Protocol.request -> Protocol.response option * [ `Continue | `Quit ]
+
+(** [ship_answer ~limits ~cache ~ns result] — the [SHIP] response for an
+    evaluated [result]: one payload line holding its segment in hex
+    ({!Paradb_storage.Segment.encode}, {!Paradb_storage.Segment.to_hex}),
+    or, when [result] has more than [limits.max_rows] rows, no payload
+    and [truncated=true] in the summary — a shipped answer is never
+    partial.  Shared by sessions and the cluster coordinator. *)
+val ship_answer :
+  limits:Guard.limits -> cache:string -> ns:int ->
+  Paradb_relational.Relation.t -> Protocol.response
 
 (** Convenience for tests and the server loop: parse a raw line and
     dispatch it ([Err] on parse failure).  Mid-[BULK] the line is

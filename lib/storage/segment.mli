@@ -28,8 +28,8 @@
     in the file raises {!Corrupt} with the path and section, never a
     crash or a silently wrong relation. *)
 
-(** Raised on any validation failure; the message names the file and the
-    failing section. *)
+(** Raised on any validation failure; the message names the file (or the
+    [source] of an in-memory segment) and the failing section. *)
 exception Corrupt of string
 
 (** An opened, fully checksum-validated segment. *)
@@ -47,23 +47,31 @@ val rows : t -> int
     (name or attribute longer than the format's length fields). *)
 val write : path:string -> Paradb_relational.Relation.t -> int
 
+(** [encode r] — the bytes {!write} would put in a file, as a string. *)
+val encode : Paradb_relational.Relation.t -> string
+
 (** [openf path] maps the file and validates it.  Raises {!Corrupt} on
     any malformation and [Sys_error] if the file cannot be opened. *)
 val openf : string -> t
+
+(** [decode ~source bytes] validates an in-memory segment exactly as
+    {!openf} validates a file; [source] names it in {!Corrupt}
+    messages. *)
+val decode : source:string -> string -> t
+
+(** [to_hex bytes] — two lowercase hex digits per byte: no newline, no
+    blank, so a segment fits one protocol payload line. *)
+val to_hex : string -> string
+
+(** [of_hex ~source s] inverts {!to_hex} (either digit case).  Raises
+    {!Corrupt} naming [source] on an odd length or a non-hex digit. *)
+val of_hex : source:string -> string -> string
 
 (** [to_relation seg] decodes the segment into a relation over [dict]
     (default {!Paradb_relational.Dictionary.global}): dictionary entries
     are interned once, then column pages are translated code-for-code —
     no text parsing, no per-cell boxing. *)
 val to_relation : ?dict:Paradb_relational.Dictionary.t -> t -> Paradb_relational.Relation.t
-
-(** [append_rows seg ~dict ~store] decodes [seg]'s rows into an existing
-    row accumulator via [store] (called once per row with a scratch
-    buffer the callee must copy).  Lets the caller union several
-    segments of one relation without intermediate relations. *)
-val append_rows :
-  t -> dict:Paradb_relational.Dictionary.t ->
-  store:(Paradb_relational.Code_row.t -> unit) -> unit
 
 (** [rows_seq seg ~dict] — the rows as code rows over [dict].  Every
     element is the same scratch buffer, overwritten between elements;

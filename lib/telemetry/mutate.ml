@@ -14,6 +14,8 @@ let known =
      "annotated projection keeps the first annotation, collapsing multiplicities");
     ("materialize_drop_eq",
      "compiled index-probe materialization skips the repeated-variable equalities");
+    ("ship_drop_row",
+     "the coordinator drops the last row of each non-empty shipped segment");
   ]
 
 let known_names = List.map fst known

@@ -18,6 +18,7 @@ module Tuple = Paradb_relational.Tuple
 module Value = Paradb_relational.Value
 module Source = Paradb_query.Source
 module TSet = Paradb_relational.Tuple.Set
+module Segment = Paradb_storage.Segment
 
 let contains hay sub =
   let nh = String.length hay and ns = String.length sub in
@@ -625,6 +626,284 @@ let test_cluster_repair_converges () =
         before after
   | Error e -> Alcotest.failf "post-repair EVAL: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* SHIP: the segment-encoded gather the coordinator reads *)
+
+let request client line =
+  match Client.request_line client line with
+  | Protocol.Ok_ { payload; _ } -> Ok payload
+  | Protocol.Err e -> Error e
+
+(* A GATHER payload's rows and a SHIP payload's rows, as sorted tuple
+   lists over the head relation. *)
+let gathered_rows payload =
+  match Source.parse_facts (String.concat "\n" payload) with
+  | Error e -> Alcotest.failf "GATHER payload is not fact syntax: %s" e
+  | Ok db -> (
+      match Database.find_opt db "ans" with
+      | Some r -> List.sort Tuple.compare (Relation.tuples r)
+      | None -> [])
+
+let shipped_rows payload =
+  match payload with
+  | [ hex ] ->
+      let seg =
+        Segment.decode ~source:"test" (Segment.of_hex ~source:"test" hex)
+      in
+      Alcotest.(check string) "shipped relation name" "ans" (Segment.name seg);
+      List.sort Tuple.compare (Relation.tuples (Segment.to_relation seg))
+  | _ -> Alcotest.failf "SHIP: %d payload lines" (List.length payload)
+
+let ship_queries =
+  [
+    "ans(X, Y) :- e(X, Y).";
+    "ans(X, Y) :- e(X, Y), e(X, Z), Y != Z.";
+    "ans(X, Z) :- e(X, Y), f(Y, Z).";
+    "ans(X, Y) :- e(X, Y), X < Y, Y < X.";
+  ]
+
+let check_ship_matches_gather label client =
+  List.iter
+    (fun q ->
+      match
+        (request client ("GATHER g " ^ q), request client ("SHIP g " ^ q))
+      with
+      | Ok g, Ok p ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: SHIP rows = GATHER rows for %s" label q)
+            (List.map Tuple.to_string (gathered_rows g))
+            (List.map Tuple.to_string (shipped_rows p))
+      | Error a, Error b ->
+          Alcotest.(check string) (label ^ ": same refusal") a b
+      | _ -> Alcotest.failf "%s: GATHER and SHIP disagree on %s" label q)
+    ship_queries
+
+(* A shard is a stock server; its one worker is taken by the
+   coordinator's pooled connection, so the shard side is checked on a
+   standalone server holding the same facts. *)
+let test_ship_matches_gather () =
+  with_servers 1 @@ fun single ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port single.(0))
+  @@ fun single_client ->
+  load_facts single_client;
+  check_ship_matches_gather "shard" single_client;
+  with_cluster ~shards:2 @@ fun ~shard_servers:_ ~client ->
+  load_facts client;
+  check_ship_matches_gather "coordinator" client
+
+(* A shard process that speaks the protocol through a real session but
+   damages its SHIP answers on demand: one flipped hex digit, or a
+   [truncated=true] marker with no payload. *)
+let damaging_handler shared mode () =
+  let s = Session.create shared in
+  let is_ship line =
+    String.length line >= 4
+    && String.uppercase_ascii (String.sub line 0 4) = "SHIP"
+  in
+  {
+    Server.on_line =
+      (fun line ->
+        match (Session.handle_line s line, !mode) with
+        | (Some (Protocol.Ok_ { summary; payload = [ hex ] }), k), `Flip
+          when is_ship line ->
+            let b = Bytes.of_string hex in
+            let i = Bytes.length b / 2 in
+            Bytes.set b i (if Bytes.get b i = '0' then '1' else '0');
+            (Some (Protocol.Ok_ { summary; payload = [ Bytes.to_string b ] }), k)
+        | (Some (Protocol.Ok_ { summary; _ }), k), `Truncate when is_ship line
+          ->
+            ( Some
+                (Protocol.Ok_
+                   { summary = summary ^ " truncated=true"; payload = [] }),
+              k )
+        | r, _ -> r);
+    on_close = ignore;
+  }
+
+let test_damaged_ship_payload () =
+  let mode = ref `Honest in
+  let fake =
+    Server.start_handler ~port:0 ~workers:1
+      ~handler:
+        (damaging_handler (Session.make_shared ~cache_capacity:16 ()) mode)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> try Server.stop fake with _ -> ())
+  @@ fun () ->
+  with_servers 1 @@ fun real ->
+  let coord =
+    Coordinator.create
+      (Coordinator.default_config
+         [ ("127.0.0.1", Server.port real.(0)); ("127.0.0.1", Server.port fake) ])
+  in
+  let front = Coordinator.serve coord ~port:0 ~workers:1 in
+  Fun.protect ~finally:(fun () -> try Server.stop front with _ -> ())
+  @@ fun () ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port front) @@ fun client ->
+  let path =
+    Test_support.write_temp_facts
+      (String.concat " "
+         (List.init 200 (fun i ->
+              Printf.sprintf "e(%d, %d). f(%d, %d)." i (i + 1) i (10 * i))))
+  in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
+  @@ fun () ->
+  ignore (request_ok client ("LOAD g " ^ path));
+  let q = "ans(X, Z) :- e(X, Y), f(Y, Z)." in
+  let honest () =
+    mode := `Honest;
+    (eval_on client q, count_on client q)
+  in
+  let want_eval, want_count = honest () in
+  (match (want_eval, want_count) with
+  | Ok rows, Ok [ n ] ->
+      Alcotest.(check int) "honest answer is non-trivial" 199 (List.length rows);
+      Alcotest.(check string) "honest count" "199" n
+  | _ -> Alcotest.fail "honest cluster failed");
+  List.iter
+    (fun (m, sub) ->
+      mode := m;
+      List.iter
+        (fun (verb, r) ->
+          match r with
+          | Ok _ -> Alcotest.failf "%s with a damaged shard answered OK" verb
+          | Error e ->
+              if not (contains e sub) then
+                Alcotest.failf "%s: ERR %S lacks %S" verb e sub)
+        [ ("EVAL", eval_on client q); ("COUNT", count_on client q) ];
+      let got_eval, got_count = honest () in
+      Alcotest.(check bool) "next EVAL answers correctly" true
+        (got_eval = want_eval);
+      Alcotest.(check bool) "next COUNT answers correctly" true
+        (got_count = want_count))
+    [ (`Flip, "shard payload invalid"); (`Truncate, "truncated") ]
+
+(* REPAIR scans ranks with SHIP too: one undecodable rank payload fails
+   the slice's repair before any rank is re-shipped, and the next REPAIR
+   over honest payloads converges. *)
+let test_repair_refuses_damaged_scan () =
+  let mode = ref `Honest in
+  let fake =
+    Server.start_handler ~port:0 ~workers:1
+      ~handler:
+        (damaging_handler (Session.make_shared ~cache_capacity:16 ()) mode)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> try Server.stop fake with _ -> ())
+  @@ fun () ->
+  (* two workers: the coordinator pools one connection, the test writes
+     behind its back on the other *)
+  let real = Server.start ~port:0 ~workers:2 ~cache_capacity:16 () in
+  Fun.protect ~finally:(fun () -> try Server.stop real with _ -> ())
+  @@ fun () ->
+  let coord =
+    Coordinator.create
+      {
+        (Coordinator.default_config
+           [ ("127.0.0.1", Server.port real); ("127.0.0.1", Server.port fake) ])
+        with
+        replicas = 2;
+      }
+  in
+  let front = Coordinator.serve coord ~port:0 ~workers:1 in
+  Fun.protect ~finally:(fun () -> try Server.stop front with _ -> ())
+  @@ fun () ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port front) @@ fun client ->
+  load_facts client;
+  (* slice 0's primary lives on the real shard: an extra row there
+     diverges it from its replica on the fake shard *)
+  let v = value_on_shard ~shards:2 ~shard:0 in
+  Client.with_connection ~timeout:30.0 ~port:(Server.port real) (fun c ->
+      ignore (request_ok c (Printf.sprintf "FACT g e(%d, 777)." v)));
+  let summary, _ = request_ok client "DIGEST g" in
+  Alcotest.(check bool) ("diverged: " ^ summary) true
+    (contains summary "divergent=1");
+  mode := `Flip;
+  let summary, payload = request_ok client "REPAIR g" in
+  Alcotest.(check bool) ("nothing re-shipped: " ^ summary) true
+    (contains summary "reshipped=0");
+  Alcotest.(check bool)
+    ("slice reports the bad payload: " ^ String.concat " | " payload)
+    true
+    (List.exists
+       (fun l -> contains l "slice 0 repair failed" && contains l "payload invalid")
+       payload);
+  mode := `Honest;
+  let summary, _ = request_ok client "REPAIR g" in
+  Alcotest.(check bool) ("honest repair re-ships: " ^ summary) true
+    (contains summary "reshipped=2");
+  let summary, _ = request_ok client "DIGEST g" in
+  Alcotest.(check bool) ("converged: " ^ summary) true
+    (contains summary "divergent=0")
+
+(* The triangle's three atoms reduce to the same full scan of [e]: the
+   exchange ships it once and aliases it, and says so on a counter that
+   STATS and METRICS both carry. *)
+let test_triangle_reuses_reducers () =
+  let m_reused = Metrics.counter "cluster.exchange.reducers_reused" in
+  with_servers 1 @@ fun single ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port single.(0))
+  @@ fun single_client ->
+  load_facts single_client;
+  with_cluster ~shards:2 @@ fun ~shard_servers:_ ~client ->
+  load_facts client;
+  let q = "ans(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X)." in
+  let before = Metrics.counter_value m_reused in
+  (match (eval_on single_client q, eval_on client q) with
+  | Ok expected, Ok got ->
+      Alcotest.(check (list string)) "triangle payload" expected got;
+      Alcotest.(check int) "triangle rows" 3 (List.length got)
+  | _ -> Alcotest.fail "triangle EVAL failed");
+  Alcotest.(check int) "two of three reducers reused" (before + 2)
+    (Metrics.counter_value m_reused);
+  (match (count_on single_client q, count_on client q) with
+  | Ok expected, Ok got ->
+      Alcotest.(check (list string)) "triangle count" expected got
+  | _ -> Alcotest.fail "triangle COUNT failed");
+  Alcotest.(check int) "COUNT reuses them too" (before + 4)
+    (Metrics.counter_value m_reused);
+  let _, stats = request_ok client "STATS" in
+  Alcotest.(check bool) "STATS carries the reuse counter" true
+    (List.exists
+       (fun l -> contains l "telemetry.cluster.exchange.reducers_reused")
+       stats);
+  let _, metrics = request_ok client "METRICS" in
+  Alcotest.(check bool) "METRICS carries the reuse counter" true
+    (List.exists (fun l -> contains l "cluster.exchange.reducers_reused") metrics)
+
+let test_session_times_ship () =
+  let shared = Session.make_shared ~cache_capacity:4 () in
+  let s = Session.create shared in
+  ignore (Session.handle_line s "FACT g e(1, 2).");
+  let h = Metrics.histogram "server.verb.ship.ns" in
+  let before = (Metrics.histogram_read h).Metrics.count in
+  (match Session.handle_line s "SHIP g ans(X) :- e(X, Y)." with
+  | Some (Protocol.Ok_ { payload = [ _ ]; _ }), `Continue -> ()
+  | _ -> Alcotest.fail "SHIP did not answer one payload line");
+  Alcotest.(check int) "server.verb.ship.ns observed" (before + 1)
+    (Metrics.histogram_read h).Metrics.count
+
+(* Above --max-rows a SHIP answer keeps the full row count and the
+   truncated=true marker but carries no payload line at all. *)
+let test_session_ship_truncation () =
+  let limits =
+    { Paradb_server.Guard.default_limits with max_rows = Some 1 }
+  in
+  let s = Session.create (Session.make_shared ~limits ~cache_capacity:4 ()) in
+  ignore (Session.handle_line s "FACT g e(1, 2).");
+  ignore (Session.handle_line s "FACT g e(2, 3).");
+  (match Session.handle_line s "SHIP g ans(X) :- e(X, Y)." with
+  | Some (Protocol.Ok_ { summary; payload }), `Continue ->
+      Alcotest.(check (list string)) "no payload" [] payload;
+      Alcotest.(check bool) ("marked: " ^ summary) true
+        (contains summary "rows=2" && contains summary "truncated=true")
+  | _ -> Alcotest.fail "SHIP over max-rows did not answer OK");
+  match Session.handle_line s "SHIP g ans(X) :- e(X, 3)." with
+  | Some (Protocol.Ok_ { summary; payload = [ _ ] }), `Continue ->
+      Alcotest.(check bool) ("within the limit: " ^ summary) false
+        (contains summary "truncated")
+  | _ -> Alcotest.fail "SHIP within max-rows did not ship one line"
+
 let test_coordinator_validation () =
   let rejects config =
     match Coordinator.create config with
@@ -679,6 +958,21 @@ let () =
             test_cluster_shard_loss_without_replica;
           Alcotest.test_case "config validation" `Quick
             test_coordinator_validation;
+        ] );
+      ( "ship",
+        [
+          Alcotest.test_case "SHIP matches GATHER" `Quick
+            test_ship_matches_gather;
+          Alcotest.test_case "damaged shard payload" `Quick
+            test_damaged_ship_payload;
+          Alcotest.test_case "REPAIR refuses a damaged scan" `Quick
+            test_repair_refuses_damaged_scan;
+          Alcotest.test_case "triangle reuses reducers" `Quick
+            test_triangle_reuses_reducers;
+          Alcotest.test_case "session times SHIP" `Quick
+            test_session_times_ship;
+          Alcotest.test_case "SHIP over max-rows ships nothing" `Quick
+            test_session_ship_truncation;
         ] );
       ( "self-healing",
         [

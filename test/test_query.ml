@@ -434,6 +434,37 @@ let test_fact_format () =
   Alcotest.(check string) "keyword quoted" "\"exists\""
     (Fact_format.value_to_syntax (Value.Str "exists"))
 
+(* Printed queries carry string constants in source syntax, so a query
+   shipped as text (the cluster's exchange reducers) means the same
+   query at the other end. *)
+let test_cq_string_constants_roundtrip () =
+  let q =
+    Cq.make ~name:"gx"
+      ~constraints:
+        [ Constr.make Constr.Neq (Term.Var "Y") (Term.Const (Value.Str "7")) ]
+      ~head:[ Term.Var "X"; Term.Const (Value.Str "Bob") ]
+      [
+        Atom.make "e"
+          [ Term.Var "X"; Term.Const (Value.Str "42"); Term.Var "Y" ];
+        Atom.make "name"
+          [ Term.Var "X"; Term.Const (Value.Str "Bob") ];
+        Atom.make "tag"
+          [ Term.Var "Y"; Term.Const (Value.Str "two words");
+            Term.Const (Value.Str "plain"); Term.Const (Value.Int 7) ];
+      ]
+  in
+  Alcotest.(check bool)
+    ("parse (to_string q) = q: " ^ Cq.to_string q)
+    true
+    (Cq.equal q (Parser.parse_cq (Cq.to_string q)));
+  Alcotest.(check bool) "Str \"7\" and Int 7 keep distinct cache keys" false
+    (Cq.cache_key q
+    = Cq.cache_key
+        (Cq.make ~name:"gx" ~head:[ Term.Var "X"; Term.Const (Value.Str "Bob") ]
+           ~constraints:
+             [ Constr.make Constr.Neq (Term.Var "Y") (Term.Const (Value.Int 7)) ]
+           q.Cq.body))
+
 (* print-parse roundtrip on random tree queries *)
 let qcheck_tests =
   [
@@ -576,5 +607,10 @@ let () =
           Alcotest.test_case "error positions" `Quick test_parse_error_positions;
         ] );
       ("fact format", [ Alcotest.test_case "roundtrip" `Quick test_fact_format ]);
+      ( "cq printing",
+        [
+          Alcotest.test_case "string constants round-trip" `Quick
+            test_cq_string_constants_roundtrip;
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

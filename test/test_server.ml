@@ -30,6 +30,8 @@ let test_parse_request () =
   ok "EVAL g auto ans(X) :- e(X, Y)."
     (Protocol.Eval { db = "g"; engine = "auto"; query = "ans(X) :- e(X, Y)." });
   ok "CHECK ans(X) :- e(X, X)." (Protocol.Check "ans(X) :- e(X, X).");
+  ok "ship g  gx(X) :- e(X, Y)"
+    (Protocol.Ship { db = "g"; query = "gx(X) :- e(X, Y)" });
   ok "DIGEST g" (Protocol.Digest "g");
   ok "repair g" (Protocol.Repair "g");
   ok "stats" Protocol.Stats;
@@ -45,6 +47,7 @@ let test_parse_request () =
   err "LOAD g";
   err "EVAL g auto";
   err "CHECK";
+  err "SHIP g";
   err "DIGEST";
   err "REPAIR";
   err "FROB g"
@@ -61,6 +64,7 @@ let test_request_line_roundtrip () =
       Protocol.Fact { db = "g"; fact = "edge(1, 2)." };
       Protocol.Eval { db = "g"; engine = "fpt"; query = "ans(X) :- e(X, Y), X != Y." };
       Protocol.Check "ans() :- e(X, X).";
+      Protocol.Ship { db = "g"; query = "gx(X, 1) :- e(X, 1), X != 2" };
       Protocol.Digest "g";
       Protocol.Repair "g";
       Protocol.Stats;

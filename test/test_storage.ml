@@ -205,6 +205,84 @@ let test_missing_file () =
   | _ -> Alcotest.fail "opened a nonexistent file"
 
 (* ------------------------------------------------------------------ *)
+(* In-memory codec: [encode]/[decode] and the hex wire form *)
+
+(* Ints, arbitrary printable strings, and digit-only strings — a [Str "7"]
+   must come back a string, never the [Int 7] its text form reads as. *)
+let codec_value rng =
+  match Random.State.int rng 3 with
+  | 0 -> Value.Int (Random.State.int rng 10 - 3)
+  | 1 ->
+      Value.Str
+        (String.init (Random.State.int rng 4) (fun _ ->
+             Char.chr (32 + Random.State.int rng 95)))
+  | _ -> Value.Str (string_of_int (Random.State.int rng 10))
+
+let codec_relation rng =
+  let arity = Random.State.int rng 5 in
+  Relation.create ~name:"r"
+    ~schema:(List.init arity (Printf.sprintf "a%d"))
+    (List.init (Random.State.int rng 25) (fun _ ->
+         Array.init arity (fun _ -> codec_value rng)))
+
+let decoded bytes = Segment.to_relation (Segment.decode ~source:"test" bytes)
+
+let codec_sample () =
+  Relation.create ~name:"e" ~schema:[ "a"; "b" ]
+    [
+      [| Value.Int 1; Value.Str "x" |];
+      [| Value.Int 2; Value.Str "42" |];
+      [| Value.Int 42; Value.Str "x" |];
+    ]
+
+let test_encode_matches_file () =
+  with_dir @@ fun dir ->
+  List.iter
+    (fun r ->
+      let path = Filename.concat dir "r.seg" in
+      ignore (Segment.write ~path r);
+      Alcotest.(check string)
+        ("encode = file bytes for " ^ Relation.name r)
+        (read_bytes path) (Segment.encode r))
+    (codec_sample () :: Database.relations (mixed_db ()))
+
+let expect_corrupt label f =
+  match f () with
+  | exception Segment.Corrupt _ -> ()
+  | exception e ->
+      Alcotest.failf "%s: expected Corrupt, got %s" label (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: decoded cleanly" label
+
+let test_decode_flips_and_prefixes () =
+  let bytes = Segment.encode (codec_sample ()) in
+  String.iteri
+    (fun i c ->
+      let mutated = Bytes.of_string bytes in
+      Bytes.set mutated i (Char.chr (Char.code c lxor 0xFF));
+      expect_corrupt (Printf.sprintf "flip byte %d" i) (fun () ->
+          Segment.decode ~source:"test" (Bytes.to_string mutated)))
+    bytes;
+  for len = 0 to String.length bytes - 1 do
+    expect_corrupt (Printf.sprintf "prefix %d" len) (fun () ->
+        Segment.decode ~source:"test" (String.sub bytes 0 len))
+  done;
+  check_rel (codec_sample ()) (decoded bytes)
+
+let test_malformed_hex () =
+  let hex = Segment.to_hex (Segment.encode (codec_sample ())) in
+  check_rel (codec_sample ())
+    (decoded (Segment.of_hex ~source:"test" (String.uppercase_ascii hex)));
+  expect_corrupt "odd length" (fun () ->
+      Segment.of_hex ~source:"test" (String.sub hex 1 (String.length hex - 1)));
+  List.iter
+    (fun bad ->
+      let b = Bytes.of_string hex in
+      Bytes.set b (String.length hex / 2) bad;
+      expect_corrupt (Printf.sprintf "digit %C" bad) (fun () ->
+          Segment.of_hex ~source:"test" (Bytes.to_string b)))
+    [ 'g'; 'G'; ' '; '\n'; '-' ]
+
+(* ------------------------------------------------------------------ *)
 (* Manifest validation *)
 
 let expect_storage_error label path =
@@ -555,6 +633,15 @@ let random_db ?quotable rng =
 
 let qcheck_tests =
   [
+    Qgen.seeded_property ~name:"decode (encode r) = r, arity 0-4, via hex"
+      ~count:200 (fun rng ->
+        let r = codec_relation rng in
+        let hex = Segment.to_hex (Segment.encode r) in
+        let got = decoded (Segment.of_hex ~source:"test" hex) in
+        String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) hex
+        && Relation.name got = Relation.name r
+        && Relation.schema_list got = Relation.schema_list r
+        && Relation.set_equal got r);
     Qgen.seeded_property ~name:"compact/open round-trips any database"
       ~count:60 (fun rng ->
         let db = random_db rng in
@@ -658,6 +745,11 @@ let () =
           Alcotest.test_case "truncation and garbage" `Quick
             test_truncation_and_garbage;
           Alcotest.test_case "missing file" `Quick test_missing_file;
+          Alcotest.test_case "encode matches the file" `Quick
+            test_encode_matches_file;
+          Alcotest.test_case "decode refuses flips and prefixes" `Quick
+            test_decode_flips_and_prefixes;
+          Alcotest.test_case "malformed hex" `Quick test_malformed_hex;
           Alcotest.test_case "manifest validation" `Quick
             test_manifest_validation;
           Alcotest.test_case "bare directory" `Quick
