@@ -8,7 +8,6 @@ module Cq = Paradb_query.Cq
 module Atom = Paradb_query.Atom
 module Term = Paradb_query.Term
 module Constr = Paradb_query.Constr
-module Fact_format = Paradb_query.Fact_format
 module Segment = Paradb_storage.Segment
 module Planner = Paradb_planner.Planner
 module Protocol = Paradb_server.Protocol
@@ -16,6 +15,7 @@ module Client = Paradb_server.Client
 module Server = Paradb_server.Server
 module Guard = Paradb_server.Guard
 module Plan = Paradb_server.Plan
+module Session = Paradb_server.Session
 module Fault = Paradb_server.Fault
 module Metrics = Paradb_telemetry.Metrics
 module Export = Paradb_telemetry.Export
@@ -260,20 +260,12 @@ let round f =
   r
 
 (* Fact-file serialization of one slice, one [name(v1, v2).] line per
-   tuple — the exact format [Source.parse_facts] reads back on the
-   shard.  Empty relations vanish here; the coordinator's [db_info]
-   keeps the full schema so queries over empty slices still resolve. *)
-let fact_line name tuple =
-  Printf.sprintf "%s(%s)." name
-    (String.concat ", "
-       (List.map Fact_format.value_to_syntax (Tuple.to_list tuple)))
-
+   tuple — the GATHER line format, which [Source.parse_facts] reads back
+   on the shard.  Empty relations vanish here; the coordinator's
+   [db_info] keeps the full schema so queries over empty slices still
+   resolve. *)
 let slice_lines db =
-  List.concat_map
-    (fun r ->
-      let name = Relation.name r in
-      List.map (fact_line name) (Relation.tuples r))
-    (Database.relations db)
+  List.concat_map (fun r -> Session.fact_lines r) (Database.relations db)
 
 (* A replica write (rank >= 1) that could not be delivered.  The write
    as a whole still succeeds — the primary has the data — but the miss
@@ -736,11 +728,6 @@ let exchange_count t conns budget ~db q =
         Plan.count ?budget plan scratch rewritten)
   end
 
-let truncate_rows t lines rows =
-  match t.config.limits.Guard.max_rows with
-  | Some m when rows > m -> (List.filteri (fun i _ -> i < m) lines, true)
-  | _ -> (lines, false)
-
 (* Shared EVAL/GATHER/COUNT core: parse, precheck the relation names
    against the coordinator's recorded schema, arm the deadline, pick
    the distribution strategy, fan out.  [scatter]/[exchange] are the
@@ -808,15 +795,14 @@ let guarded_eval t conns ~db ~engine ~query render =
 
 let render_eval t ~mode ~ns result =
   let rows = Relation.cardinality result in
-  let lines = Plan.sorted_tuples result in
-  let payload, truncated = truncate_rows t lines rows in
+  let limit, truncated = Session.row_cap ~limits:t.config.limits rows in
   Protocol.Ok_
     {
       summary =
         Printf.sprintf "engine=cluster mode=%s shards=%d rows=%d ns=%d%s" mode
           (shards t) rows ns
           (if truncated then " truncated=true" else "");
-      payload;
+      payload = Plan.sorted_tuples ?limit result;
     }
 
 (* GATHER at the coordinator answers fact lines exactly like a shard
@@ -824,25 +810,20 @@ let render_eval t ~mode ~ns result =
    topologies). *)
 let render_gather t ~mode:_ ~ns result =
   let rows = Relation.cardinality result in
-  let name = Relation.name result in
-  let lines =
-    List.map (fact_line name)
-      (List.sort Tuple.compare (Relation.tuples result))
-  in
-  let payload, truncated = truncate_rows t lines rows in
+  let limit, truncated = Session.row_cap ~limits:t.config.limits rows in
   Protocol.Ok_
     {
       summary =
-        Printf.sprintf "gathered %s cache=miss rows=%d ns=%d%s" name rows ns
+        Printf.sprintf "gathered %s cache=miss rows=%d ns=%d%s"
+          (Relation.name result) rows ns
           (if truncated then " truncated=true" else "");
-      payload;
+      payload = Session.fact_lines ?limit result;
     }
 
 (* SHIP at the coordinator answers like a shard's SHIP, so coordinators
    can themselves be shipped from. *)
 let render_ship t ~mode:_ ~ns result =
-  Paradb_server.Session.ship_answer ~limits:t.config.limits ~cache:"miss" ~ns
-    result
+  Session.ship_answer ~limits:t.config.limits ~cache:"miss" ~ns result
 
 (* Admission control: the inflight count is tracked (and its
    high-watermark published) unconditionally; the limit only rejects

@@ -248,11 +248,33 @@ let compile ?budget plan db =
               Row_set.add seen (Code_row.sub st.regs proj);
               if Row_set.cardinal seen > before then next st
       in
+      (* First-witness cut (the plan's [cut]): once every head variable
+         is bound, the remaining steps only decide whether this head row
+         has a witness.  The suffix's emit raises, the cut catches it and
+         emits the row once, so a projected head costs one witness per
+         answer row instead of one pass per valuation.  A barrier prefix
+         recorded inside an aborted suffix carries the head variables
+         (they are live at every barrier), so it only ever prunes a
+         subtree whose head row is already out. *)
+      let cut =
+        if Mutate.enabled "exists_cut_early" then plan.Planner.cut - 1
+        else plan.Planner.cut
+      in
+      let witness_only = cut < List.length plan.Planner.steps - 1 in
+      let exception Witness in
+      let at_cut suffix st =
+        match suffix st with () -> () | exception Witness -> emit st
+      in
+      let terminal =
+        if witness_only then fun _ -> raise_notrace Witness else emit
+      in
       let rec build steps i =
         match steps with
-        | [] -> emit
+        | [] -> terminal
         | step :: rest -> (
-            let next = with_filters i (with_dedup i (build rest (i + 1))) in
+            let suffix = build rest (i + 1) in
+            let suffix = if witness_only && i = cut then at_cut suffix else suffix in
+            let next = with_filters i (with_dedup i suffix) in
             match step with
             | Planner.Scan { atom } ->
                 let rel = mats.(atom) in
@@ -302,7 +324,7 @@ let compile ?budget plan db =
                   if Relation.probe_mem rel idx st.regs key_regs then next st)
       in
       let pipeline = build plan.Planner.steps 0 in
-      (!ndedup, pipeline)
+      (!ndedup, if witness_only && cut < 0 then at_cut pipeline else pipeline)
     end
   in
   Metrics.incr m_pipelines;
@@ -320,8 +342,10 @@ let run ?budget exec =
     }
   in
   exec.pipeline st;
-  Relation.of_codes ~name:exec.name ~schema:exec.head_schema
-    (List.to_seq (Row_set.fold List.cons st.out []))
+  (* The output set's rows are distinct and owned by this run: seal
+     them as the result instead of copying and rehashing each one. *)
+  Relation.of_unique_codes ~name:exec.name ~schema:exec.head_schema
+    (Row_set.to_array st.out)
 
 let evaluate ?budget db q = run ?budget (compile ?budget (Planner.plan q) db)
 

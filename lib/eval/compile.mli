@@ -10,7 +10,9 @@
     writing variable codes into a flat register file.  Running the
     compiled pipeline does no planning, no [Value.t] decoding on the join
     path, no binding allocation and no per-tuple variant dispatch — the
-    warm-path contract the server's plan cache relies on.
+    warm-path contract the server's plan cache relies on.  Past the
+    plan's first-witness cut ({!Paradb_planner.Planner.t.cut}) the Bool
+    pipeline stops at the first witness of each head row.
 
     The compiled value is bound to the snapshot it was compiled against;
     the server keys its cache on the catalog generation so a stale

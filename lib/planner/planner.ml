@@ -34,6 +34,7 @@ type t = {
   filters : (int * Constr.t) list;
   ground : Constr.t list;
   barriers : string list option array;
+  cut : int;
 }
 
 let m_acyclic = Metrics.counter "planner.class.acyclic"
@@ -262,6 +263,18 @@ let barrier_spec q scans steps filters =
       else None)
     step_arr
 
+(* First-witness cut: the first step after which every head variable is
+   bound (0 when the head has none, and for an empty body).  Past it a
+   valuation can only confirm the head row already in the registers, so
+   the Bool pipeline stops at the first witness. *)
+let witness_cut q bound_after =
+  let head = SS.of_list (Cq.head_vars q) in
+  let last = Array.length bound_after - 1 in
+  let rec find i =
+    if i >= last || SS.subset head bound_after.(i) then i else find (i + 1)
+  in
+  find 0
+
 let place_constraints constraints bound_after =
   let n = Array.length bound_after in
   let ground = ref [] and placed = ref [] in
@@ -313,6 +326,7 @@ let plan q =
     filters;
     ground;
     barriers = barrier_spec q scans steps filters;
+    cut = witness_cut q bound_after;
   }
 
 let classification_name = function
@@ -418,6 +432,10 @@ let explain p =
       | Some live -> line "barrier after step %d: live=[%s]" i (vars live)
       | None -> ())
     p.barriers;
+  let last = List.length p.steps - 1 in
+  if p.cut < last then
+    line "cut after step %d: steps %d..%d stop at the first witness" p.cut
+      (p.cut + 1) last;
   List.iter (fun c -> line "ground constraint: %s" (Constr.to_string c)) p.ground;
   (match shard_choice p with
   | Copartitioned v -> line "shard key: %s (copartitioned scatter)" v

@@ -74,6 +74,14 @@ type t = {
           on the live variables have identical continuations — the
           compiler dedups them under set semantics and memoizes the
           downstream count under counting semantics *)
+  cut : int;
+      (** first-witness cut: the first step index after which every head
+          variable is bound (0 for a head without variables and for an
+          empty body).  The steps after it decide only whether the head
+          row already bound has a witness, so the Bool pipeline runs them
+          as an existence check and emits the row once; counting ignores
+          the cut.  Sound beside the barriers because the head variables
+          are live at every barrier *)
 }
 
 (** [plan q] classifies and orders [q] (alpha-normalizing it first) and

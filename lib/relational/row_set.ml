@@ -120,6 +120,8 @@ let mem s row =
   done;
   !found
 
+let to_array s = Array.sub s.rows 0 s.size
+
 let iter f s =
   for i = 0 to s.size - 1 do
     f s.rows.(i)

@@ -31,6 +31,11 @@ val add : t -> Code_row.t -> unit
 val mem : t -> Code_row.t -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
+
+(** [to_array s] — the rows in insertion order, in a fresh array that
+    shares the (immutable) rows themselves. *)
+val to_array : t -> Code_row.t array
+
 val iter : (Code_row.t -> unit) -> t -> unit
 val fold : (Code_row.t -> 'a -> 'a) -> t -> 'a -> 'a
 val copy : t -> t

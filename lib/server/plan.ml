@@ -5,7 +5,6 @@ module Term = Paradb_query.Term
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
 module Dictionary = Paradb_relational.Dictionary
-module Tuple = Paradb_relational.Tuple
 module Hypergraph = Paradb_hypergraph.Hypergraph
 module Join_tree = Paradb_hypergraph.Join_tree
 module Engine = Paradb_core.Engine
@@ -168,5 +167,6 @@ let count ?budget plan db q =
             compiled)"
            (engine_name plan.engine))
 
-let sorted_tuples r =
-  List.map Tuple.to_string (List.sort Tuple.compare (Relation.tuples r))
+let sorted_tuples ?limit r =
+  Encode.lines ?limit ~left:"(" ~cell:Paradb_relational.Value.to_string
+    ~right:")" r

@@ -101,8 +101,11 @@ val evaluate :
 val count :
   ?budget:Paradb_telemetry.Budget.t -> t -> Database.t -> Cq.t -> int
 
-(** [sorted_tuples r] — the result rows rendered one per line, sorted
-    with {!Paradb_relational.Tuple.compare}.  This is the canonical
-    answer-set serialization: identical relations always print
-    identically, whatever the row-store iteration order. *)
-val sorted_tuples : Relation.t -> string list
+(** [sorted_tuples ?limit r] — the result rows rendered one per line as
+    [(v1, v2)] ({!Paradb_relational.Tuple.to_string}), sorted with
+    {!Paradb_relational.Tuple.compare}; with [limit], only the first
+    [limit] lines.  This is the canonical answer-set serialization:
+    identical relations always print identically, whatever the
+    row-store iteration order.  Built by {!Encode.lines} from the code
+    rows, without decoding a tuple. *)
+val sorted_tuples : ?limit:int -> Relation.t -> string list

@@ -143,13 +143,15 @@ let response_to_lines = function
       Printf.sprintf "OK %d %s" (List.length payload) summary :: payload
   | Err msg -> [ "ERR " ^ msg ]
 
-let write_response oc r =
+let write_lines oc lines =
   List.iter
     (fun line ->
       output_string oc line;
       output_char oc '\n')
-    (response_to_lines r);
+    lines;
   flush oc
+
+let write_response oc r = write_lines oc (response_to_lines r)
 
 let read_response ic =
   match In_channel.input_line ic with

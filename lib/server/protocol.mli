@@ -90,6 +90,10 @@ val request_to_line : request -> string
     flushing at the end. *)
 val write_response : out_channel -> response -> unit
 
+(** [write_lines oc lines] emits already-framed lines (as built by
+    {!response_to_lines}), one per line, flushing at the end. *)
+val write_lines : out_channel -> string list -> unit
+
 (** Defensive ceiling on the [OK <n>] payload count accepted by
     {!read_response} and on the [BULK <n>] fact count accepted by
     {!parse_request} — far above any legitimate result, far below what

@@ -51,15 +51,12 @@ let handler_of_source = function
   | Handler_source make -> make
 
 let send oc response =
+  let lines = Protocol.response_to_lines response in
   Metrics.incr
-    ~by:
-      (List.fold_left
-         (fun n l -> n + String.length l + 1)
-         0
-         (Protocol.response_to_lines response))
+    ~by:(List.fold_left (fun n l -> n + String.length l + 1) 0 lines)
     m_bytes_out;
   Fault.write_delay ();
-  Protocol.write_response oc response
+  Protocol.write_lines oc lines
 
 (* One connection: line in, framed response out, until QUIT/EOF/idle.
    The bounded reader enforces [max_line]; [SO_RCVTIMEO] enforces

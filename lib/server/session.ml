@@ -202,10 +202,12 @@ let run_count s ~db ~kind q =
             ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
           Ok (plan, hit, n, ns))
 
-let truncate_rows s lines rows =
-  match s.shared.limits.Guard.max_rows with
-  | Some m when rows > m -> (List.filteri (fun i _ -> i < m) lines, true)
-  | _ -> (lines, false)
+(* The [--max-rows] cap on an answer of [rows] rows: how many lines to
+   render, and whether the answer is cut short. *)
+let row_cap ~limits rows =
+  match limits.Guard.max_rows with
+  | Some m when rows > m -> (Some m, true)
+  | _ -> (None, false)
 
 let do_eval s ~db ~engine ~query =
   match Plan.engine_kind_of_string engine with
@@ -218,9 +220,9 @@ let do_eval s ~db ~engine ~query =
           | Error e -> err s e
           | Ok (plan, hit, result, ns) ->
               let rows = Relation.cardinality result in
-              let lines = Plan.sorted_tuples result in
-              let payload, truncated = truncate_rows s lines rows in
-              ok ~payload
+              let limit, truncated = row_cap ~limits:s.shared.limits rows in
+              ok
+                ~payload:(Plan.sorted_tuples ?limit result)
                 (Printf.sprintf "engine=%s cache=%s rows=%d ns=%d%s"
                    (Plan.engine_name plan.Plan.engine)
                    (if hit then "hit" else "miss")
@@ -253,11 +255,9 @@ let do_count s ~db ~engine ~query =
    values survive a round-trip through [Source.parse_facts].  It is the
    human- and script-readable gather; the coordinator itself reads SHIP
    (below).  Truncation keeps EVAL's explicit [truncated=true] marker. *)
-let fact_line name tuple =
-  Printf.sprintf "%s(%s)." name
-    (String.concat ", "
-       (List.map Paradb_query.Fact_format.value_to_syntax
-          (Paradb_relational.Tuple.to_list tuple)))
+let fact_lines ?limit r =
+  Encode.lines ?limit ~left:(Relation.name r ^ "(")
+    ~cell:Paradb_query.Fact_format.value_to_syntax ~right:")." r
 
 (* GATHER and SHIP: evaluate with engine auto, then [render] the result. *)
 let gathered s ~db ~query render =
@@ -272,14 +272,11 @@ let gathered s ~db ~query render =
 let do_gather s ~db ~query =
   gathered s ~db ~query @@ fun ~cache ~ns result ->
   let rows = Relation.cardinality result in
-  let name = Relation.name result in
-  let lines =
-    List.map (fact_line name)
-      (List.sort Paradb_relational.Tuple.compare (Relation.tuples result))
-  in
-  let payload, truncated = truncate_rows s lines rows in
-  ok ~payload
-    (Printf.sprintf "gathered %s cache=%s rows=%d ns=%d%s" name cache rows ns
+  let limit, truncated = row_cap ~limits:s.shared.limits rows in
+  ok
+    ~payload:(fact_lines ?limit result)
+    (Printf.sprintf "gathered %s cache=%s rows=%d ns=%d%s"
+       (Relation.name result) cache rows ns
        (if truncated then " truncated=true" else ""))
 
 (* SHIP: evaluate exactly like GATHER, but answer the result relation as
@@ -291,9 +288,7 @@ let do_gather s ~db ~query =
    truncated GATHER. *)
 let ship_answer ~limits ~cache ~ns result =
   let rows = Relation.cardinality result in
-  let truncated =
-    match limits.Guard.max_rows with Some m -> rows > m | None -> false
-  in
+  let _, truncated = row_cap ~limits rows in
   ok
     ~payload:
       (if truncated then []
@@ -346,17 +341,16 @@ let do_digest s db =
       let payload =
         Database.relations database
         |> List.map (fun r ->
-               let name = Relation.name r in
                let crc =
                  List.fold_left
-                   (fun c t ->
-                     Paradb_storage.Crc32.feed_string c (fact_line name t ^ "\n"))
-                   Paradb_storage.Crc32.init
-                   (List.sort Paradb_relational.Tuple.compare
-                      (Relation.tuples r))
+                   (fun c line ->
+                     Paradb_storage.Crc32.(
+                       feed_byte (feed_string c line) (Char.code '\n')))
+                   Paradb_storage.Crc32.init (fact_lines r)
                  |> Paradb_storage.Crc32.finish
                in
-               Printf.sprintf "relation %s %d %d %08x" name (Relation.arity r)
+               Printf.sprintf "relation %s %d %d %08x" (Relation.name r)
+                 (Relation.arity r)
                  (Relation.cardinality r) crc)
         |> List.sort compare
       in

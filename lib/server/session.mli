@@ -47,6 +47,19 @@ val create : shared -> t
 val handle :
   t -> Protocol.request -> Protocol.response option * [ `Continue | `Quit ]
 
+(** [row_cap ~limits rows] — for an answer of [rows] rows: the line
+    limit to render under [limits.max_rows] ([None]: all of them), and
+    whether the answer is truncated.  Shared with the coordinator. *)
+val row_cap : limits:Guard.limits -> int -> int option * bool
+
+(** [fact_lines ?limit r] — [r]'s rows as sorted fact lines
+    [name(v1, v2).], cells in source syntax
+    ({!Paradb_query.Fact_format.value_to_syntax}), in
+    {!Paradb_relational.Tuple.compare} order; with [limit], only the
+    first [limit].  The GATHER payload and the DIGEST checksum input;
+    built by {!Encode.lines}. *)
+val fact_lines : ?limit:int -> Paradb_relational.Relation.t -> string list
+
 (** [ship_answer ~limits ~cache ~ns result] — the [SHIP] response for an
     evaluated [result]: one payload line holding its segment in hex
     ({!Paradb_storage.Segment.encode}, {!Paradb_storage.Segment.to_hex}),

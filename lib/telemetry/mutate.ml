@@ -16,6 +16,8 @@ let known =
      "compiled index-probe materialization skips the repeated-variable equalities");
     ("ship_drop_row",
      "the coordinator drops the last row of each non-empty shipped segment");
+    ("exists_cut_early",
+     "compiled first-witness cut sits one step before the last head variable is bound");
   ]
 
 let known_names = List.map fst known

@@ -27,6 +27,17 @@ let write_temp_facts ?(prefix = "paradb_facts") text =
 let sorted_rows rel =
   List.map Tuple.to_string (List.sort Tuple.compare (Relation.tuples rel))
 
+(* Canonical GATHER payload: sorted [name(v1, v2).] fact lines, the
+   reference the server's code-level encoder is checked against. *)
+let sorted_fact_lines rel =
+  List.map
+    (fun t ->
+      Printf.sprintf "%s(%s)." (Relation.name rel)
+        (String.concat ", "
+           (List.map Paradb_query.Fact_format.value_to_syntax
+              (Tuple.to_list t))))
+    (List.sort Tuple.compare (Relation.tuples rel))
+
 (* A database as re-parseable fact syntax, for failure messages. *)
 let db_to_string db = Paradb_query.Fact_format.to_string db
 

@@ -364,6 +364,42 @@ let test_cluster_gather_payload_parses () =
           | Some r -> Alcotest.(check int) "parsed rows" 4 (Relation.cardinality r)
           | None -> Alcotest.fail "payload lost the head relation"))
 
+(* The coordinator's final EVAL and GATHER answers run the code-level
+   encoder over the unioned shard answers; they must equal the decode,
+   sort and print definitions it replaced, byte for byte, on values
+   whose text, code and value orders disagree. *)
+let test_coordinator_lines_match_reference () =
+  let facts =
+    [
+      "m(1, -3)."; "m(2, \"10\")."; "m(3, \"a, b\")."; "m(4, \"\").";
+      "m(5, x)."; "m(-6, 7)."; "m(7, \"(p)\")."; "m(\"8\", 8).";
+    ]
+  in
+  let answer =
+    match Source.parse_facts (String.concat "\n" facts) with
+    | Ok db -> Relation.with_name "ans" (Database.find db "m")
+    | Error e -> Alcotest.fail e
+  in
+  with_cluster ~shards:2 @@ fun ~shard_servers:_ ~client ->
+  List.iter
+    (fun f ->
+      match Client.request_line client ("FACT g " ^ f) with
+      | Protocol.Ok_ _ -> ()
+      | Protocol.Err e -> Alcotest.failf "FACT %s: %s" f e)
+    facts;
+  let q = "ans(X, Y) :- m(X, Y)." in
+  let payload line =
+    match Client.request_line client line with
+    | Protocol.Ok_ { payload; _ } -> payload
+    | Protocol.Err e -> Alcotest.failf "%s: %s" line e
+  in
+  Alcotest.(check (list string)) "EVAL lines"
+    (Test_support.sorted_rows answer)
+    (payload ("EVAL g auto " ^ q));
+  Alcotest.(check (list string)) "GATHER lines"
+    (Test_support.sorted_fact_lines answer)
+    (payload ("GATHER g " ^ q))
+
 let test_cluster_errors () =
   with_cluster ~shards:2 @@ fun ~shard_servers:_ ~client ->
   load_facts client;
@@ -943,6 +979,8 @@ let () =
             test_cluster_load_file_matches_single_node;
           Alcotest.test_case "GATHER payload parses" `Quick
             test_cluster_gather_payload_parses;
+          Alcotest.test_case "EVAL and GATHER lines match the reference"
+            `Quick test_coordinator_lines_match_reference;
           Alcotest.test_case "clean errors" `Quick test_cluster_errors;
           Alcotest.test_case "stats" `Quick test_cluster_stats;
           Alcotest.test_case "admission limit" `Quick

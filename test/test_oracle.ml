@@ -268,6 +268,10 @@ let test_mutant_materialize_drop_eq () =
   check_mutant_caught ~mutant:"materialize_drop_eq"
     ~engines:[ "compiled"; "segment-compiled" ] ()
 
+let test_mutant_exists_cut_early () =
+  check_mutant_caught ~mutant:"exists_cut_early"
+    ~engines:[ "compiled"; "segment-compiled" ] ()
+
 let test_unknown_mutant_rejected () =
   with_mutation "not_a_mutant" @@ fun () ->
   Alcotest.(check bool) "raises" true
@@ -314,6 +318,8 @@ let () =
             test_mutant_count_dedup_drop;
           Alcotest.test_case "materialize drop eq" `Quick
             test_mutant_materialize_drop_eq;
+          Alcotest.test_case "exists cut early" `Quick
+            test_mutant_exists_cut_early;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

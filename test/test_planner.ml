@@ -92,6 +92,39 @@ let test_plan_shape () =
   Alcotest.(check bool) "explain: scan step" true (has "scan e");
   Alcotest.(check bool) "explain: probe step" true (has "probe e")
 
+(* First-witness cut: EXPLAIN names the step after which every head
+   variable is bound, only when steps follow it; a Boolean head cuts at
+   step 0, a head bound only by the last step has no cut line. *)
+let test_explain_cut () =
+  let cut_line p =
+    List.find_opt
+      (fun l -> Test_support.contains l "cut after step")
+      (Planner.explain p)
+  in
+  let p = plan "ans(X) :- e(X, Y), e(X, Z), Y != Z." in
+  Alcotest.(check int) "projected head cuts at step 0" 0 p.Planner.cut;
+  Alcotest.(check (option string)) "explain: cut line"
+    (Some "cut after step 0: steps 1..1 stop at the first witness")
+    (cut_line p);
+  let chain = plan "ans(W) :- e(X, Y), e(Y, Z), e(Z, W)." in
+  Alcotest.(check int) "chain cuts at step 0" 0 chain.Planner.cut;
+  Alcotest.(check bool) "chain: a barrier sits after the cut" true
+    (Array.exists Fun.id
+       (Array.mapi (fun i b -> i > chain.Planner.cut && b <> None)
+          chain.Planner.barriers));
+  let boolean =
+    Planner.plan
+      (Cq.make ~name:"q" ~head:[]
+         [ Atom.make "e" [ Term.var "X"; Term.var "Y" ];
+           Atom.make "e" [ Term.var "Y"; Term.var "Z" ] ])
+  in
+  Alcotest.(check int) "boolean head cuts at step 0" 0 boolean.Planner.cut;
+  Alcotest.(check bool) "boolean: cut line" true (cut_line boolean <> None);
+  let full = plan "ans(X, Z) :- e(X, Y), e(Y, Z)." in
+  Alcotest.(check int) "full head binds at the last step" 1 full.Planner.cut;
+  Alcotest.(check (option string)) "no cut line without a suffix" None
+    (cut_line full)
+
 (* ------------------------------------------------------------------ *)
 (* Compiled pipeline: hand-picked edge cases *)
 
@@ -108,6 +141,10 @@ let test_compiled_edge_cases () =
   same "ans(X) :- e(X, X)." triangle_db;
   same "ans(X) :- e(1, X)." triangle_db;
   same "ans(Y, X) :- e(X, Y), X != Y." triangle_db;
+  (* first-witness cut: a constraint after the cut, a barrier after
+     the cut, a Boolean head *)
+  same "ans(X) :- e(X, Y), e(X, Z), Y != Z." triangle_db;
+  same "ans(W) :- e(X, Y), e(Y, Z), e(Z, W)." triangle_db;
   same "ans(X, Z) :- e(X, Y), e(Y, Z), X < Z." triangle_db;
   same "ans(X) :- e(X, Y), e(Y, Z), e(Z, X)." triangle_db;
   (* constants in the head *)
@@ -241,8 +278,46 @@ let test_budget_cancellation () =
 (* ------------------------------------------------------------------ *)
 (* Properties: compiled agrees exactly with the interpreters *)
 
+(* Queries whose head is projected (a random subset of the first
+   atom's variables, possibly empty) over a random join of binary atoms
+   with constraints on random variables: the cut lands early, and most
+   constraints and dead-variable barriers land after it. *)
+let projected_cq rng =
+  let var i = Term.var (Printf.sprintf "X%d" i) in
+  let nvars = ref 2 in
+  let pick () = Random.State.int rng !nvars in
+  let fresh () =
+    incr nvars;
+    !nvars - 1
+  in
+  let first = Atom.make "e" [ var 0; var 1 ] in
+  let more =
+    List.init (1 + Random.State.int rng 3) (fun _ ->
+        let a = pick () in
+        let b = if Random.State.int rng 3 = 0 then pick () else fresh () in
+        if Random.State.bool rng then Atom.make "e" [ var a; var b ]
+        else Atom.make "e" [ var b; var a ])
+  in
+  let head = List.filter (fun _ -> Random.State.bool rng) [ var 0; var 1 ] in
+  let constraints =
+    List.init (Random.State.int rng 3) (fun _ ->
+        let a = var (pick ()) and b = var (pick ()) in
+        if Random.State.bool rng then Constr.neq a b else Constr.lt a b)
+    |> List.filter (fun c -> c.Constr.lhs <> c.Constr.rhs)
+  in
+  Cq.make ~name:"ans" ~constraints ~head (first :: more)
+
 let qcheck_tests =
   [
+    Qgen.seeded_property
+      ~name:"compiled with first-witness cut = naive on projected heads"
+      ~count:300 (fun rng ->
+        let db =
+          Generators.edge_database rng ~nodes:5
+            ~edges:(4 + Random.State.int rng 10)
+        in
+        let q = projected_cq rng in
+        rows (Compile.evaluate db q) = rows (Cq_naive.evaluate db q));
     Qgen.seeded_property ~name:"compiled = naive on random acyclic CQs"
       ~count:150 (fun rng ->
         let db = Qgen.tree_cq_database rng ~max_arity:3 ~domain_size:4 ~tuples:10 in
@@ -292,6 +367,8 @@ let () =
         [
           Alcotest.test_case "classification" `Quick test_classification;
           Alcotest.test_case "plan shape and explain" `Quick test_plan_shape;
+          Alcotest.test_case "explain first-witness cut" `Quick
+            test_explain_cut;
         ] );
       ( "compiled",
         [

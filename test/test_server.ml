@@ -613,6 +613,127 @@ let test_server_stop_is_idempotent () =
   Server.stop server2
 
 (* ------------------------------------------------------------------ *)
+(* Answer encoder: the code-level sort and render behind EVAL, GATHER
+   and DIGEST, checked against the decode-and-sort definitions it
+   replaced. *)
+
+module Relation = Paradb_relational.Relation
+module Dictionary = Paradb_relational.Dictionary
+module Crc32 = Paradb_storage.Crc32
+
+let old_digest_line r =
+  let crc =
+    List.fold_left
+      (fun c line -> Crc32.feed_string c (line ^ "\n"))
+      Crc32.init (Test_support.sorted_fact_lines r)
+    |> Crc32.finish
+  in
+  Printf.sprintf "relation %s %d %d %08x" (Relation.name r) (Relation.arity r)
+    (Relation.cardinality r) crc
+
+let take n l = List.filteri (fun i _ -> i < n) l
+
+(* Values whose text order, code order and value order all disagree:
+   negative and extreme ints, digit-only and empty strings, strings
+   holding the cell separator or parentheses. *)
+let tricky_value rng =
+  match Random.State.int rng 9 with
+  | 0 -> Value.Int (Random.State.int rng 9 - 4)
+  | 1 -> Value.Int (Random.State.int rng 2_000_001 - 1_000_000)
+  | 2 -> Value.Int (if Random.State.bool rng then max_int else min_int)
+  | 3 -> Value.Str (string_of_int (Random.State.int rng 12))
+  | 4 -> Value.Str ""
+  | 5 -> Value.Str "a, b"
+  | 6 -> Value.Str (if Random.State.bool rng then "(x)" else "f(1, 2)")
+  | 7 -> Value.Str "-3"
+  | _ -> Value.Str (String.make 1 (Char.chr (97 + Random.State.int rng 3)))
+
+let random_answer rng =
+  let arity = Random.State.int rng 5 in
+  let rows =
+    List.init (Random.State.int rng 25) (fun _ ->
+        Array.init arity (fun _ -> tricky_value rng))
+  in
+  (* now and then a private dictionary, whose codes mean other values *)
+  let dict =
+    if Random.State.int rng 4 = 0 then Some (Dictionary.create ()) else None
+  in
+  Relation.create ?dict ~name:"ans"
+    ~schema:(List.init arity (Printf.sprintf "a%d"))
+    rows
+
+let encoder_tests =
+  [
+    Qgen.seeded_property ~name:"encoder = decode-and-sort reference"
+      ~count:400 (fun rng ->
+        let r = random_answer rng in
+        let limit = Random.State.int rng (Relation.cardinality r + 3) - 1 in
+        let tuples = Test_support.sorted_rows r in
+        let facts = Test_support.sorted_fact_lines r in
+        Plan.sorted_tuples r = tuples
+        && Plan.sorted_tuples ~limit r = take limit tuples
+        && Session.fact_lines r = facts
+        && Session.fact_lines ~limit r = take limit facts);
+  ]
+
+let tricky_facts =
+  [
+    "m(1, -3)."; "m(2, \"10\")."; "m(3, \"a, b\")."; "m(4, \"\")."; "m(5, x).";
+    "m(-6, 7)."; "m(7, \"(p)\")."; "m(8, \"-3\")."; "m(\"8\", 8).";
+  ]
+
+let tricky_query = "ans(X, Y) :- m(X, Y)."
+
+let tricky_session ?limits () =
+  let shared = Session.make_shared ?limits ~cache_capacity:4 () in
+  let session = Session.create shared in
+  let run line = Option.get (fst (Session.handle_line session line)) in
+  List.iter (fun f -> ignore (summary_of (run ("FACT g " ^ f)))) tricky_facts;
+  run
+
+(* EVAL, GATHER and DIGEST answer byte-identically to the decode, sort
+   and print definitions they replaced. *)
+let test_answers_match_reference () =
+  let db =
+    match Source.parse_facts (String.concat "\n" tricky_facts) with
+    | Ok db -> db
+    | Error e -> Alcotest.fail e
+  in
+  let m = Database.find db "m" in
+  let answer = Relation.with_name "ans" m in
+  let run = tricky_session () in
+  Alcotest.(check (list string)) "EVAL lines"
+    (Test_support.sorted_rows answer)
+    (payload_of (run ("EVAL g auto " ^ tricky_query)));
+  Alcotest.(check (list string)) "GATHER lines" (Test_support.sorted_fact_lines answer)
+    (payload_of (run ("GATHER g " ^ tricky_query)));
+  Alcotest.(check (list string)) "DIGEST line" [ old_digest_line m ]
+    (payload_of (run "DIGEST g"))
+
+(* Under --max-rows the encoder renders only the lines it sends: the
+   first [m] of the unlimited answer, with the full count and the
+   truncation marker in the summary. *)
+let test_max_rows_prefix () =
+  let full = tricky_session () in
+  let capped =
+    tricky_session
+      ~limits:{ Paradb_server.Guard.default_limits with max_rows = Some 3 }
+      ()
+  in
+  List.iter
+    (fun verb ->
+      let line = verb ^ tricky_query in
+      let r = capped line in
+      Alcotest.(check (list string)) (line ^ ": first 3 lines")
+        (take 3 (payload_of (full line)))
+        (payload_of r);
+      Alcotest.(check bool) (line ^ ": full count kept") true
+        (contains (summary_of r) "rows=9");
+      Alcotest.(check bool) (line ^ ": marked truncated") true
+        (contains (summary_of r) "truncated=true"))
+    [ "EVAL g auto "; "GATHER g " ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "server"
@@ -643,6 +764,12 @@ let () =
           Alcotest.test_case "count verb" `Quick test_count_verb;
           Alcotest.test_case "digest verb" `Quick test_digest_verb;
         ] );
+      ( "encoder",
+        Alcotest.test_case "answers match the decode-and-sort reference"
+          `Quick test_answers_match_reference
+        :: Alcotest.test_case "max-rows renders a prefix" `Quick
+             test_max_rows_prefix
+        :: List.map QCheck_alcotest.to_alcotest encoder_tests );
       ( "concurrency",
         [
           Alcotest.test_case "8 parallel connections, bit-identical answers"
