@@ -640,13 +640,7 @@ let reducer q i =
 
 (* A query with no relational atoms is ground: by safety its head and
    constraints are all constants, so it touches no shard at all. *)
-let ground_holds q =
-  List.for_all
-    (fun c ->
-      match (c.Constr.lhs, c.Constr.rhs) with
-      | Term.Const a, Term.Const b -> Constr.eval_op c.Constr.op a b
-      | _ -> false)
-    q.Cq.constraints
+let ground_holds q = List.for_all Constr.ground_holds q.Cq.constraints
 
 let eval_ground q =
   let holds = ground_holds q in

@@ -10,27 +10,39 @@ module Mutate = Paradb_telemetry.Mutate
 open Paradb_query
 
 let m_pipelines = Metrics.counter "compile.pipelines"
+let m_count_pipelines = Metrics.counter "compile.count_pipelines"
 
 (* Per-run state: a flat register file (one slot per query variable,
-   holding dictionary codes), the output store, and the strided budget
-   checkpoint.  Allocated fresh by [run], so one compiled [exec] can be
-   executed concurrently from several domains. *)
+   then one per head constant, holding dictionary codes), the strided
+   budget checkpoint, and the sink's stores.  The Bool sink collects head
+   rows in [out] and dedups at each barrier in [keys]; the Nat sink sums
+   valuations in [acc] and memoizes the downstream count of each barrier
+   key in [keys] beside [counts] (by key id).  Allocated fresh by
+   [start], so one compiled pipeline can run concurrently from several
+   domains. *)
 type state = {
   regs : int array;
   mutable ticks : int;
   budget : Budget.t option;
   out : Row_set.t;
-  dedup : Row_set.t array;
-      (** one distinct-prefix set per dead-variable barrier *)
+  keys : Row_set.t array;  (** one key set per dead-variable barrier *)
+  counts : int array array;  (** Nat: memoized count per key id *)
+  mutable acc : int;
 }
 
-type exec = {
+type sink = Bool | Nat
+
+type t = {
   name : string;
   head_schema : string list;
-  nregs : int;
-  ndedup : int;
+  nvars : int;
+  consts : int array;  (** head constants, loaded after the variables *)
+  nkeys : int;
   pipeline : state -> unit;
 }
+
+type exec = t
+type count_exec = t
 
 (* Same order of magnitude as the interpreters' probe stride: cheap
    enough to leave on, frequent enough that expiry surfaces fast. *)
@@ -123,13 +135,7 @@ let materialize ?budget db scan atom =
     end
   end
 
-let ground_holds c =
-  match (c.Constr.lhs, c.Constr.rhs) with
-  | Term.Const a, Term.Const b -> Constr.eval_op c.Constr.op a b
-  | _ -> invalid_arg "Compile: ground constraint with a variable"
-
-(* One fused register-level check per constraint.  Shared by the Bool
-   and counting pipelines. *)
+(* One fused register-level check per constraint. *)
 let compile_constraint reg_of c =
   let operand = function
     | Term.Var x -> `Reg (reg_of x)
@@ -157,7 +163,7 @@ let compile_constraint reg_of c =
    reduction for acyclic plans).  Count-preserving: materialization's
    projection to first-occurrence variable positions is injective on the
    rows matching the selection pattern, and semijoins only drop rows that
-   join with nothing.  Shared by the Bool and counting pipelines. *)
+   join with nothing. *)
 let reduced_mats ?budget plan db atoms =
   let mats =
     Array.mapi
@@ -171,96 +177,158 @@ let reduced_mats ?budget plan db atoms =
     plan.Planner.reduce;
   mats
 
-let compile ?budget plan db =
+(* Every filter of a step, checked without allocating: a closed
+   recursive walk, not [Array.for_all] over a fresh closure. *)
+let rec all_hold checks regs i =
+  i >= Array.length checks || (checks.(i) regs && all_hold checks regs (i + 1))
+
+(* Nat barrier: record the subtree count of key [id].  The count array
+   is kept as long as the key set's dense row store, so it grows by the
+   key set's own rule. *)
+let memo_store st k id c =
+  let a = st.counts.(k) in
+  if id >= Array.length a then begin
+    let b = Array.make (Array.length (Row_set.rows st.keys.(k))) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    st.counts.(k) <- b
+  end;
+  st.counts.(k).(id) <- c
+
+(* Dead-variable barriers (planned by {!Planner.barrier_spec}) under the
+   two sinks.  Past a barrier the downstream work is a function of the
+   live registers alone (later steps read only already-bound key
+   registers or registers they bind themselves, and the emit reads the
+   head, which is live).  Bool: a distinct-prefix set prunes duplicate
+   continuation subtrees, which turns e.g. long-chain walk enumeration
+   from exponential in the chain length into output-bounded work.  Nat:
+   dedup would be the Bool semiring's ⊕ — collapsing multiplicities is
+   exactly the bug the counting oracle exists to catch — so each
+   distinct live prefix runs the subtree once and replays its count
+   thereafter, keeping counting within the same complexity envelope.
+   Both hash and compare the registers in place, in one probe of the
+   key set per visit; only a new key is copied.  The key goes in before
+   its subtree runs: barrier [k] does not recur below itself. *)
+let barrier sink k pos next =
+  match sink with
+  | Bool ->
+      fun st ->
+        let keys = st.keys.(k) in
+        let n = Row_set.cardinal keys in
+        if Row_set.add_sub keys st.regs pos = n then next st
+  | Nat ->
+      fun st ->
+        let keys = st.keys.(k) in
+        let n = Row_set.cardinal keys in
+        let id = Row_set.add_sub keys st.regs pos in
+        if id < n then st.acc <- st.acc + st.counts.(k).(id)
+        else begin
+          let saved = st.acc in
+          st.acc <- 0;
+          next st;
+          memo_store st k id st.acc;
+          st.acc <- saved + st.acc
+        end
+
+(* Lower the plan to one pipeline of fused closures over the register
+   file.  Scan and probe steps walk row ids with plain loops (the probe
+   cursor), so a running pipeline allocates only what the sink keeps: a
+   new output row, or a new barrier/memo key. *)
+let build ?budget sink plan db =
   Budget.poll budget;
   let q = plan.Planner.query in
   let vars = Cq.vars q in
-  let nregs = List.length vars in
+  let nvars = List.length vars in
   let reg_of =
     let tbl = Hashtbl.create 8 in
     List.iteri (fun i x -> Hashtbl.add tbl x i) vars;
     Hashtbl.find tbl
   in
   let head_schema = List.mapi (fun i _ -> Printf.sprintf "a%d" i) q.Cq.head in
-  let hspec =
+  (* Head constants get their own registers, loaded once per run, so the
+     emit is one in-place [add_sub] of the head positions. *)
+  let consts =
+    Array.of_list
+      (List.filter_map
+         (function
+           | Term.Const v -> Some (Dictionary.intern Dictionary.global v)
+           | Term.Var _ -> None)
+         q.Cq.head)
+  in
+  let head_pos =
+    let c = ref nvars in
     Array.of_list
       (List.map
          (function
-           | Term.Var x -> `Reg (reg_of x)
-           | Term.Const v -> `Const (Dictionary.intern Dictionary.global v))
+           | Term.Var x -> reg_of x
+           | Term.Const _ ->
+               incr c;
+               !c - 1)
          q.Cq.head)
   in
-  let emit st =
-    tick st;
-    let row =
-      Array.map (function `Reg r -> st.regs.(r) | `Const c -> c) hspec
-    in
-    Row_set.add st.out row
+  let emit =
+    match sink with
+    | Bool ->
+        fun st ->
+          tick st;
+          ignore (Row_set.add_sub st.out st.regs head_pos)
+    | Nat ->
+        fun st ->
+          tick st;
+          st.acc <- st.acc + 1
   in
-  let ground_ok = List.for_all ground_holds plan.Planner.ground in
-  let ndedup, pipeline =
-    if not ground_ok then (0, fun _ -> ())
+  let nkeys, pipeline =
+    if not (List.for_all Constr.ground_holds plan.Planner.ground) then
+      (0, fun _ -> ())
     else if q.Cq.body = [] then (0, emit)
     else begin
       let atoms = Array.of_list q.Cq.body in
       (* Acyclic plans: full semijoin reduction at compile time, so the
          pipeline below enumerates without dead ends (Yannakakis). *)
       let mats = reduced_mats ?budget plan db atoms in
-      let filters_at i =
+      let with_filters i next =
         match
           List.filter_map
             (fun (j, c) -> if j = i then Some (compile_constraint reg_of c) else None)
             plan.Planner.filters
         with
-        | [] -> None
+        | [] -> next
         | checks ->
             let checks = Array.of_list checks in
-            Some (fun regs -> Array.for_all (fun f -> f regs) checks)
+            fun st -> if all_hold checks st.regs 0 then next st
       in
-      let with_filters i next =
-        match filters_at i with
+      let nkeys = ref 0 in
+      let with_barrier i next =
+        match plan.Planner.barriers.(i) with
         | None -> next
-        | Some check -> fun st -> if check st.regs then next st
+        | Some live ->
+            let k = !nkeys in
+            incr nkeys;
+            let pos = Array.of_list (List.map reg_of live) in
+            (* Mutation hook: key the barrier on its first live register
+               only, merging distinct multi-variable prefixes. *)
+            let pos =
+              if Mutate.enabled "barrier_key_prefix" && Array.length pos > 1
+              then [| pos.(0) |]
+              else pos
+            in
+            barrier sink k pos next
       in
-      (* Dead-variable barriers (planned by {!Planner.barrier_spec}): a
-         distinct-prefix set on the live registers prunes duplicate
-         continuation subtrees, which turns e.g. long-chain walk
-         enumeration from exponential in the chain length into
-         output-bounded work. *)
-      let ndedup = ref 0 in
-      let dedup_spec =
-        Array.map
-          (function
-            | None -> None
-            | Some live ->
-                let k = !ndedup in
-                incr ndedup;
-                Some (k, Array.of_list (List.map reg_of live)))
-          plan.Planner.barriers
-      in
-      let with_dedup i next =
-        match dedup_spec.(i) with
-        | None -> next
-        | Some (k, proj) ->
-            fun st ->
-              let seen = st.dedup.(k) in
-              let before = Row_set.cardinal seen in
-              Row_set.add seen (Code_row.sub st.regs proj);
-              if Row_set.cardinal seen > before then next st
-      in
-      (* First-witness cut (the plan's [cut]): once every head variable
-         is bound, the remaining steps only decide whether this head row
-         has a witness.  The suffix's emit raises, the cut catches it and
-         emits the row once, so a projected head costs one witness per
-         answer row instead of one pass per valuation.  A barrier prefix
-         recorded inside an aborted suffix carries the head variables
-         (they are live at every barrier), so it only ever prunes a
-         subtree whose head row is already out. *)
+      (* First-witness cut (the plan's [cut]), Bool only: once every head
+         variable is bound, the remaining steps only decide whether this
+         head row has a witness.  The suffix's emit raises, the cut
+         catches it and emits the row once, so a projected head costs
+         one witness per answer row instead of one pass per valuation.
+         A barrier prefix recorded inside an aborted suffix carries the
+         head variables (they are live at every barrier), so it only
+         ever prunes a subtree whose head row is already out.  Counting
+         needs every valuation and ignores the cut. *)
       let cut =
         if Mutate.enabled "exists_cut_early" then plan.Planner.cut - 1
         else plan.Planner.cut
       in
-      let witness_only = cut < List.length plan.Planner.steps - 1 in
+      let witness_only =
+        sink = Bool && cut < List.length plan.Planner.steps - 1
+      in
       let exception Witness in
       let at_cut suffix st =
         match suffix st with () -> () | exception Witness -> emit st
@@ -268,13 +336,13 @@ let compile ?budget plan db =
       let terminal =
         if witness_only then fun _ -> raise_notrace Witness else emit
       in
-      let rec build steps i =
+      let rec build_steps steps i =
         match steps with
         | [] -> terminal
         | step :: rest -> (
-            let suffix = build rest (i + 1) in
+            let suffix = build_steps rest (i + 1) in
             let suffix = if witness_only && i = cut then at_cut suffix else suffix in
-            let next = with_filters i (with_dedup i suffix) in
+            let next = with_filters i (with_barrier i suffix) in
             match step with
             | Planner.Scan { atom } ->
                 let rel = mats.(atom) in
@@ -282,15 +350,16 @@ let compile ?budget plan db =
                   Array.of_list (List.map reg_of plan.Planner.scans.(atom).vars)
                 in
                 let n = Array.length dst in
+                let rows = Relation.rows rel and nrows = Relation.cardinality rel in
                 fun st ->
-                  Relation.iter_codes
-                    (fun row ->
-                      tick st;
-                      for k = 0 to n - 1 do
-                        st.regs.(dst.(k)) <- row.(k)
-                      done;
-                      next st)
-                    rel
+                  for r = 0 to nrows - 1 do
+                    let row = rows.(r) in
+                    tick st;
+                    for k = 0 to n - 1 do
+                      st.regs.(dst.(k)) <- row.(k)
+                    done;
+                    next st
+                  done
             | Planner.Probe { atom; key; bind } ->
                 let rel = mats.(atom) in
                 let key_pos = Relation.positions rel key in
@@ -307,13 +376,20 @@ let compile ?budget plan db =
                   && Array.length key_pos > 0
                 then bind_src.(0) <- key_pos.(0);
                 let n = Array.length bind_dst in
+                let rows = Relation.rows rel in
+                (* The key registers are bound before this step and never
+                   written downstream, so the cursor can re-read them. *)
                 fun st ->
-                  Relation.probe_iter rel idx st.regs key_regs (fun row ->
-                      tick st;
-                      for k = 0 to n - 1 do
-                        st.regs.(bind_dst.(k)) <- row.(bind_src.(k))
-                      done;
-                      next st)
+                  let r = ref (Relation.probe_first rel idx st.regs key_regs) in
+                  while !r >= 0 do
+                    let row = rows.(!r) in
+                    tick st;
+                    for k = 0 to n - 1 do
+                      st.regs.(bind_dst.(k)) <- row.(bind_src.(k))
+                    done;
+                    next st;
+                    r := Relation.probe_next rel idx st.regs key_regs !r
+                  done
             | Planner.Exists { atom; key } ->
                 let rel = mats.(atom) in
                 let key_pos = Relation.positions rel key in
@@ -321,27 +397,44 @@ let compile ?budget plan db =
                 let idx = Relation.hash_index rel key_pos in
                 fun st ->
                   tick st;
-                  if Relation.probe_mem rel idx st.regs key_regs then next st)
+                  if Relation.probe_first rel idx st.regs key_regs >= 0 then next st)
       in
-      let pipeline = build plan.Planner.steps 0 in
-      (!ndedup, if witness_only && cut < 0 then at_cut pipeline else pipeline)
+      let pipeline = build_steps plan.Planner.steps 0 in
+      (!nkeys, if witness_only && cut < 0 then at_cut pipeline else pipeline)
     end
   in
-  Metrics.incr m_pipelines;
-  { name = q.Cq.name; head_schema; nregs; ndedup; pipeline }
+  { name = q.Cq.name; head_schema; nvars; consts; nkeys; pipeline }
 
-let run ?budget exec =
+let compile ?budget plan db =
+  let exec = build ?budget Bool plan db in
+  Metrics.incr m_pipelines;
+  exec
+
+let compile_count ?budget plan db =
+  let exec = build ?budget Nat plan db in
+  Metrics.incr m_count_pipelines;
+  exec
+
+let start ?budget exec ~out =
   Budget.poll budget;
+  let nconsts = Array.length exec.consts in
   let st =
     {
-      regs = Array.make (max exec.nregs 1) (-1);
+      regs = Array.make (max (exec.nvars + nconsts) 1) (-1);
       ticks = 0;
       budget;
-      out = Row_set.create 64;
-      dedup = Array.init exec.ndedup (fun _ -> Row_set.create 64);
+      out;
+      keys = Array.init exec.nkeys (fun _ -> Row_set.create 64);
+      counts = Array.make exec.nkeys [||];
+      acc = 0;
     }
   in
+  Array.blit exec.consts 0 st.regs exec.nvars nconsts;
   exec.pipeline st;
+  st
+
+let run ?budget exec =
+  let st = start ?budget exec ~out:(Row_set.create 64) in
   (* The output set's rows are distinct and owned by this run: seal
      them as the result instead of copying and rehashing each one. *)
   Relation.of_unique_codes ~name:exec.name ~schema:exec.head_schema
@@ -349,177 +442,10 @@ let run ?budget exec =
 
 let evaluate ?budget db q = run ?budget (compile ?budget (Planner.plan q) db)
 
-(* {2 Counting pipeline}
+(* The Nat sink never touches [out]: an empty sealed set stands in. *)
+let no_out = Row_set.of_unique_array [||] 0
 
-   Same plan, same materialization, same probe order — but the sink
-   counts satisfying valuations of the body variables (Nat-semiring
-   semantics) instead of collecting deduplicated head rows.  The two
-   sinks are kept as separate pipelines on purpose: the Bool path above
-   is the trusted fast path and must stay bit-identical, and a counting
-   run must NOT dedup — dedup is the Bool semiring's ⊕, and collapsing
-   multiplicities is precisely the bug the counting oracle exists to
-   catch.
-
-   Where the Bool pipeline dedups at a dead-variable barrier, the
-   counting pipeline memoizes: past a barrier the downstream count is a
-   function of the live registers alone (later steps read only
-   already-bound key registers or registers they bind themselves, and
-   the emit reads none), so each distinct live prefix runs the subtree
-   once and replays its count from the memo thereafter.  That keeps
-   counting within the same complexity envelope as the deduplicated
-   enumeration instead of paying the full (possibly exponential)
-   valuation tree. *)
-
-type count_state = {
-  cregs : int array;
-  mutable cticks : int;
-  cbudget : Budget.t option;
-  mutable acc : int;
-  memo : int Code_row.Table.t array;
-      (** one live-prefix memo per dead-variable barrier *)
-}
-
-type count_exec = {
-  cname : string;
-  cnregs : int;
-  nmemo : int;
-  cpipeline : count_state -> unit;
-}
-
-let m_count_pipelines = Metrics.counter "compile.count_pipelines"
-
-let ctick st =
-  st.cticks <- st.cticks + 1;
-  if st.cticks land (budget_stride - 1) = 0 then Budget.poll st.cbudget
-
-let compile_count ?budget plan db =
-  Budget.poll budget;
-  let q = plan.Planner.query in
-  let vars = Cq.vars q in
-  let cnregs = List.length vars in
-  let reg_of =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun i x -> Hashtbl.add tbl x i) vars;
-    Hashtbl.find tbl
-  in
-  let emit st =
-    ctick st;
-    st.acc <- st.acc + 1
-  in
-  let ground_ok = List.for_all ground_holds plan.Planner.ground in
-  let nmemo, cpipeline =
-    if not ground_ok then (0, fun _ -> ())
-    else if q.Cq.body = [] then (0, emit)
-    else begin
-      let atoms = Array.of_list q.Cq.body in
-      let mats = reduced_mats ?budget plan db atoms in
-      let filters_at i =
-        match
-          List.filter_map
-            (fun (j, c) -> if j = i then Some (compile_constraint reg_of c) else None)
-            plan.Planner.filters
-        with
-        | [] -> None
-        | checks ->
-            let checks = Array.of_list checks in
-            Some (fun regs -> Array.for_all (fun f -> f regs) checks)
-      in
-      let with_filters i next =
-        match filters_at i with
-        | None -> next
-        | Some check -> fun st -> if check st.cregs then next st
-      in
-      let nmemo = ref 0 in
-      let memo_spec =
-        Array.map
-          (function
-            | None -> None
-            | Some live ->
-                let k = !nmemo in
-                incr nmemo;
-                Some (k, Array.of_list (List.map reg_of live)))
-          plan.Planner.barriers
-      in
-      let with_memo i next =
-        match memo_spec.(i) with
-        | None -> next
-        | Some (k, proj) ->
-            fun st ->
-              let key = Code_row.sub st.cregs proj in
-              (match Code_row.Table.find_opt st.memo.(k) key with
-              | Some c -> st.acc <- st.acc + c
-              | None ->
-                  let saved = st.acc in
-                  st.acc <- 0;
-                  next st;
-                  Code_row.Table.replace st.memo.(k) key st.acc;
-                  st.acc <- saved + st.acc)
-      in
-      let rec build steps i =
-        match steps with
-        | [] -> emit
-        | step :: rest -> (
-            let next = with_filters i (with_memo i (build rest (i + 1))) in
-            match step with
-            | Planner.Scan { atom } ->
-                let rel = mats.(atom) in
-                let dst =
-                  Array.of_list (List.map reg_of plan.Planner.scans.(atom).vars)
-                in
-                let n = Array.length dst in
-                fun st ->
-                  Relation.iter_codes
-                    (fun row ->
-                      ctick st;
-                      for k = 0 to n - 1 do
-                        st.cregs.(dst.(k)) <- row.(k)
-                      done;
-                      next st)
-                    rel
-            | Planner.Probe { atom; key; bind } ->
-                let rel = mats.(atom) in
-                let key_pos = Relation.positions rel key in
-                let key_regs = Array.of_list (List.map reg_of key) in
-                let idx = Relation.hash_index rel key_pos in
-                let bind_src = Relation.positions rel bind in
-                let bind_dst = Array.of_list (List.map reg_of bind) in
-                let n = Array.length bind_dst in
-                fun st ->
-                  Relation.probe_iter rel idx st.cregs key_regs (fun row ->
-                      ctick st;
-                      for k = 0 to n - 1 do
-                        st.cregs.(bind_dst.(k)) <- row.(bind_src.(k))
-                      done;
-                      next st)
-            | Planner.Exists { atom; key } ->
-                let rel = mats.(atom) in
-                let key_pos = Relation.positions rel key in
-                let key_regs = Array.of_list (List.map reg_of key) in
-                let idx = Relation.hash_index rel key_pos in
-                fun st ->
-                  ctick st;
-                  if Relation.probe_mem rel idx st.cregs key_regs then next st)
-      in
-      let cpipeline = build plan.Planner.steps 0 in
-      (!nmemo, cpipeline)
-    end
-  in
-  Metrics.incr m_count_pipelines;
-  { cname = q.Cq.name; cnregs; nmemo; cpipeline }
-
-let run_count ?budget cexec =
-  Budget.poll budget;
-  let st =
-    {
-      cregs = Array.make (max cexec.cnregs 1) (-1);
-      cticks = 0;
-      cbudget = budget;
-      acc = 0;
-      memo = Array.init cexec.nmemo (fun _ -> Code_row.Table.create 64);
-    }
-  in
-  cexec.cpipeline st;
-  st.acc
+let run_count ?budget cexec = (start ?budget cexec ~out:no_out).acc
 
 let count ?budget db q =
   run_count ?budget (compile_count ?budget (Planner.plan q) db)

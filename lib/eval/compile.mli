@@ -7,12 +7,15 @@
     are index-probe selections, acyclic plans are fully semijoin-reduced (the
     Yannakakis guarantee: enumeration from the root never dead-ends), and
     each plan step becomes a scan / hash-probe / membership closure
-    writing variable codes into a flat register file.  Running the
-    compiled pipeline does no planning, no [Value.t] decoding on the join
-    path, no binding allocation and no per-tuple variant dispatch — the
-    warm-path contract the server's plan cache relies on.  Past the
-    plan's first-witness cut ({!Paradb_planner.Planner.t.cut}) the Bool
-    pipeline stops at the first witness of each head row.
+    writing variable codes into a flat register file.  One step builder
+    serves both sinks (Bool rows and Nat counts); they differ only in the
+    barrier policy and the terminal.  Running the compiled pipeline does
+    no planning, no [Value.t] decoding on the join path and no per-tuple
+    variant dispatch, and it allocates only what the sink keeps — a new
+    output row or a new barrier/memo key — the warm-path contract the
+    server's plan cache relies on.  Past the plan's first-witness cut
+    ({!Paradb_planner.Planner.t.cut}) the Bool pipeline stops at the
+    first witness of each head row.
 
     The compiled value is bound to the snapshot it was compiled against;
     the server keys its cache on the catalog generation so a stale

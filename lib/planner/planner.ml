@@ -139,16 +139,52 @@ let width_estimate q =
   done;
   !width
 
-(* Join order.  With a join tree: preorder ([top_down]), so by the
-   running-intersection property every already-bound variable of a node
-   is shared with its parent and the probe key is exactly the connector.
-   Without one: greedy — start from the statically most selective atom
-   (most constants and repeated variables), then repeatedly take the atom
-   sharing the most bound variables. *)
-let order_atoms tree scans =
+(* Local work of an atom: the checks it can apply to its own rows before
+   any join — constants, repeated variables, and constraints whose
+   variables all lie in the atom. *)
+let local_work constraints scan =
+  let vars = SS.of_list scan.vars in
+  List.length scan.selections + List.length scan.equalities
+  + List.length
+      (List.filter
+         (fun c ->
+           match Constr.vars c with
+           | [] -> false
+           | cv -> List.for_all (fun v -> SS.mem v vars) cv)
+         constraints)
+
+(* Join order.  With a join tree: a preorder rooted at the atom with the
+   most local work (ties keep the GYO root), so a selective local filter
+   runs right after step 0 instead of after every probe.  Any connected
+   preorder keeps the probe key exactly the connector: a variable a node
+   shares with any earlier node lies, by running intersection, on the
+   tree path between them, which enters the node through its parent in
+   this orientation.  The semijoin program does not depend on the root.
+   Without a tree: greedy — start from the statically most selective
+   atom (most constants and repeated variables), then repeatedly take
+   the atom sharing the most bound variables. *)
+let order_atoms constraints tree scans =
   let n = Array.length scans in
   match tree with
-  | Some t -> Array.to_list t.Join_tree.top_down
+  | Some t ->
+      let work = Array.map (local_work constraints) scans in
+      let root = ref t.Join_tree.root in
+      Array.iteri (fun i w -> if w > work.(!root) then root := i) work;
+      (* Reverse post-order of the tree re-rooted at [root]: every node
+         after its neighbour on the path to the root.  From the GYO root
+         this is exactly [t.top_down]. *)
+      let order = ref [] in
+      let rec visit from i =
+        let nbrs =
+          let p = t.Join_tree.parent.(i) in
+          if p >= 0 then t.Join_tree.children.(i) @ [ p ]
+          else t.Join_tree.children.(i)
+        in
+        List.iter (fun j -> if j <> from then visit i j) nbrs;
+        order := i :: !order
+      in
+      visit (-1) !root;
+      !order
   | None ->
       let var_sets = Array.map (fun s -> SS.of_list s.vars) scans in
       let selectivity i =
@@ -312,7 +348,7 @@ let plan q =
     | Acyclic -> m_acyclic
     | Low_width _ -> m_low_width
     | Cyclic _ -> m_cyclic);
-  let order = order_atoms tree scans in
+  let order = order_atoms q.Cq.constraints tree scans in
   let steps, bound_after = steps_of_order scans order in
   let filters, ground = place_constraints q.Cq.constraints bound_after in
   {

@@ -68,3 +68,8 @@ let pp ppf c =
   Format.fprintf ppf "%a %s %a" Term.pp c.lhs (op_to_string c.op) Term.pp c.rhs
 
 let to_string c = Format.asprintf "%a" pp c
+
+let ground_holds c =
+  match (c.lhs, c.rhs) with
+  | Term.Const a, Term.Const b -> eval_op c.op a b
+  | _ -> invalid_arg ("Constr.ground_holds: not ground: " ^ to_string c)

@@ -30,6 +30,10 @@ val holds : Binding.t -> t -> bool
 (** Ground evaluation on two values. *)
 val eval_op : op -> Paradb_relational.Value.t -> Paradb_relational.Value.t -> bool
 
+(** [ground_holds c] evaluates a constraint between two constants.
+    Raises [Invalid_argument] if either side is a variable. *)
+val ground_holds : t -> bool
+
 val substitute : Binding.t -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,11 +1,17 @@
 type t = int array
 
+(* Equality, comparison and sub-row equality are plain loops: a local
+   recursive helper would close over its arguments and allocate on every
+   call, and these sit on every hash-chain compare. *)
 let equal (a : t) (b : t) =
   let la = Array.length a in
   la = Array.length b
   &&
-  let rec go i = i >= la || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < la && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = la
 
 (* FNV-1a over the cells; int codes are immediate so this never follows a
    pointer. *)
@@ -19,14 +25,13 @@ let hash (a : t) =
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i >= la then 0
-      else
-        let c = Int.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  else begin
+    let i = ref 0 in
+    while !i < la && a.(!i) = b.(!i) do
+      incr i
+    done;
+    if !i = la then 0 else Int.compare a.(!i) b.(!i)
+  end
 
 let sub (row : t) (positions : int array) =
   Array.map (fun i -> row.(i)) positions
@@ -44,8 +49,11 @@ let equal_sub (a : t) (pa : int array) (b : t) (pb : int array) =
   let la = Array.length pa in
   la = Array.length pb
   &&
-  let rec go i = i >= la || (a.(pa.(i)) = b.(pb.(i)) && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < la && a.(pa.(!i)) = b.(pb.(!i)) do
+    incr i
+  done;
+  !i = la
 
 let append = Array.append
 

@@ -115,6 +115,7 @@ let tuple_set r = fold Tuple.Set.add r Tuple.Set.empty
 
 let fold_codes f r init = Row_set.fold f r.rows init
 let iter_codes f r = Row_set.iter f r.rows
+let rows r = Row_set.rows r.rows
 let decode_value r code = Dictionary.value r.dict code
 let code_of_value r v = Dictionary.code_opt r.dict v
 
@@ -172,25 +173,35 @@ let key_index r (positions : int array) =
           Code_row.Table.add r.key_indexes positions idx;
           idx)
 
-(* [probe_iter owner idx row key f] calls [f row2] for every row2 of
-   [owner] whose key cells (at [idx.kpos]) equal [row]'s cells at [key]. *)
-let probe_iter owner idx row (key : int array) f =
-  let slot = Code_row.hash_sub row key land idx.kmask in
-  let i = ref idx.ktable.(slot) in
-  while !i >= 0 do
-    let row2 = Row_set.get owner.rows !i in
-    if Code_row.equal_sub row2 idx.kpos row key then f row2;
+(* Probe cursor over row ids: [probe_first owner idx row key] is the
+   first row id of [owner] whose key cells (at [idx.kpos]) equal [row]'s
+   cells at [key], [probe_next] the one after a given id, [-1] past the
+   last.  Plain loops over the chain, so a probe allocates nothing;
+   [probe_iter] and [probe_mem] are the same walk. *)
+let probe_from owner idx row key i =
+  let rows = rows owner in
+  let i = ref i in
+  while !i >= 0 && not (Code_row.equal_sub rows.(!i) idx.kpos row key) do
     i := idx.knext.(!i)
+  done;
+  !i
+
+let probe_first owner idx row (key : int array) =
+  probe_from owner idx row key
+    idx.ktable.(Code_row.hash_sub row key land idx.kmask)
+
+let probe_next owner idx row (key : int array) i =
+  probe_from owner idx row key idx.knext.(i)
+
+let probe_iter owner idx row key f =
+  let rows = rows owner in
+  let i = ref (probe_first owner idx row key) in
+  while !i >= 0 do
+    f rows.(!i);
+    i := probe_next owner idx row key !i
   done
 
-let probe_mem owner idx row (key : int array) =
-  let slot = Code_row.hash_sub row key land idx.kmask in
-  let rec go i =
-    i >= 0
-    && (Code_row.equal_sub (Row_set.get owner.rows i) idx.kpos row key
-        || go idx.knext.(i))
-  in
-  go idx.ktable.(slot)
+let probe_mem owner idx row key = probe_first owner idx row key >= 0
 
 type hash_index = key_index
 

@@ -125,6 +125,12 @@ val dict : t -> Dictionary.t
 val fold_codes : (Code_row.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_codes : (Code_row.t -> unit) -> t -> unit
 
+(** [rows r] is the stored row array, shared, not copied: entry [i] for
+    [0 <= i < cardinality r] is the row with id [i] — the ids
+    {!iter_codes} visits in order and the probe cursor yields.  Entries
+    past [cardinality r] are padding.  Do not mutate it. *)
+val rows : t -> Code_row.t array
+
 (** [select_codes pred r] keeps the rows whose code row satisfies [pred].
     Code equality coincides with value equality within one dictionary. *)
 val select_codes : (Code_row.t -> bool) -> t -> t
@@ -174,10 +180,20 @@ type hash_index
     [positions].  The positions array is captured; do not mutate it. *)
 val hash_index : t -> int array -> hash_index
 
+(** [probe_first r idx probe key] is the id ({!rows}) of the first row of
+    [r] whose cells at the index's key columns equal, positionally,
+    [probe]'s cells at [key], or [-1] if none does; [probe_next r idx
+    probe key i] is the next matching id after [i].  A cursor walk
+    allocates nothing — the compiled pipelines' probe loop. *)
+val probe_first : t -> hash_index -> Code_row.t -> int array -> int
+
+val probe_next : t -> hash_index -> Code_row.t -> int array -> int -> int
+
 (** [probe_iter r idx probe key f] calls [f row] for every row of [r]
     whose cells at the index's key columns equal, positionally, [probe]'s
     cells at [key].  [probe] can be any code row over [dict r] — e.g. a
-    register file — and is read, never retained. *)
+    register file — and is read, never retained.  Same rows, same order
+    as the cursor. *)
 val probe_iter : t -> hash_index -> Code_row.t -> int array -> (Code_row.t -> unit) -> unit
 
 (** [probe_mem r idx probe key] — does any row of [r] match? *)

@@ -57,6 +57,7 @@ let ensure_table s =
 let cardinal s = s.size
 let is_empty s = s.size = 0
 let get s i = s.rows.(i)
+let rows s = s.rows
 
 let grow_dense s =
   let n = Array.length s.rows in
@@ -82,43 +83,67 @@ let resize_table s =
   s.table <- table;
   s.mask <- mask
 
+(* One probe walk for whole rows and sub-row keys.  [slot s eq row pos h]
+   is the probe-table slot holding the id of the stored key [k] with hash
+   [h] and [eq k row pos], or the empty slot where that key would go.
+   [eq] is always a closed top-level function, so passing it allocates
+   nothing; it runs only on a hash match. *)
+let slot s eq row pos h =
+  let j = ref (h land s.mask) in
+  while
+    let i = s.table.(!j) in
+    i >= 0 && not (s.hashes.(i) = h && eq s.rows.(i) row pos)
+  do
+    j := (!j + 1) land s.mask
+  done;
+  !j
+
+let row_matches key row (_ : int array) = Code_row.equal key row
+
+let key_matches (key : Code_row.t) (row : Code_row.t) (pos : int array) =
+  let n = Array.length pos in
+  Array.length key = n
+  &&
+  let k = ref 0 in
+  while !k < n && key.(!k) = row.(pos.(!k)) do
+    incr k
+  done;
+  !k = n
+
+(* Store [key] (hash [h]) in the empty slot [j]; its id is the old size. *)
+let insert s j h key =
+  if s.size = Array.length s.rows then grow_dense s;
+  s.rows.(s.size) <- key;
+  s.hashes.(s.size) <- h;
+  s.table.(j) <- s.size;
+  s.size <- s.size + 1;
+  (* Keep load factor under 3/4. *)
+  if 4 * s.size > 3 * (s.mask + 1) then resize_table s
+
 let add s row =
   ensure_table s;
   let h = Code_row.hash row in
-  let j = ref (h land s.mask) in
-  let i = ref s.table.(!j) in
-  let dup = ref false in
-  while (not !dup) && !i >= 0 do
-    if s.hashes.(!i) = h && Code_row.equal s.rows.(!i) row then dup := true
-    else begin
-      j := (!j + 1) land s.mask;
-      i := s.table.(!j)
-    end
-  done;
-  if not !dup then begin
-    if s.size = Array.length s.rows then grow_dense s;
-    s.rows.(s.size) <- row;
-    s.hashes.(s.size) <- h;
-    s.table.(!j) <- s.size;
-    s.size <- s.size + 1;
-    (* Keep load factor under 3/4. *)
-    if 4 * s.size > 3 * (s.mask + 1) then resize_table s
-  end
+  let j = slot s row_matches row [||] h in
+  if s.table.(j) < 0 then insert s j h row
 
 let mem s row =
   ensure_table s;
-  let h = Code_row.hash row in
-  let j = ref (h land s.mask) in
-  let i = ref s.table.(!j) in
-  let found = ref false in
-  while (not !found) && !i >= 0 do
-    if s.hashes.(!i) = h && Code_row.equal s.rows.(!i) row then found := true
-    else begin
-      j := (!j + 1) land s.mask;
-      i := s.table.(!j)
-    end
-  done;
-  !found
+  s.table.(slot s row_matches row [||] (Code_row.hash row)) >= 0
+
+let find_sub s row pos =
+  ensure_table s;
+  s.table.(slot s key_matches row pos (Code_row.hash_sub row pos))
+
+let add_sub s row pos =
+  ensure_table s;
+  let h = Code_row.hash_sub row pos in
+  let j = slot s key_matches row pos h in
+  let id = s.table.(j) in
+  if id >= 0 then id
+  else begin
+    insert s j h (Code_row.sub row pos);
+    s.size - 1
+  end
 
 let to_array s = Array.sub s.rows 0 s.size
 

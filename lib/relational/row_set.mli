@@ -25,10 +25,29 @@ val of_unique_array : Code_row.t array -> int -> t
     Do not mutate the returned array. *)
 val get : t -> int -> Code_row.t
 
+(** [rows s] is the dense row store itself: entry [i] is [get s i] for
+    [0 <= i < cardinal s].  Shared, not copied — do not mutate it, and do
+    not hold it across an [add], which may replace it.  For hot loops
+    that index rows by id without a call per row. *)
+val rows : t -> Code_row.t array
+
 (** [add s row] inserts [row], deduplicating. *)
 val add : t -> Code_row.t -> unit
 
 val mem : t -> Code_row.t -> bool
+
+(** [add_sub s row pos] is the id ({!get}) of the key
+    [Code_row.sub row pos], inserting the key first if it is absent: the
+    key was new iff the id equals the cardinal before the call.  The key
+    is hashed and compared in place, in one probe pass; only an inserted
+    key is copied out of [row]. *)
+val add_sub : t -> Code_row.t -> int array -> int
+
+(** [find_sub s row pos] is the insertion-order id ({!get}) of the key
+    [Code_row.sub row pos], or [-1] if it is absent.  Allocates nothing
+    once the probe table exists. *)
+val find_sub : t -> Code_row.t -> int array -> int
+
 val cardinal : t -> int
 val is_empty : t -> bool
 

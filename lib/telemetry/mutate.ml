@@ -18,6 +18,8 @@ let known =
      "the coordinator drops the last row of each non-empty shipped segment");
     ("exists_cut_early",
      "compiled first-witness cut sits one step before the last head variable is bound");
+    ("barrier_key_prefix",
+     "compiled barrier and memo keys hash and compare only their first register");
   ]
 
 let known_names = List.map fst known

@@ -272,6 +272,12 @@ let test_mutant_exists_cut_early () =
   check_mutant_caught ~mutant:"exists_cut_early"
     ~engines:[ "compiled"; "segment-compiled" ] ()
 
+(* A barrier keyed on its first live register merges prefixes that
+   differ later in the key: the count memo replays the wrong subtree. *)
+let test_mutant_barrier_key_prefix () =
+  check_mutant_caught ~mutant:"barrier_key_prefix"
+    ~engines:[ "compiled"; "count-compiled" ] ()
+
 let test_unknown_mutant_rejected () =
   with_mutation "not_a_mutant" @@ fun () ->
   Alcotest.(check bool) "raises" true
@@ -320,6 +326,8 @@ let () =
             test_mutant_materialize_drop_eq;
           Alcotest.test_case "exists cut early" `Quick
             test_mutant_exists_cut_early;
+          Alcotest.test_case "barrier key prefix" `Quick
+            test_mutant_barrier_key_prefix;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

@@ -125,6 +125,42 @@ let test_explain_cut () =
   Alcotest.(check (option string)) "no cut line without a suffix" None
     (cut_line full)
 
+(* Filter-first root: a join tree's preorder starts at the atom with the
+   most local work (constants, repeated variables, constraints over its
+   own variables); without one, the GYO root and today's plan stay. *)
+let test_filter_first_root () =
+  let p = plan "ans(X, Z) :- e(X, Y), e(Y, Z), X != Z, X < 300." in
+  (match p.Planner.steps with
+  | Planner.Scan { atom } :: _ ->
+      Alcotest.(check (list string)) "scans e(V0, V1) first" [ "V0"; "V1" ]
+        p.Planner.scans.(atom).Planner.vars
+  | _ -> Alcotest.fail "plan must open with a scan");
+  let lines = Planner.explain p in
+  Alcotest.(check bool) "explain: local filter after step 0" true
+    (List.mem "filter after step 0: V0 < 300" lines);
+  Alcotest.(check bool) "explain: join filter after step 1" true
+    (List.mem "filter after step 1: V0 != V2" lines);
+  let anchored = plan "ans(Y, Z) :- e(Y, Z), e(1, Y)." in
+  (match anchored.Planner.steps with
+  | Planner.Scan { atom } :: _ ->
+      Alcotest.(check int) "anchored atom scanned first" 1 atom
+  | _ -> Alcotest.fail "plan must open with a scan");
+  Alcotest.(check (list string)) "3-chain keeps the GYO root's plan"
+    [
+      "query: ans(V0) :- e(V0, V1), e(V1, V2), e(V2, V3)";
+      "class: acyclic";
+      "width: 1";
+      "join_tree: 3 nodes, root atom 2";
+      "semijoin program: 4 steps";
+      "step 0: scan e -> [V2 V3]";
+      "step 1: probe e key=[V2] bind=[V1]";
+      "step 2: probe e key=[V1] bind=[V0]";
+      "barrier after step 0: live=[V2]";
+      "barrier after step 1: live=[V1]";
+      "shard key: V1 (reducer exchange)";
+    ]
+    (Planner.explain (plan "ans(X) :- e(X, Y), e(Y, Z), e(Z, W)."))
+
 (* ------------------------------------------------------------------ *)
 (* Compiled pipeline: hand-picked edge cases *)
 
@@ -359,6 +395,76 @@ let qcheck_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Allocation contract: a warm pipeline allocates only what its sink
+   keeps — a new output row or a new barrier/memo key — never per probed
+   row.  A per-row closure, key copy or filter array costs at least two
+   words on each of the thousands of rows probed below, far past these
+   bounds. *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* Layers L0..L3 of [k] nodes: L0->L1 and L2->L3 complete, L1->L2 a
+   matching, one back edge L3->L0.  The 4-cycle probes every 3-path out
+   of L0 (k^3 of them) but closes only through the back edge: 4k answer
+   rows (one cycle per matched pair, in four rotations). *)
+let layered_db k =
+  let node l i = (l * k) + i in
+  let edges = ref [ (node 3 0, node 0 0) ] in
+  for i = 0 to k - 1 do
+    edges := (node 1 i, node 2 i) :: !edges;
+    for j = 0 to k - 1 do
+      edges := (node 0 i, node 1 j) :: (node 2 i, node 3 j) :: !edges
+    done
+  done;
+  edge !edges
+
+let test_run_allocation () =
+  let k = 20 in
+  let db = layered_db k in
+  let exec =
+    Compile.compile (plan "ans(X, Y, Z, W) :- e(X, Y), e(Y, Z), e(Z, W), e(W, X).") db
+  in
+  ignore (Compile.run exec);
+  let words, out = minor_words (fun () -> Compile.run exec) in
+  let out = Relation.cardinality out in
+  Alcotest.(check int) "4k answers" (4 * k) out;
+  let bound = 2048. +. (8. *. float_of_int (out * (4 + 1))) in
+  if words > bound then
+    Alcotest.failf "run allocated %.0f words for %d rows over %d probed paths \
+                    (bound %.0f)" words out (k * k * k) bound
+
+let test_count_allocation () =
+  let rng = Random.State.make [| 5 |] in
+  let nodes = 60 in
+  let db = Generators.edge_database rng ~nodes ~edges:900 in
+  (* The projected 3-chain memoizes at two barriers: at most one key per
+     node each. *)
+  let chain = plan "ans(X) :- e(X, Y), e(Y, Z), e(Z, W)." in
+  Alcotest.(check int) "3-chain has two barriers" 2
+    (List.length (List.filter_map Fun.id (Array.to_list chain.Planner.barriers)));
+  let exec = Compile.compile_count chain db in
+  let expected = Compile.run_count exec in
+  let words, n = minor_words (fun () -> Compile.run_count exec) in
+  Alcotest.(check int) "same count" expected n;
+  Alcotest.(check int) "count = naive" (Cq_naive.count db chain.Planner.query) n;
+  let bound = 2048. +. (16. *. float_of_int (2 * nodes)) in
+  if words > bound then
+    Alcotest.failf "3-chain count allocated %.0f words (bound %.0f)" words bound;
+  (* The all-!= star has no barrier: counting allocates a constant. *)
+  let star = plan "ans(X) :- e(X, Y), e(X, Z), e(X, W), Y != Z, Y != W, Z != W." in
+  Alcotest.(check bool) "star has no barrier" true
+    (Array.for_all Option.is_none star.Planner.barriers);
+  let exec = Compile.compile_count star db in
+  ignore (Compile.run_count exec);
+  let words, n = minor_words (fun () -> Compile.run_count exec) in
+  Alcotest.(check bool) "star counts thousands of valuations" true (n > 1000);
+  if words > 2048. then
+    Alcotest.failf "star count allocated %.0f words for %d valuations" words n
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "planner"
@@ -369,6 +475,8 @@ let () =
           Alcotest.test_case "plan shape and explain" `Quick test_plan_shape;
           Alcotest.test_case "explain first-witness cut" `Quick
             test_explain_cut;
+          Alcotest.test_case "filter-first join-tree root" `Quick
+            test_filter_first_root;
         ] );
       ( "compiled",
         [
@@ -380,6 +488,10 @@ let () =
             test_base_indexes_built_once;
           Alcotest.test_case "budget cancellation" `Quick
             test_budget_cancellation;
+          Alcotest.test_case "run allocates per kept row only" `Quick
+            test_run_allocation;
+          Alcotest.test_case "count allocates per memo key only" `Quick
+            test_count_allocation;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

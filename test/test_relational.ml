@@ -3,6 +3,7 @@ module Tuple = Paradb_relational.Tuple
 module Relation = Paradb_relational.Relation
 module Database = Paradb_relational.Database
 module Row_set = Paradb_relational.Row_set
+module Code_row = Paradb_relational.Code_row
 
 let rel name schema rows =
   Relation.create ~name ~schema (List.map Tuple.of_ints rows)
@@ -256,6 +257,92 @@ let test_sealed_row_set_grows () =
         rows)
     [ [||]; [| [| 1; 2 |] |]; Array.init 8 (fun i -> [| i; i + 1 |]) ]
 
+(* The closure-based definitions the loop rewrites in [Code_row]
+   replaced, kept as the reference. *)
+module Old_code_row = struct
+  let equal (a : int array) (b : int array) =
+    let la = Array.length a in
+    la = Array.length b
+    &&
+    let rec go i = i >= la || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let compare (a : int array) (b : int array) =
+    let la = Array.length a and lb = Array.length b in
+    if la <> lb then Int.compare la lb
+    else
+      let rec go i =
+        if i >= la then 0
+        else
+          let c = Int.compare a.(i) b.(i) in
+          if c <> 0 then c else go (i + 1)
+      in
+      go 0
+
+  let equal_sub a pa b pb = equal (Code_row.sub a pa) (Code_row.sub b pb)
+end
+
+(* Small cells over a tiny domain, so equal rows and duplicate keys are
+   common; lengths 0..4 include the empty row. *)
+let random_code_row rng ?(len = Random.State.int rng 5) () =
+  Array.init len (fun _ -> Random.State.int rng 3)
+
+let random_positions rng ~arity =
+  if arity = 0 then [||]
+  else Array.init (Random.State.int rng 4) (fun _ -> Random.State.int rng arity)
+
+(* [add_sub]/[find_sub] against [add (sub row pos)]/[mem] on the same
+   insert stream.  Starting from a small or sealed set, a few hundred
+   inserts cross several [resize_table]s. *)
+let sub_keys_agree rng =
+  let arity = Random.State.int rng 4 in
+  let pos = random_positions rng ~arity in
+  let klen = Array.length pos in
+  let sealed =
+    let seen = Row_set.create 8 in
+    for _ = 1 to Random.State.int rng 6 do
+      Row_set.add seen (random_code_row rng ~len:klen ())
+    done;
+    Row_set.to_array seen
+  in
+  let seal = Random.State.bool rng in
+  let make () =
+    if seal then Row_set.of_unique_array (Array.copy sealed) (Array.length sealed)
+    else Row_set.create 1
+  in
+  let reference = make () and subject = make () in
+  let ok = ref true in
+  for _ = 1 to Random.State.int rng 300 do
+    let row = random_code_row rng ~len:arity () in
+    let key = Code_row.sub row pos in
+    let id = Row_set.find_sub subject row pos in
+    let was = Row_set.mem reference key in
+    if (id >= 0) <> was then ok := false;
+    if id >= 0 && not (Code_row.equal (Row_set.get subject id) key) then
+      ok := false;
+    if Random.State.int rng 4 > 0 then begin
+      let n = Row_set.cardinal subject in
+      let id' = Row_set.add_sub subject row pos in
+      Row_set.add reference key;
+      if (id' = n) = was then ok := false;
+      if was && id' <> id then ok := false
+    end
+  done;
+  !ok
+  && Row_set.cardinal subject = Row_set.cardinal reference
+  && List.for_all
+       (fun i -> Code_row.equal (Row_set.get subject i) (Row_set.get reference i))
+       (List.init (Row_set.cardinal subject) Fun.id)
+
+let cursor_rows r idx probe key =
+  let acc = ref [] in
+  let i = ref (Relation.probe_first r idx probe key) in
+  while !i >= 0 do
+    acc := (Relation.rows r).(!i) :: !acc;
+    i := Relation.probe_next r idx probe key !i
+  done;
+  List.rev !acc
+
 let qcheck_tests =
   let random_rel rng ~schema =
     Qgen.random_relation rng ~name:"r" ~arity:(List.length schema)
@@ -264,6 +351,49 @@ let qcheck_tests =
     |> Relation.rename_positional schema
   in
   [
+    Qgen.seeded_property ~name:"code row loops = closure definitions"
+      ~count:300 (fun rng ->
+        let a = random_code_row rng () and b = random_code_row rng () in
+        let b = if Random.State.bool rng then Array.copy a else b in
+        let pa = random_positions rng ~arity:(Array.length a)
+        and pb = random_positions rng ~arity:(Array.length b) in
+        Code_row.equal a b = Old_code_row.equal a b
+        && Code_row.compare a b = Old_code_row.compare a b
+        && Code_row.compare b a = Old_code_row.compare b a
+        && Code_row.equal_sub a pa b pb = Old_code_row.equal_sub a pa b pb
+        && Code_row.equal_sub a pa a pa);
+    Qgen.seeded_property ~name:"add_sub/find_sub = add (sub ..)/mem"
+      ~count:200 sub_keys_agree;
+    Qgen.seeded_property ~name:"probe cursor = probe_iter = key filter"
+      ~count:200 (fun rng ->
+        let arity = 1 + Random.State.int rng 3 in
+        let r =
+          random_rel rng ~schema:(List.init arity (Printf.sprintf "c%d"))
+        in
+        let kpos = random_positions rng ~arity in
+        let idx = Relation.hash_index r kpos in
+        let probe = random_code_row rng ~len:(arity + 1) () in
+        (* probe cells are codes of the shared dictionary's small ints *)
+        let probe =
+          Array.map
+            (fun c ->
+              Paradb_relational.Dictionary.intern
+                Paradb_relational.Dictionary.global (Value.Int c))
+            probe
+        in
+        let key = Array.map (fun p -> (p + 1) mod (arity + 1)) kpos in
+        let via_iter = ref [] in
+        Relation.probe_iter r idx probe key (fun row -> via_iter := row :: !via_iter);
+        let cursor = cursor_rows r idx probe key in
+        let expected =
+          List.filter
+            (fun row -> Code_row.equal_sub row kpos probe key)
+            (List.init (Relation.cardinality r) (Array.get (Relation.rows r)))
+        in
+        let sort = List.sort Code_row.compare in
+        cursor = List.rev !via_iter
+        && sort cursor = sort expected
+        && Relation.probe_mem r idx probe key = (cursor <> []));
     Qgen.seeded_property ~name:"join is commutative (as sets)" ~count:100
       (fun rng ->
         let r = random_rel rng ~schema:[ "a"; "b" ] in
