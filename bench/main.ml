@@ -1187,6 +1187,7 @@ let server_throughput () =
   header
     "E-SERVER — paradb serve: plan-cache effect and concurrent throughput";
   let module Server = Paradb_server.Server in
+  let module Session = Paradb_server.Session in
   let module Client = Paradb_server.Client in
   let module Protocol = Paradb_server.Protocol in
   (* the pool is the parallelism; keep the engine's own trial fan-out off *)
@@ -1196,7 +1197,9 @@ let server_throughput () =
   Out_channel.with_open_text path (fun oc ->
       output_string oc (Fact_format.to_string db));
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let server = Server.start ~port:0 ~workers:4 ~cache_capacity:128 () in
+  let server =
+    Server.start ~port:0 ~workers:4 (Session.make_shared ~cache_capacity:128 ())
+  in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let port = Server.port server in
   let expect c line =
@@ -1247,7 +1250,8 @@ let server_throughput () =
     }
   in
   let gov =
-    Server.start ~limits:gov_limits ~port:0 ~workers:4 ~cache_capacity:128 ()
+    Server.start ~port:0 ~workers:4
+      (Session.make_shared ~limits:gov_limits ~cache_capacity:128 ())
   in
   Fun.protect ~finally:(fun () -> Server.stop gov) @@ fun () ->
   let cold_warm =
@@ -1325,7 +1329,8 @@ let server_throughput () =
   in
   let datadir_warm, datadir_ratio =
     let dd =
-      Server.start ~data_dir:dd_dir ~port:0 ~workers:4 ~cache_capacity:128 ()
+      Server.start ~port:0 ~workers:4
+        (Session.make_shared ~data_dir:dd_dir ~cache_capacity:128 ())
     in
     Fun.protect ~finally:(fun () -> Server.stop dd) @@ fun () ->
     Client.with_connection ~port:(Server.port dd) (fun cd ->
@@ -1353,7 +1358,8 @@ let server_throughput () =
   let attach_s =
     let t0 = Unix.gettimeofday () in
     let dd =
-      Server.start ~data_dir:dd_dir ~port:0 ~workers:4 ~cache_capacity:128 ()
+      Server.start ~port:0 ~workers:4
+        (Session.make_shared ~data_dir:dd_dir ~cache_capacity:128 ())
     in
     let dt = Unix.gettimeofday () -. t0 in
     Server.stop dd;
@@ -1467,6 +1473,7 @@ let durability_overhead () =
     "E-DURABILITY — fsync modes on the FACT path (full / async / off) and \
      recovery-on-open over crash debris";
   let module Server = Paradb_server.Server in
+  let module Session = Paradb_server.Session in
   let module Client = Paradb_server.Client in
   let module Protocol = Paradb_server.Protocol in
   let module Durability = Paradb_storage.Durability in
@@ -1501,7 +1508,8 @@ let durability_overhead () =
       remove_tree d_off)
   @@ fun () ->
   let start dir =
-    Server.start ~data_dir:dir ~port:0 ~workers:2 ~cache_capacity:16 ()
+    Server.start ~port:0 ~workers:2
+      (Session.make_shared ~data_dir:dir ~cache_capacity:16 ())
   in
   let s_full = start d_full and s_async = start d_async and s_off = start d_off in
   Fun.protect ~finally:(fun () ->

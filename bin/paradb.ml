@@ -139,13 +139,7 @@ let plan_kind = function
   | E_fpt -> Plan.Fpt
   | E_compiled -> Plan.Compiled
 
-let choose_engine kind q =
-  match (Plan.analyze (plan_kind kind) q).Plan.engine with
-  | Plan.E_naive -> `Naive
-  | Plan.E_yannakakis -> `Yannakakis
-  | Plan.E_comparisons -> `Comparisons
-  | Plan.E_fpt -> `Fpt
-  | Plan.E_compiled -> `Compiled
+let choose_engine kind q = (Plan.analyze (plan_kind kind) q).Plan.engine
 
 let run_eval db_path query_text engine family seed count stats trace =
   with_trace trace @@ fun () ->
@@ -158,16 +152,16 @@ let run_eval db_path query_text engine family seed count stats trace =
         if count then begin
           let n, engine_name =
             match choose_engine engine q with
-            | `Naive ->
+            | Plan.E_naive ->
                 let s = Paradb_eval.Cq_naive.new_stats () in
                 let n = Paradb_eval.Cq_naive.count ~stats:s db q in
                 if stats then
                   Printf.printf "%% naive probes: %d\n"
                     s.Paradb_eval.Cq_naive.probes;
                 (n, "naive")
-            | `Yannakakis ->
+            | Plan.E_yannakakis ->
                 (Paradb_yannakakis.Yannakakis.count db q, "yannakakis")
-            | `Compiled ->
+            | Plan.E_compiled ->
                 let pplan = Paradb_planner.Planner.plan q in
                 if stats then
                   Printf.printf "%% plan class: %s, width %d\n"
@@ -177,14 +171,7 @@ let run_eval db_path query_text engine family seed count stats trace =
                 ( Paradb_eval.Compile.run_count
                     (Paradb_eval.Compile.compile_count pplan db),
                   "compiled" )
-            | `Fpt ->
-                invalid_arg
-                  "COUNT: engine fpt cannot count (use auto, naive, \
-                   yannakakis, or compiled)"
-            | `Comparisons ->
-                invalid_arg
-                  "COUNT: engine comparisons cannot count (use auto, naive, \
-                   yannakakis, or compiled)"
+            | Plan.E_fpt -> invalid_arg (Plan.cannot_count Plan.E_fpt)
           in
           Printf.printf "%% engine: %s\n" engine_name;
           Printf.printf "%d\n" n;
@@ -193,15 +180,15 @@ let run_eval db_path query_text engine family seed count stats trace =
         else
         let result, engine_name =
           match choose_engine engine q with
-          | `Naive ->
+          | Plan.E_naive ->
               let s = Paradb_eval.Cq_naive.new_stats () in
               let r = Paradb_eval.Cq_naive.evaluate ~stats:s db q in
               if stats then
                 Printf.printf "%% naive probes: %d\n" s.Paradb_eval.Cq_naive.probes;
               (r, "naive")
-          | `Yannakakis -> (Paradb_yannakakis.Yannakakis.evaluate db q, "yannakakis")
-          | `Comparisons -> (Paradb_core.Comparisons.evaluate db q, "comparisons")
-          | `Fpt ->
+          | Plan.E_yannakakis ->
+              (Paradb_yannakakis.Yannakakis.evaluate db q, "yannakakis")
+          | Plan.E_fpt ->
               let part = Paradb_core.Ineq.partition q in
               let family = family_of family ~k:part.Paradb_core.Ineq.k ~seed in
               let s = Engine.new_stats () in
@@ -210,7 +197,7 @@ let run_eval db_path query_text engine family seed count stats trace =
                 Printf.printf "%% fpt colorings: %d tried, %d nonempty\n"
                   s.Engine.trials s.Engine.successes;
               (r, "fpt")
-          | `Compiled ->
+          | Plan.E_compiled ->
               let pplan = Paradb_planner.Planner.plan q in
               if stats then
                 Printf.printf "%% plan class: %s, width %d\n"
@@ -293,15 +280,11 @@ let run_check query_text dot =
         (Format.printf "  %s@.")
         (Paradb_planner.Planner.explain pplan);
       (match choose_engine E_auto q with
-      | `Naive -> Format.printf "recommended engine: naive@."
-      | `Yannakakis -> Format.printf "recommended engine: yannakakis@."
-      | `Fpt -> Format.printf "recommended engine: fpt (Theorem 2)@."
-      | `Compiled ->
-          Format.printf "recommended engine: compiled (planner pipeline)@."
-      | `Comparisons ->
-          Format.printf
-            "recommended engine: comparisons preprocessing + naive (Theorem 3 \
-             says no FPT engine exists unless FPT = W[1])@.");
+      | Plan.E_naive -> Format.printf "recommended engine: naive@."
+      | Plan.E_yannakakis -> Format.printf "recommended engine: yannakakis@."
+      | Plan.E_fpt -> Format.printf "recommended engine: fpt (Theorem 2)@."
+      | Plan.E_compiled ->
+          Format.printf "recommended engine: compiled (planner pipeline)@.");
       0
 
 let check_cmd =
@@ -649,10 +632,12 @@ let run_serve host port workers cache_size trial_domains family seed trace
         idle_timeout;
       }
     in
-    match
-      Server.start ~host ?family ~limits ?data_dir ~port ~workers
+    let shared =
+      Paradb_server.Session.make_shared ?family ~limits ?data_dir
         ~cache_capacity:cache_size ()
-    with
+    in
+    let catalog = shared.Paradb_server.Session.catalog in
+    match Server.start ~host ~port ~workers shared with
     | exception Unix.Unix_error (e, _, _) ->
         Printf.eprintf "error: cannot listen on %s:%d: %s\n" host port
           (Unix.error_message e);
@@ -682,8 +667,7 @@ let run_serve host port workers cache_size trial_domains family seed trace
            List.iter
              (fun (name, tuples) ->
                Printf.printf "paradb: attached %s (%d tuples)\n%!" name tuples)
-             (Paradb_server.Catalog.entries
-                (Server.shared server).Paradb_server.Session.catalog));
+             (Paradb_server.Catalog.entries catalog));
         (if Fault.active () then
            Printf.printf "paradb: fault injection enabled (PARADB_FAULTS)\n%!");
         let compactor =
@@ -698,7 +682,7 @@ let run_serve host port workers cache_size trial_domains family seed trace
             ;
             Some
               (Paradb_server.Compactor.start
-                 ~catalog:(Server.shared server).Paradb_server.Session.catalog
+                 ~catalog
                  ~min_segments:compact_after ~interval:compact_interval)
           end
           else None

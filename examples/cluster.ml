@@ -11,6 +11,7 @@
 module Ring = Paradb_cluster.Ring
 module Coordinator = Paradb_cluster.Coordinator
 module Server = Paradb_server.Server
+module Session = Paradb_server.Session
 module Client = Paradb_server.Client
 module Protocol = Paradb_server.Protocol
 module Value = Paradb_relational.Value
@@ -35,7 +36,8 @@ let () =
      the ring. *)
   let shards =
     Array.init 3 (fun _ ->
-        Server.start ~port:0 ~workers:1 ~cache_capacity:64 ())
+        Server.start ~port:0 ~workers:1
+          (Session.make_shared ~cache_capacity:64 ()))
   in
   let addrs =
     Array.to_list (Array.map (fun s -> ("127.0.0.1", Server.port s)) shards)

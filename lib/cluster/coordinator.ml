@@ -13,6 +13,7 @@ module Planner = Paradb_planner.Planner
 module Protocol = Paradb_server.Protocol
 module Client = Paradb_server.Client
 module Server = Paradb_server.Server
+module Frontend = Paradb_server.Frontend
 module Guard = Paradb_server.Guard
 module Plan = Paradb_server.Plan
 module Session = Paradb_server.Session
@@ -143,22 +144,15 @@ let shard_down_msg t s =
 let replica_name db ~rank =
   if rank = 0 then db else Printf.sprintf "%s@r%d" db rank
 
-let resp_bytes = function
-  | Protocol.Ok_ { summary; payload } ->
-      List.fold_left
-        (fun a l -> a + String.length l + 1)
-        (String.length summary + 6)
-        payload
-  | Protocol.Err e -> String.length e + 5
-
-(* One sub-request to one shard over this connection's pooled client.
+(* One frame to one shard over this connection's pooled client: a
+   request line, or a BULK header and its fact lines.
    A transport failure on a pooled connection redials once (the shard
    may just have restarted); a failure on a fresh connection means the
    shard is down.  The injected faults ride here: [shard_loss] drops
    the pooled socket first (forcing the redial, and the failover above
    us if the shard really is gone), [straggler_delay] stalls the
    sub-request. *)
-let raw_call t conns budget shard ~bytes (f : Client.t -> Protocol.response) =
+let send_frame t conns budget shard (frame : Hints.frame) =
   Fault.straggler_sleep ();
   if Fault.shard_loss_now () then (
     match conns.(shard) with
@@ -198,7 +192,11 @@ let raw_call t conns budget shard ~bytes (f : Client.t -> Protocol.response) =
   in
   let attempt c =
     arm c;
-    match f c with
+    match
+      match frame.Hints.payload with
+      | [] -> Client.request_line c frame.Hints.header
+      | payload -> Client.request_bulk c ~header:frame.Hints.header payload
+    with
     | r -> r
     | exception ((Failure _ | Unix.Unix_error _ | Sys_error _ | End_of_file) as e)
       ->
@@ -227,9 +225,14 @@ let raw_call t conns budget shard ~bytes (f : Client.t -> Protocol.response) =
           raise (Shard_down shard))
   in
   Metrics.observe t.shard_hist.(shard) (Clock.now_ns () - t0);
-  Metrics.incr ~by:bytes m_bytes_out;
-  Metrics.incr ~by:(resp_bytes resp) m_bytes_in;
+  Metrics.incr
+    ~by:(Protocol.wire_bytes (frame.Hints.header :: frame.Hints.payload))
+    m_bytes_out;
+  Metrics.incr ~by:(Protocol.wire_bytes (Protocol.response_to_lines resp))
+    m_bytes_in;
   resp
+
+let line_frame header = { Hints.header; payload = [] }
 
 (* A data request addressed to slice [shard] of [db]: try the primary,
    then walk the replica ranks.  Each rank is a different server AND a
@@ -237,10 +240,8 @@ let raw_call t conns budget shard ~bytes (f : Client.t -> Protocol.response) =
    primary silently. *)
 let rec data_call t conns budget ~shard ~rank ~db mk =
   let target = Ring.replica_shard t.ring ~shard ~rank in
-  let line = mk (replica_name db ~rank) in
   match
-    raw_call t conns budget target ~bytes:(String.length line + 1) (fun c ->
-        Client.request_line c line)
+    send_frame t conns budget target (line_frame (mk (replica_name db ~rank)))
   with
   | r -> r
   | exception (Shard_down _ as e) ->
@@ -286,19 +287,8 @@ let replica_missed t ~target ~rank ~reason frame =
    [`Unreachable] keeps it (and stops the replay — the shard is still
    down); a shard-side [ERR] means the frame itself is bad (it will
    never succeed), so it is dropped and counted. *)
-let deliver_frame t conns shard (f : Hints.frame) =
-  let bytes =
-    List.fold_left
-      (fun a l -> a + String.length l + 1)
-      (String.length f.Hints.header + 1)
-      f.Hints.payload
-  in
-  match
-    raw_call t conns None shard ~bytes (fun c ->
-        match f.Hints.payload with
-        | [] -> Client.request_line c f.Hints.header
-        | payload -> Client.request_bulk c ~header:f.Hints.header payload)
-  with
+let deliver_frame t conns shard f =
+  match send_frame t conns None shard f with
   | Protocol.Ok_ _ -> `Delivered
   | Protocol.Err e ->
       Printf.eprintf "paradb-cluster: dropping bad hint for shard %d: %s\n%!"
@@ -333,46 +323,49 @@ let replay_hints t conns =
         end
       done
 
+(* The one replica write loop: send [frame name] to every replica rank
+   of slice [slice], [name] being the rank's entry name, and count the
+   ranks that acknowledged.  A rank that answers ERR or cannot be
+   reached goes through {!replica_missed} (counted, logged, journaled
+   for handoff) — except that with [~primary_fails] a rank-0 failure
+   fails the whole request: a write must land on its owner, while
+   repair treats every rank alike. *)
+let write_ranks t conns ~primary_fails ~db ~slice frame =
+  let acked = ref 0 in
+  for rank = 0 to t.config.replicas - 1 do
+    let target = Ring.replica_shard t.ring ~shard:slice ~rank in
+    let f = frame (replica_name db ~rank) in
+    let fails = primary_fails && rank = 0 in
+    match send_frame t conns None target f with
+    | Protocol.Ok_ _ -> incr acked
+    | Protocol.Err e when fails ->
+        raise (Reply (Protocol.Err (Printf.sprintf "shard %d: %s" target e)))
+    | Protocol.Err e -> replica_missed t ~target ~rank ~reason:e f
+    | exception Shard_down s when not fails ->
+        replica_missed t ~target ~rank ~reason:(shard_down_msg t s) f
+  done;
+  !acked
+
+let bulk_frame lines name =
+  {
+    Hints.header = Printf.sprintf "BULK %s %d" name (List.length lines);
+    payload = lines;
+  }
+
 (* Partition [database] and ship every slice to its owner shard and
    each replica rank as one BULK frame per (shard, entry).  Loading
    cannot fail over — a slice must land on its owner — so a dead owner
-   (rank 0) fails the LOAD with its name.  A dead {e replica} does not:
-   the primary write is acknowledged and the replica copy goes through
-   {!replica_missed} (counted, logged, journaled for handoff). *)
+   (rank 0) fails the LOAD with its name; a dead replica is a
+   {!replica_missed}. *)
 let distribute t conns ~db database =
   replay_hints t conns;
   let slices = Partition.split t.ring database in
   round (fun () ->
       Array.iteri
-        (fun s slice ->
-          let lines = slice_lines slice in
-          for rank = 0 to t.config.replicas - 1 do
-            let target = Ring.replica_shard t.ring ~shard:s ~rank in
-            let header =
-              Printf.sprintf "BULK %s %d" (replica_name db ~rank)
-                (List.length lines)
-            in
-            let bytes =
-              List.fold_left
-                (fun a l -> a + String.length l + 1)
-                (String.length header + 1)
-                lines
-            in
-            let frame = { Hints.header; payload = lines } in
-            match
-              raw_call t conns None target ~bytes (fun c ->
-                  Client.request_bulk c ~header lines)
-            with
-            | Protocol.Ok_ _ -> ()
-            | Protocol.Err e when rank = 0 ->
-                raise
-                  (Reply
-                     (Protocol.Err (Printf.sprintf "shard %d: %s" target e)))
-            | Protocol.Err e -> replica_missed t ~target ~rank ~reason:e frame
-            | exception Shard_down s when rank > 0 ->
-                replica_missed t ~target ~rank ~reason:(shard_down_msg t s)
-                  frame
-          done)
+        (fun slice part ->
+          ignore
+            (write_ranks t conns ~primary_fails:true ~db ~slice
+               (bulk_frame (slice_lines part))))
         slices);
   let rels =
     List.fold_left
@@ -401,10 +394,8 @@ let do_bulk_text t conns ~db text =
   | Ok database -> distribute t conns ~db database
 
 (* FACT routes the one tuple to its owner (and the owner's replica
-   entries).  Writes do not fail over — a fact must land on its owning
-   replicas — but like LOAD, only a {e primary} (rank 0) failure fails
-   the request; a missed replica copy is counted, logged, and journaled
-   for handoff. *)
+   entries).  Like LOAD, it does not fail over, and only a primary
+   failure fails the request. *)
 let do_fact t conns ~db ~fact =
   match Source.parse_facts fact with
   | Error e -> Protocol.Err e
@@ -417,63 +408,28 @@ let do_fact t conns ~db ~fact =
             if Tuple.arity tup = 0 then 0
             else Ring.owner_of_value t.ring tup.(0)
           in
-          (try
-             round (fun () ->
-                 for rank = 0 to t.config.replicas - 1 do
-                   let target = Ring.replica_shard t.ring ~shard:owner ~rank in
-                   let line =
-                     Printf.sprintf "FACT %s %s" (replica_name db ~rank) fact
-                   in
-                   let frame = { Hints.header = line; payload = [] } in
-                   match
-                     raw_call t conns None target
-                       ~bytes:(String.length line + 1) (fun c ->
-                         Client.request_line c line)
-                   with
-                   | Protocol.Ok_ _ -> ()
-                   | Protocol.Err e when rank = 0 ->
-                       raise
-                         (Reply
-                            (Protocol.Err
-                               (Printf.sprintf "shard %d: %s" target e)))
-                   | Protocol.Err e ->
-                       replica_missed t ~target ~rank ~reason:e frame
-                   | exception Shard_down s when rank > 0 ->
-                       replica_missed t ~target ~rank
-                         ~reason:(shard_down_msg t s) frame
-                 done);
-             let info =
-               match find_db t db with
-               | Some i -> i
-               | None -> { rels = StringSet.empty; tuples = 0 }
-             in
-             set_db t db
-               {
-                 rels = StringSet.add (Relation.name r) info.rels;
-                 tuples = info.tuples + 1;
-               };
-             Protocol.Ok_
-               {
-                 summary = Printf.sprintf "%s shard=%d" db owner;
-                 payload = [];
-               }
-           with
-          | Reply r -> r
-          | Shard_down s -> Protocol.Err (shard_down_msg t s))
+          round (fun () ->
+              ignore
+                (write_ranks t conns ~primary_fails:true ~db ~slice:owner
+                   (fun name ->
+                     line_frame (Printf.sprintf "FACT %s %s" name fact))));
+          let info =
+            match find_db t db with
+            | Some i -> i
+            | None -> { rels = StringSet.empty; tuples = 0 }
+          in
+          set_db t db
+            {
+              rels = StringSet.add (Relation.name r) info.rels;
+              tuples = info.tuples + 1;
+            };
+          Protocol.Ok_
+            { summary = Printf.sprintf "%s shard=%d" db owner; payload = [] }
       | _ -> Protocol.Err "FACT: expected exactly one ground fact")
 
 (* --- EVAL ------------------------------------------------------- *)
 
 let positional_schema m = List.init m (fun i -> Printf.sprintf "a%d" i)
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 (* A shard that never received a slice of some relation (its slice was
    empty, so BULK carried no line for it) answers a missing-relation
@@ -486,9 +442,9 @@ let contains_sub hay needle =
    cluster-wide), any of the three can only mean an empty
    contribution. *)
 let is_missing_relation e =
-  starts_with ~prefix:"query names a relation" e
-  || starts_with ~prefix:"Database.find: no relation" e
-  || starts_with ~prefix:"no database " e
+  String.starts_with ~prefix:"query names a relation" e
+  || String.starts_with ~prefix:"Database.find: no relation" e
+  || String.starts_with ~prefix:"no database " e
 
 (* One SHIP answer's segment, validated: exactly one payload line, hex,
    every section checksum, and the arity the coordinator expects.  Any
@@ -526,7 +482,8 @@ let union_segments ~name ~arity segs =
     ~schema:(positional_schema arity)
     (Seq.concat_map rows (List.to_seq segs))
 
-let truncated_answer summary = contains_sub summary "truncated=true"
+let truncated_answer summary =
+  List.mem "truncated=true" (String.split_on_char ' ' summary)
 
 (* Ship the answer of [query_text] (a query whose head relation is
    [head_name]) from every slice and union the decoded segments.  A
@@ -638,23 +595,6 @@ let reducer q i =
   in
   Cq.make ~name:reducer_head ~constraints ~head:atom.Atom.args body
 
-(* A query with no relational atoms is ground: by safety its head and
-   constraints are all constants, so it touches no shard at all. *)
-let ground_holds q = List.for_all Constr.ground_holds q.Cq.constraints
-
-let eval_ground q =
-  let holds = ground_holds q in
-  let consts =
-    List.filter_map
-      (function Term.Const v -> Some v | Term.Var _ -> None)
-      q.Cq.head
-  in
-  let schema = positional_schema (List.length q.Cq.head) in
-  Relation.create ~name:q.Cq.name ~schema
-    (if holds && List.length consts = List.length q.Cq.head then
-       [ Array.of_list consts ]
-     else [])
-
 (* General path, two rounds.  Round 1 gathers one reducer relation per
    body atom from every shard; round 2 joins them at the coordinator
    under the original head and constraints, with every atom renamed to
@@ -700,27 +640,20 @@ let exchange_scratch t conns budget ~db q =
   (scratch, rewritten)
 
 let exchange_eval t conns budget ~db q =
-  if q.Cq.body = [] then eval_ground q
-  else begin
-    let scratch, rewritten = exchange_scratch t conns budget ~db q in
-    round (fun () ->
-        let plan = Plan.analyze Plan.Auto rewritten in
-        Plan.evaluate ?budget plan scratch rewritten)
-  end
+  let scratch, rewritten = exchange_scratch t conns budget ~db q in
+  round (fun () ->
+      let plan = Plan.analyze Plan.Auto rewritten in
+      Plan.evaluate ?budget plan scratch rewritten)
 
 (* COUNT over the exchange: the same round-1 reducers (semijoin
    reduction is count-preserving — a dropped tuple takes part in no
    satisfying valuation), then the exact count computed locally on the
-   scratch database.  A ground query has exactly one, empty, valuation
-   when its constraints hold. *)
+   scratch database. *)
 let exchange_count t conns budget ~db q =
-  if q.Cq.body = [] then if ground_holds q then 1 else 0
-  else begin
-    let scratch, rewritten = exchange_scratch t conns budget ~db q in
-    round (fun () ->
-        let plan = Plan.analyze Plan.Auto rewritten in
-        Plan.count ?budget plan scratch rewritten)
-  end
+  let scratch, rewritten = exchange_scratch t conns budget ~db q in
+  round (fun () ->
+      let plan = Plan.analyze Plan.Auto rewritten in
+      Plan.count ?budget plan scratch rewritten)
 
 (* Shared EVAL/GATHER/COUNT core: parse, precheck the relation names
    against the coordinator's recorded schema, arm the deadline, pick
@@ -729,57 +662,42 @@ let exchange_count t conns budget ~db q =
    for COUNT); [render] turns the result into the verb's payload and
    summary. *)
 let guarded t ~db ~engine ~query ~scatter ~exchange render =
-  match Plan.engine_kind_of_string engine with
-  | None -> Protocol.Err (Printf.sprintf "unknown engine %s" engine)
-  | Some _kind -> (
-      (* The engine token is validated for wire compatibility but the
-         cluster always dispatches auto: shard-side engines are a
-         shard-local concern, and every engine computes the same
-         answer set (the differential oracle's invariant). *)
-      match Source.parse_query query with
-      | Error e -> Protocol.Err e
-      | Ok q -> (
-          match find_db t db with
-          | None ->
-              Protocol.Err
-                (Printf.sprintf "no database %s (use LOAD or FACT)" db)
-          | Some info ->
-              if
-                List.exists
-                  (fun a -> not (StringSet.mem a.Atom.rel info.rels))
-                  q.Cq.body
-              then
-                Protocol.Err
-                  (Printf.sprintf "query names a relation missing from %s" db)
-              else begin
-                let budget =
-                  Option.map
-                    (fun deadline_ns -> Budget.start ~deadline_ns)
-                    t.config.limits.Guard.deadline_ns
-                in
-                let t0 = Clock.now_ns () in
-                try
-                  let mode, result =
-                    match
-                      Planner.shard_choice (Plan.analyze Plan.Auto q).Plan.pplan
-                    with
-                    | Planner.Copartitioned _ when q.Cq.body <> [] ->
-                        Metrics.incr m_scatter;
-                        ("scatter", scatter budget q)
-                    | _ ->
-                        Metrics.incr m_exchange;
-                        ("exchange", exchange budget q)
-                  in
-                  render ~mode ~ns:(Clock.now_ns () - t0) result
-                with
-                | Reply r -> r
-                | Shard_down s -> Protocol.Err (shard_down_msg t s)
-                | Budget.Exhausted { elapsed_ns; _ } ->
-                    Metrics.incr m_deadline;
-                    Protocol.Err
-                      (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
-                | Invalid_argument msg -> Protocol.Err msg
-              end))
+  (* The engine token is validated for wire compatibility but the
+     cluster always dispatches auto: shard-side engines are a
+     shard-local concern, and every engine computes the same answer set
+     (the differential oracle's invariant). *)
+  Session.with_query ~engine ~query @@ fun _kind q ->
+  match find_db t db with
+  | None -> Protocol.Err (Printf.sprintf "no database %s (use LOAD or FACT)" db)
+  | Some info
+    when List.exists
+           (fun a -> not (StringSet.mem a.Atom.rel info.rels))
+           q.Cq.body ->
+      Protocol.Err (Printf.sprintf "query names a relation missing from %s" db)
+  | Some _ -> (
+      let budget =
+        Option.map
+          (fun deadline_ns -> Budget.start ~deadline_ns)
+          t.config.limits.Guard.deadline_ns
+      in
+      let t0 = Clock.now_ns () in
+      try
+        let mode, result =
+          match Planner.shard_choice (Plan.analyze Plan.Auto q).Plan.pplan with
+          | Planner.Copartitioned _ ->
+              Metrics.incr m_scatter;
+              ("scatter", scatter budget q)
+          | _ ->
+              Metrics.incr m_exchange;
+              ("exchange", exchange budget q)
+        in
+        render ~mode ~ns:(Clock.now_ns () - t0) result
+      with
+      | Budget.Exhausted { elapsed_ns; _ } ->
+          Metrics.incr m_deadline;
+          Protocol.Err
+            (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
+      | Invalid_argument msg -> Protocol.Err msg)
 
 let guarded_eval t conns ~db ~engine ~query render =
   guarded t ~db ~engine ~query
@@ -803,16 +721,7 @@ let render_eval t ~mode ~ns result =
    would, so coordinators can themselves be gathered from (tiered
    topologies). *)
 let render_gather t ~mode:_ ~ns result =
-  let rows = Relation.cardinality result in
-  let limit, truncated = Session.row_cap ~limits:t.config.limits rows in
-  Protocol.Ok_
-    {
-      summary =
-        Printf.sprintf "gathered %s cache=miss rows=%d ns=%d%s"
-          (Relation.name result) rows ns
-          (if truncated then " truncated=true" else "");
-      payload = Session.fact_lines ?limit result;
-    }
+  Session.gather_answer ~limits:t.config.limits ~cache:"miss" ~ns result
 
 (* SHIP at the coordinator answers like a shard's SHIP, so coordinators
    can themselves be shipped from. *)
@@ -862,65 +771,15 @@ let render_count t ~mode ~ns n =
 
 let do_count t conns ~db ~engine ~query =
   admitted t (fun () ->
-      match Plan.engine_kind_of_string engine with
-      | Some Plan.Fpt ->
-          (* Match the single-node refusal: the fpt engine's randomized
-             trials witness satisfiability, not multiplicities. *)
-          Protocol.Err
-            "COUNT: engine fpt cannot count (use auto, naive, yannakakis, or \
-             compiled)"
-      | _ ->
-          guarded t ~db ~engine ~query
-            ~scatter:(fun budget _q -> scatter_count t conns budget ~db ~query)
-            ~exchange:(fun budget q -> exchange_count t conns budget ~db q)
-            (render_count t))
-
-(* CHECK and EXPLAIN are static analysis; the coordinator answers them
-   locally (same code path as a single node, including the planner's
-   shard-key line in EXPLAIN). *)
-let do_check query =
-  match Source.parse_query query with
-  | Error e -> Protocol.Err e
-  | Ok q ->
-      let plan = Plan.analyze Plan.Auto q in
-      let pplan = plan.Plan.pplan in
-      Protocol.Ok_
-        {
-          summary = Printf.sprintf "checked size=%d" (Cq.size q);
-          payload =
-            [
-              Printf.sprintf "query: %s" (Cq.to_string q);
-              Printf.sprintf "size %d vars %d" (Cq.size q) (Cq.num_vars q);
-              Printf.sprintf "acyclic: %b" plan.Plan.acyclic;
-              Printf.sprintf "class: %s"
-                (Planner.classification_name pplan.Planner.classification);
-              Printf.sprintf "width: %d" pplan.Planner.width;
-              Printf.sprintf "join_tree: %s"
-                (match plan.Plan.tree with
-                | Some tr ->
-                    Printf.sprintf "%d nodes"
-                      (Paradb_hypergraph.Join_tree.n_nodes tr)
-                | None -> "none");
-              Printf.sprintf "neq_partition_k: %d" plan.Plan.neq_k;
-              Printf.sprintf "recommended_engine: %s"
-                (Plan.engine_name plan.Plan.engine);
-            ];
-        }
-
-let do_explain query =
-  match Source.parse_query query with
-  | Error e -> Protocol.Err e
-  | Ok q ->
-      let pplan = Planner.plan q in
-      Protocol.Ok_
-        {
-          summary =
-            Printf.sprintf "plan class=%s width=%d steps=%d"
-              (Planner.classification_name pplan.Planner.classification)
-              pplan.Planner.width
-              (List.length pplan.Planner.steps);
-          payload = Planner.explain pplan;
-        }
+      (* the single node's refusal: the fpt engine's randomized trials
+         witness satisfiability, not multiplicities *)
+      if Plan.engine_kind_of_string engine = Some Plan.Fpt then
+        Protocol.Err (Plan.cannot_count Plan.E_fpt)
+      else
+        guarded t ~db ~engine ~query
+          ~scatter:(fun budget _q -> scatter_count t conns budget ~db ~query)
+          ~exchange:(fun budget q -> exchange_count t conns budget ~db q)
+          (render_count t))
 
 (* --- replica digests and repair --------------------------------- *)
 
@@ -930,10 +789,9 @@ let do_explain query =
    a missing entry are the same logical content. *)
 let rank_digest t conns ~db ~slice ~rank =
   let target = Ring.replica_shard t.ring ~shard:slice ~rank in
-  let line = Printf.sprintf "DIGEST %s" (replica_name db ~rank) in
   match
-    raw_call t conns None target ~bytes:(String.length line + 1) (fun c ->
-        Client.request_line c line)
+    send_frame t conns None target
+      (line_frame (Printf.sprintf "DIGEST %s" (replica_name db ~rank)))
   with
   | Protocol.Ok_ { payload; _ } -> Ok (List.sort compare payload)
   | Protocol.Err e when is_missing_relation e -> Ok []
@@ -1015,14 +873,11 @@ let repair_slice t conns ~db ~slice digests =
             Hashtbl.iter
               (fun name arity ->
                 if arity >= 1 then
-                  let line =
-                    Printf.sprintf "SHIP %s %s" (replica_name db ~rank)
-                      (full_scan_query name arity)
-                  in
                   match
-                    raw_call t conns None target
-                      ~bytes:(String.length line + 1) (fun c ->
-                        Client.request_line c line)
+                    send_frame t conns None target
+                      (line_frame
+                         (Printf.sprintf "SHIP %s %s" (replica_name db ~rank)
+                            (full_scan_query name arity)))
                   with
                   | Protocol.Ok_ { summary; _ } when truncated_answer summary
                     ->
@@ -1051,35 +906,14 @@ let repair_slice t conns ~db ~slice digests =
       Error "a rank truncated its scan; raise max-rows on the shards"
   | exception Segment.Corrupt msg -> Error ("rank payload invalid: " ^ msg)
   | udb ->
-      let lines = slice_lines udb in
       let rows = Database.size udb in
-      let shipped = ref 0 in
-      for rank = 0 to t.config.replicas - 1 do
-        let target = Ring.replica_shard t.ring ~shard:slice ~rank in
-        let header =
-          Printf.sprintf "BULK %s %d" (replica_name db ~rank)
-            (List.length lines)
-        in
-        let bytes =
-          List.fold_left
-            (fun a l -> a + String.length l + 1)
-            (String.length header + 1)
-            lines
-        in
-        let frame = { Hints.header; payload = lines } in
-        match
-          raw_call t conns None target ~bytes (fun c ->
-              Client.request_bulk c ~header lines)
-        with
-        | Protocol.Ok_ _ ->
-            incr shipped;
-            Metrics.incr m_repair_reshipped
-        | Protocol.Err e -> replica_missed t ~target ~rank ~reason:e frame
-        | exception Shard_down s ->
-            replica_missed t ~target ~rank ~reason:(shard_down_msg t s) frame
-      done;
+      let shipped =
+        write_ranks t conns ~primary_fails:false ~db ~slice
+          (bulk_frame (slice_lines udb))
+      in
+      Metrics.incr ~by:shipped m_repair_reshipped;
       Metrics.incr ~by:rows m_repair_rows;
-      Ok (!shipped, rows)
+      Ok (shipped, rows)
 
 (* DIGEST at the coordinator: the dry run — compare every slice's
    replica digests and report divergence without touching anything. *)
@@ -1192,63 +1026,37 @@ let do_stats t =
         @ Export.to_table ~prefix:"telemetry." (Metrics.snapshot ());
     }
 
-let do_metrics () =
-  Protocol.Ok_
-    { summary = "metrics"; payload = [ Export.to_json (Metrics.snapshot ()) ] }
-
 (* --- the per-connection front end ------------------------------- *)
 
-type bulk = { bulk_db : string; mutable remaining : int; buf : Buffer.t }
-
+(* One connection: its own pool of shard sockets behind the shared
+   {!Paradb_server.Frontend}.  A write whose primary fails, or a read
+   with no replica left, escapes a verb as [Reply]/[Shard_down] and is
+   answered here. *)
 let handler t () =
   let conns = Array.make (shards t) None in
-  let bulk = ref None in
-  let dispatch req =
-    match req with
-    | Protocol.Load { db; path } ->
-        (Some (do_load t conns ~db ~path), `Continue)
-    | Protocol.Fact { db; fact } ->
-        (Some (do_fact t conns ~db ~fact), `Continue)
-    | Protocol.Bulk { db; count } ->
-        if count = 0 then (Some (do_bulk_text t conns ~db ""), `Continue)
-        else begin
-          bulk :=
-            Some { bulk_db = db; remaining = count; buf = Buffer.create 256 };
-          (None, `Continue)
-        end
-    | Protocol.Eval { db; engine; query } ->
-        (Some (do_eval t conns ~db ~engine ~query), `Continue)
-    | Protocol.Count { db; engine; query } ->
-        (Some (do_count t conns ~db ~engine ~query), `Continue)
-    | Protocol.Gather { db; query } ->
-        (Some (do_gather t conns ~db ~query), `Continue)
-    | Protocol.Ship { db; query } ->
-        (Some (do_ship t conns ~db ~query), `Continue)
-    | Protocol.Check query -> (Some (do_check query), `Continue)
-    | Protocol.Explain query -> (Some (do_explain query), `Continue)
-    | Protocol.Digest db -> (Some (do_digest t conns ~db), `Continue)
-    | Protocol.Repair db -> (Some (do_repair t conns ~db), `Continue)
-    | Protocol.Stats -> (Some (do_stats t), `Continue)
-    | Protocol.Metrics -> (Some (do_metrics ()), `Continue)
-    | Protocol.Quit ->
-        (Some (Protocol.Ok_ { summary = "bye"; payload = [] }), `Quit)
+  let answered f =
+    try f () with
+    | Reply r -> r
+    | Shard_down s -> Protocol.Err (shard_down_msg t s)
   in
-  let on_line line =
-    match !bulk with
-    | Some b ->
-        Buffer.add_string b.buf line;
-        Buffer.add_char b.buf '\n';
-        b.remaining <- b.remaining - 1;
-        if b.remaining = 0 then begin
-          bulk := None;
-          ( Some (do_bulk_text t conns ~db:b.bulk_db (Buffer.contents b.buf)),
-            `Continue )
-        end
-        else (None, `Continue)
-    | None -> (
-        match Protocol.parse_request line with
-        | Error e -> (Some (Protocol.Err e), `Continue)
-        | Ok req -> dispatch req)
+  let verb req =
+    answered @@ fun () ->
+    match req with
+    | Protocol.Load { db; path } -> do_load t conns ~db ~path
+    | Protocol.Fact { db; fact } -> do_fact t conns ~db ~fact
+    | Protocol.Eval { db; engine; query } -> do_eval t conns ~db ~engine ~query
+    | Protocol.Count { db; engine; query } ->
+        do_count t conns ~db ~engine ~query
+    | Protocol.Gather { db; query } -> do_gather t conns ~db ~query
+    | Protocol.Ship { db; query } -> do_ship t conns ~db ~query
+    | Protocol.Check query -> Session.check query
+    | Protocol.Explain query -> Session.explain query
+    | Protocol.Digest db -> do_digest t conns ~db
+    | Protocol.Repair db -> do_repair t conns ~db
+    | Protocol.Stats -> do_stats t
+    | Protocol.Metrics -> Session.metrics ()
+    | Protocol.Bulk _ | Protocol.Quit ->
+        invalid_arg "Coordinator.handler: BULK and QUIT are framed by Frontend"
   in
   let on_close () =
     Array.iteri
@@ -1260,7 +1068,9 @@ let handler t () =
         | None -> ())
       conns
   in
-  { Server.on_line; on_close }
+  Frontend.handler ~on_close ~verb
+    ~bulk:(fun ~db text -> answered (fun () -> do_bulk_text t conns ~db text))
+    ()
 
 (* Convenience: a coordinator listening on its own port. *)
 let serve ?host t ~port ~workers =

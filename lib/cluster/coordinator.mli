@@ -56,7 +56,13 @@
     shard); under exchange the round-1 reducers are gathered as for
     [EVAL] — semijoin reduction is count-preserving — and the exact
     count is computed locally.  The payload is the same single
-    bare-count line a single node answers.
+    bare-count line a single node answers.  A query with no body atom
+    contacts no shard: its reducer round is empty and the coordinator
+    runs it on the empty database like a single node.
+
+    [CHECK], [EXPLAIN] and [METRICS] are answered locally by the single
+    node's own builders ({!Paradb_server.Session.check},
+    [explain], [metrics]), so they are byte-identical to a shard's.
 
     {2 Failure semantics}
 
@@ -64,7 +70,8 @@
     once (counted in [cluster.redial]), then walks the replica ranks
     (counted in [cluster.failover]); with no replica left the request
     answers a clean [ERR] naming the dead shard.  Writes ([LOAD],
-    [FACT]) never fail over.  The Guard deadline is owned by the
+    [BULK], [FACT]) never fail over: a dead or refusing primary answers
+    the same clean [ERR].  The Guard deadline is owned by the
     coordinator and re-armed as a socket timeout on every sub-request
     with whatever budget remains; [max_inflight] admission-limits
     concurrent [EVAL]s on top.  [PARADB_FAULTS] [shard_loss] /
@@ -113,8 +120,12 @@ val create : config -> t
 val shards : t -> int
 
 (** One accepted client connection's request processor; give this to
-    {!Paradb_server.Server.start_handler}.  Each connection owns its
-    own pool of shard sockets, released by [on_close]. *)
+    {!Paradb_server.Server.start_handler}.  It is a
+    {!Paradb_server.Frontend} over the coordinator's verbs, so line
+    parsing, [BULK] framing, [QUIT], the [server.<verb>] span and the
+    [server.verb.<verb>.ns] histogram are exactly a single node's.
+    Each connection owns its own pool of shard sockets, released by
+    [on_close]. *)
 val handler : t -> unit -> Paradb_server.Server.handler
 
 (** [serve ?host t ~port ~workers] — a listening front end wired to

@@ -1,4 +1,5 @@
 module Server = Paradb_server.Server
+module Session = Paradb_server.Session
 module Client = Paradb_server.Client
 module Protocol = Paradb_server.Protocol
 module Fact_format = Paradb_query.Fact_format
@@ -14,7 +15,9 @@ type t = {
    domains on the dictionary (interning happens on the server side of
    the wire). *)
 let start () =
-  let server = Server.start ~port:0 ~workers:2 ~cache_capacity:64 () in
+  let server =
+    Server.start ~port:0 ~workers:2 (Session.make_shared ~cache_capacity:64 ())
+  in
   let client =
     Client.connect ~timeout:30.0 ~retries:3 ~port:(Server.port server) ()
   in
@@ -80,7 +83,8 @@ type cluster = {
 let start_cluster ?(shards = 3) ?(replicas = 2) () =
   let shard_servers =
     Array.init shards (fun _ ->
-        Server.start ~port:0 ~workers:1 ~cache_capacity:64 ())
+        Server.start ~port:0 ~workers:1
+          (Session.make_shared ~cache_capacity:64 ()))
   in
   let addrs =
     Array.to_list

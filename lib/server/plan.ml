@@ -16,7 +16,7 @@ module Clock = Paradb_telemetry.Clock
 
 type engine_kind = Auto | Naive | Yannakakis | Fpt | Compiled
 
-type engine = E_naive | E_yannakakis | E_comparisons | E_fpt | E_compiled
+type engine = E_naive | E_yannakakis | E_fpt | E_compiled
 
 type t = {
   query : Cq.t;
@@ -53,9 +53,13 @@ let engine_kind_name = function
 let engine_name = function
   | E_naive -> "naive"
   | E_yannakakis -> "yannakakis"
-  | E_comparisons -> "comparisons"
   | E_fpt -> "fpt"
   | E_compiled -> "compiled"
+
+let cannot_count engine =
+  Printf.sprintf
+    "COUNT: engine %s cannot count (use auto, naive, yannakakis, or compiled)"
+    (engine_name engine)
 
 let cache_key kind q =
   engine_kind_name kind ^ "|" ^ Cq.cache_key q
@@ -141,7 +145,6 @@ let evaluate ?budget ?family plan db q =
   match plan.engine with
   | E_naive -> Paradb_eval.Cq_naive.evaluate ?budget db q
   | E_yannakakis -> Paradb_yannakakis.Yannakakis.evaluate ?budget db q
-  | E_comparisons -> Paradb_core.Comparisons.evaluate ?budget db q
   | E_fpt -> Engine.evaluate ?budget ?family db q
   | E_compiled -> (
       match plan.exec with
@@ -160,12 +163,7 @@ let count ?budget plan db q =
       | Some cexec -> Compile.run_count ?budget cexec
       | None ->
           Compile.run_count ?budget (Compile.compile_count ?budget plan.pplan db))
-  | E_fpt | E_comparisons ->
-      invalid_arg
-        (Printf.sprintf
-           "COUNT: engine %s cannot count (use auto, naive, yannakakis, or \
-            compiled)"
-           (engine_name plan.engine))
+  | E_fpt -> invalid_arg (cannot_count plan.engine)
 
 let sorted_tuples ?limit r =
   Encode.lines ?limit ~left:"(" ~cell:Paradb_relational.Value.to_string

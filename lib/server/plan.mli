@@ -17,7 +17,7 @@ module Relation = Paradb_relational.Relation
 
 type engine_kind = Auto | Naive | Yannakakis | Fpt | Compiled
 
-type engine = E_naive | E_yannakakis | E_comparisons | E_fpt | E_compiled
+type engine = E_naive | E_yannakakis | E_fpt | E_compiled
 
 type t = {
   query : Cq.t;  (** the alpha-normalized query the plan was built from *)
@@ -40,6 +40,12 @@ type t = {
 val engine_kind_of_string : string -> engine_kind option
 val engine_kind_name : engine_kind -> string
 val engine_name : engine -> string
+
+(** [cannot_count engine] — the one refusal text for a [COUNT] the
+    engine cannot answer ({!count} raises it; the coordinator and the
+    CLI print it), e.g. ["COUNT: engine fpt cannot count (use auto,
+    naive, yannakakis, or compiled)"]. *)
+val cannot_count : engine -> string
 
 (** [cache_key kind q] — the database-independent part of the plan-cache
     key: the requested engine's name and [Cq.cache_key q]. *)
@@ -95,7 +101,7 @@ val evaluate :
     [E_compiled] plans run their prepared counting pipeline (compiling
     on the fly when unprepared); [E_naive] and [E_yannakakis] dispatch
     to their interpreters' counting entry points.  Raises
-    [Invalid_argument] for [E_fpt]/[E_comparisons] — the fpt engine's
+    [Invalid_argument (cannot_count E_fpt)] — the fpt engine's
     randomized trials only witness satisfiability and cannot produce
     exact multiplicities. *)
 val count :

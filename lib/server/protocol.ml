@@ -143,6 +143,9 @@ let response_to_lines = function
       Printf.sprintf "OK %d %s" (List.length payload) summary :: payload
   | Err msg -> [ "ERR " ^ msg ]
 
+let wire_bytes lines =
+  List.fold_left (fun n l -> n + String.length l + 1) 0 lines
+
 let write_lines oc lines =
   List.iter
     (fun line ->

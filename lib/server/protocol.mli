@@ -107,3 +107,8 @@ val max_payload_lines : int
 val read_response : in_channel -> response option
 
 val response_to_lines : response -> string list
+
+(** [wire_bytes lines] — the bytes [lines] occupy on the wire, one
+    newline each: a response as built by {!response_to_lines}, or a
+    request line plus its [BULK] fact lines. *)
+val wire_bytes : string list -> int

@@ -9,24 +9,14 @@ let m_accept_retries = Metrics.counter "server.accept.retries"
 let m_drained = Metrics.counter "server.shutdown.drained"
 let m_aborted = Metrics.counter "server.shutdown.aborted"
 
-type handler = {
+type handler = Frontend.handler = {
   on_line : string -> Protocol.response option * [ `Continue | `Quit ];
   on_close : unit -> unit;
 }
 
-(* What a freshly accepted connection talks to: a catalog-backed
-   [Session] (the classic server) or an arbitrary per-connection
-   handler (the cluster coordinator front end).  Both inherit the same
-   loop below — bounded reader, idle reaping, catch-all, drain. *)
-type source =
-  | Session_source of Session.shared
-  | Handler_source of (unit -> handler)
-
 type t = {
   listen_fd : Unix.file_descr;
   bound_port : int;
-  source : source;
-  limits : Guard.limits;
   workers : unit Domain.t array;
   stopping : bool Atomic.t;
   conns : (Unix.file_descr, unit) Hashtbl.t; (* in-flight connections *)
@@ -37,24 +27,9 @@ type t = {
 
 let port t = t.bound_port
 
-let shared t =
-  match t.source with
-  | Session_source s -> s
-  | Handler_source _ ->
-      invalid_arg "Server.shared: handler-based server owns no session state"
-
-let handler_of_source = function
-  | Session_source shared ->
-      fun () ->
-        let session = Session.create shared in
-        { on_line = Session.handle_line session; on_close = ignore }
-  | Handler_source make -> make
-
 let send oc response =
   let lines = Protocol.response_to_lines response in
-  Metrics.incr
-    ~by:(List.fold_left (fun n l -> n + String.length l + 1) 0 lines)
-    m_bytes_out;
+  Metrics.incr ~by:(Protocol.wire_bytes lines) m_bytes_out;
   Fault.write_delay ();
   Protocol.write_lines oc lines
 
@@ -155,7 +130,8 @@ let worker_loop stopping ~limits make_handler conns conns_lock listen_fd () =
   in
   loop 0
 
-let start_common ~host ~limits ~port ~workers source =
+let start_handler ?(host = "127.0.0.1") ?(limits = Guard.default_limits) ~port
+    ~workers ~handler () =
   if workers < 1 then invalid_arg "Server.start: need at least one worker";
   (* a peer that disconnects mid-response must surface as EPIPE, not
      kill the process *)
@@ -175,31 +151,16 @@ let start_common ~host ~limits ~port ~workers source =
     | ADDR_INET (_, p) -> p
     | ADDR_UNIX _ -> assert false
   in
-  (* for a session server: attach before accepting — a corrupt store
-     must fail startup, not the first query.  [Segment.Corrupt]
-     propagates after the socket closes. *)
-  (match source with
-  | Handler_source _ -> ()
-  | Session_source shared -> (
-      match Catalog.attach shared.Session.catalog with
-      | _ -> ()
-      | exception e ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          raise e));
   let stopping = Atomic.make false in
   let conns = Hashtbl.create 64 in
   let conns_lock = Mutex.create () in
-  let make_handler = handler_of_source source in
   let pool =
     Array.init workers (fun _ ->
-        Domain.spawn
-          (worker_loop stopping ~limits make_handler conns conns_lock fd))
+        Domain.spawn (worker_loop stopping ~limits handler conns conns_lock fd))
   in
   {
     listen_fd = fd;
     bound_port;
-    source;
-    limits;
     workers = pool;
     stopping;
     conns;
@@ -208,17 +169,15 @@ let start_common ~host ~limits ~port ~workers source =
     joined = false;
   }
 
-let start ?(host = "127.0.0.1") ?family ?limits ?data_dir ~port ~workers
-    ~cache_capacity () =
-  let shared =
-    Session.make_shared ?family ?limits ?data_dir ~cache_capacity ()
-  in
-  start_common ~host ~limits:shared.Session.limits ~port ~workers
-    (Session_source shared)
-
-let start_handler ?(host = "127.0.0.1") ?(limits = Guard.default_limits) ~port
-    ~workers ~handler () =
-  start_common ~host ~limits ~port ~workers (Handler_source handler)
+(* Attach before binding: a corrupt store must fail startup, not the
+   first query ([Segment.Corrupt] propagates, no socket is opened). *)
+let start ?host ~port ~workers (shared : Session.shared) =
+  ignore (Catalog.attach shared.Session.catalog);
+  start_handler ?host ~limits:shared.Session.limits ~port ~workers
+    ~handler:(fun () ->
+      let s = Session.create shared in
+      { on_line = Session.handle_line s; on_close = ignore })
+    ()
 
 let join_all t =
   Mutex.protect t.stopped (fun () ->

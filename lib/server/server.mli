@@ -25,46 +25,26 @@
 
 type t
 
-(** [start ?host ?family ?limits ?data_dir ~port ~workers ~cache_capacity ()]
-    binds and listens (port [0] picks an ephemeral port — see {!port})
-    and spawns the worker pool.  [host] defaults to ["127.0.0.1"];
-    [limits] to {!Guard.default_limits}.  With [data_dir], every segment
-    store under it is attached as a catalog entry before the first
-    connection is accepted, and mutations persist (see {!Catalog}); a
-    corrupt store raises {!Paradb_storage.Segment.Corrupt} out of
-    [start] — the server never comes up over bad data. *)
-val start :
-  ?host:string ->
-  ?family:Paradb_core.Hashing.family ->
-  ?limits:Guard.limits ->
-  ?data_dir:string ->
-  port:int ->
-  workers:int ->
-  cache_capacity:int ->
-  unit ->
-  t
-
-(** One accepted connection's request processor, for {!start_handler}
-    servers.  [on_line] receives each non-blank request line and
+(** One accepted connection's request processor — a {!Frontend.handler},
+    re-exported.  [on_line] receives each non-blank request line and
     returns the response to frame ([None] withholds the response — the
-    mid-[BULK] convention, see {!Session.handle_line}) plus the
-    keep/close verdict; [on_close] runs exactly once when the
-    connection ends (any path: QUIT, EOF, idle, error), so handlers
-    owning upstream sockets — the cluster coordinator's shard pool —
-    can release them. *)
-type handler = {
+    mid-[BULK] convention) plus the keep/close verdict; [on_close] runs
+    exactly once when the connection ends (any path: QUIT, EOF, idle,
+    error), so handlers owning upstream sockets — the cluster
+    coordinator's shard pool — can release them. *)
+type handler = Frontend.handler = {
   on_line : string -> Protocol.response option * [ `Continue | `Quit ];
   on_close : unit -> unit;
 }
 
-(** [start_handler ?host ?limits ~port ~workers ~handler ()] — the same
-    accept loop, bounded reader, idle reaping, catch-all and graceful
-    drain as {!start}, but each accepted connection talks to
-    [handler ()] (called once per connection) instead of a catalog
-    session.  This is how the cluster coordinator front end reuses the
-    server's robustness machinery.  Such a server owns no
-    {!Session.shared}; calling {!shared} on it raises
-    [Invalid_argument]. *)
+(** [start_handler ?host ?limits ~port ~workers ~handler ()] binds and
+    listens (port [0] picks an ephemeral port — see {!port}) and spawns
+    the worker pool; each accepted connection talks to [handler ()]
+    (called once per connection).  This is the one connection path:
+    bounded reader, idle reaping, catch-all and graceful drain, for a
+    single node ({!start}) and the cluster coordinator alike.  [host]
+    defaults to ["127.0.0.1"]; [limits] to {!Guard.default_limits} —
+    the loop applies its line and idle limits. *)
 val start_handler :
   ?host:string ->
   ?limits:Guard.limits ->
@@ -74,12 +54,16 @@ val start_handler :
   unit ->
   t
 
+(** [start ?host ~port ~workers shared] — a single node: every
+    connection is a fresh {!Session} over [shared], served under
+    [shared.limits].  Every segment store under the catalog's data dir
+    is attached ({!Catalog.attach}) before the socket opens, so a
+    corrupt store raises {!Paradb_storage.Segment.Corrupt} out of
+    [start] — the server never comes up over bad data. *)
+val start : ?host:string -> port:int -> workers:int -> Session.shared -> t
+
 (** The actual bound port (useful after [~port:0]). *)
 val port : t -> int
-
-(** The session state of a {!start} server.  Raises [Invalid_argument]
-    for {!start_handler} servers. *)
-val shared : t -> Session.shared
 
 (** Connections currently being served (tests, shutdown progress). *)
 val active_connections : t -> int

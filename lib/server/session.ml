@@ -2,11 +2,9 @@ module Cq = Paradb_query.Cq
 module Source = Paradb_query.Source
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
-module Hypergraph = Paradb_hypergraph.Hypergraph
 module Join_tree = Paradb_hypergraph.Join_tree
 module Planner = Paradb_planner.Planner
 module Metrics = Paradb_telemetry.Metrics
-module Trace = Paradb_telemetry.Trace
 module Export = Paradb_telemetry.Export
 module Clock = Paradb_telemetry.Clock
 module Budget = Paradb_telemetry.Budget
@@ -17,21 +15,6 @@ let m_deadline = Metrics.counter "server.deadline_exceeded"
    pipeline, vs. how often it fell back to an interpreted engine. *)
 let m_compiled_hits = Metrics.counter "planner.compiled.cache_hits"
 let m_interp_fallback = Metrics.counter "planner.fallback.interpreter"
-
-(* Per-verb latency histograms, prebuilt so the hot path is one assoc
-   lookup over a short fixed list.  "invalid" times unparseable lines. *)
-let verb_hist =
-  List.map
-    (fun v -> (v, Metrics.histogram (Printf.sprintf "server.verb.%s.ns" v)))
-    [
-      "load"; "fact"; "bulk"; "eval"; "count"; "gather"; "ship"; "check";
-      "explain"; "digest"; "repair"; "stats"; "metrics"; "quit"; "invalid";
-    ]
-
-let observe_verb verb ns =
-  match List.assoc_opt verb verb_hist with
-  | Some h -> Metrics.observe h ns
-  | None -> ()
 
 type shared = {
   catalog : Catalog.t;
@@ -51,27 +34,11 @@ let make_shared ?family ?(limits = Guard.default_limits) ?data_dir
     limits;
   }
 
-(* In-flight BULK framing: after a [BULK db n] header the next [n]
-   lines are fact lines, collected here and applied as one batch (one
-   generation bump) when the count runs out. *)
-type bulk = { bulk_db : string; mutable remaining : int; buf : Buffer.t }
+(* What the verbs see of a session: the server-wide state and this
+   session's own counters. *)
+type session = { shared : shared; stats : Stats.t }
 
-type t = {
-  shared : shared;
-  stats : Stats.t; (* this session only *)
-  mutable bulk : bulk option;
-}
-
-let create (shared : shared) =
-  Stats.incr_connections shared.stats;
-  let stats = Stats.create () in
-  Stats.incr_connections stats;
-  { shared; stats; bulk = None }
-
-let err s msg =
-  Stats.incr_errors s.shared.stats;
-  Stats.incr_errors s.stats;
-  Protocol.Err msg
+type t = { session : session; front : Frontend.handler }
 
 let ok ?(payload = []) summary = Protocol.Ok_ { summary; payload }
 
@@ -83,10 +50,10 @@ let now_ns = Clock.now_ns
    directories; the catalog persists deltas when it owns a data dir. *)
 let do_load s ~db ~path =
   match Paradb_storage.Store.load_database path with
-  | Error e -> err s e
+  | Error e -> Protocol.Err e
   | Ok database -> (
       match Catalog.load s.shared.catalog db database with
-      | Error e -> err s e
+      | Error e -> Protocol.Err e
       | Ok (merged, mode) ->
           ok
             (Printf.sprintf "loaded %s mode=%s relations=%d tuples=%d" db
@@ -99,22 +66,46 @@ let do_load s ~db ~path =
 
 let do_fact s ~db ~fact =
   match Catalog.add_fact s.shared.catalog db fact with
-  | Error e -> err s e
+  | Error e -> Protocol.Err e
   | Ok database ->
       ok (Printf.sprintf "%s tuples=%d" db (Database.size database))
 
-(* Shared EVAL/GATHER core: resolve the snapshot, arm the budget, hit
-   the plan cache, evaluate, record stats.  Only the payload rendering
-   differs between the two verbs. *)
-let run_eval s ~db ~kind q =
+let do_bulk s ~db text =
+  match Catalog.bulk_set s.shared.catalog db text with
+  | Error e -> Protocol.Err e
+  | Ok database ->
+      ok
+        (Printf.sprintf "bulk %s relations=%d tuples=%d" db
+           (List.length (Database.relations database))
+           (Database.size database))
+
+(* The EVAL/COUNT/GATHER/SHIP prelude: a known engine and a parsed
+   query, or ERR. *)
+let with_query ~engine ~query k =
+  match Plan.engine_kind_of_string engine with
+  | None -> Protocol.Err (Printf.sprintf "unknown engine %s" engine)
+  | Some kind -> (
+      match Source.parse_query query with
+      | Error e -> Protocol.Err e
+      | Ok q -> k kind q)
+
+(* The one query runner: resolve the snapshot, arm the budget, look the
+   plan up under [key] (building it with [prepare] on a miss), run it
+   with [exec], record stats, and [render] the result.  EVAL, GATHER and
+   SHIP pass [Plan.scoped_key]/[Plan.prepare]/[Plan.evaluate]; COUNT
+   passes the counting triple, whose keyspace never aliases EVAL's. *)
+let run s ~db ~kind q ~key
+    ~(prepare :
+       ?budget:Budget.t -> Plan.t -> Database.t -> generation:int -> Plan.t)
+    ~(exec : ?budget:Budget.t -> Plan.t -> Database.t -> Cq.t -> 'a) render =
   match Catalog.find s.shared.catalog db with
-  | None -> Error (Printf.sprintf "no database %s (use LOAD or FACT)" db)
+  | None -> Protocol.Err (Printf.sprintf "no database %s (use LOAD or FACT)" db)
   | Some (database, generation) -> (
       (* Scoped by snapshot generation: a LOAD/FACT that swapped
          the snapshot makes every older entry unreachable, so a
          compiled pipeline is never reused against data it was
          not compiled for. *)
-      let key = Plan.scoped_key ~db ~generation kind q in
+      let key = key ~db ~generation kind q in
       let budget =
         Option.map
           (fun deadline_ns -> Budget.start ~deadline_ns)
@@ -127,22 +118,22 @@ let run_eval s ~db ~kind q =
         let plan, outcome =
           Plan_cache.find_or_build ~scope:(db, generation) s.shared.cache
             ~key (fun () ->
-              Plan.prepare ?budget (Plan.analyze kind q) database ~generation)
+              prepare ?budget (Plan.analyze kind q) database ~generation)
         in
-        ( plan,
-          outcome,
-          Plan.evaluate ?budget ?family:s.shared.family plan database q )
+        (plan, outcome, exec ?budget plan database q)
       with
       | exception
           ( Paradb_yannakakis.Yannakakis.Cyclic_query
           | Paradb_core.Engine.Cyclic_query ) ->
-          Error "the query hypergraph is cyclic; use engine naive"
-      | exception Invalid_argument msg -> Error msg
+          Protocol.Err "the query hypergraph is cyclic; use engine naive"
+      | exception Invalid_argument msg -> Protocol.Err msg
       | exception Not_found ->
-          Error (Printf.sprintf "query names a relation missing from %s" db)
+          Protocol.Err
+            (Printf.sprintf "query names a relation missing from %s" db)
       | exception Budget.Exhausted { elapsed_ns; _ } ->
           Metrics.incr m_deadline;
-          Error (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
+          Protocol.Err
+            (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
       | plan, outcome, result ->
           let ns = now_ns () - t0 in
           let hit = outcome = `Hit in
@@ -150,57 +141,15 @@ let run_eval s ~db ~kind q =
              if hit then Metrics.incr m_compiled_hits
            end
            else Metrics.incr m_interp_fallback);
-          Stats.record s.shared.stats
-            ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
-          Stats.record s.stats
-            ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
-          Ok (plan, hit, result, ns))
+          let engine = Plan.engine_name plan.Plan.engine in
+          Stats.record s.shared.stats ~engine ~hit ~ns;
+          Stats.record s.stats ~engine ~hit ~ns;
+          render plan ~cache:(if hit then "hit" else "miss") ~ns result)
 
-(* COUNT twin of [run_eval]: same catalog/budget/cache/stats discipline,
-   but builds and runs the counting pipeline, cached under the COUNT
-   keyspace ([Plan.scoped_count_key]). *)
-let run_count s ~db ~kind q =
-  match Catalog.find s.shared.catalog db with
-  | None -> Error (Printf.sprintf "no database %s (use LOAD or FACT)" db)
-  | Some (database, generation) -> (
-      let key = Plan.scoped_count_key ~db ~generation kind q in
-      let budget =
-        Option.map
-          (fun deadline_ns -> Budget.start ~deadline_ns)
-          s.shared.limits.Guard.deadline_ns
-      in
-      let t0 = now_ns () in
-      match
-        let plan, outcome =
-          Plan_cache.find_or_build ~scope:(db, generation) s.shared.cache
-            ~key (fun () ->
-              Plan.prepare_count ?budget (Plan.analyze kind q) database
-                ~generation)
-        in
-        (plan, outcome, Plan.count ?budget plan database q)
-      with
-      | exception
-          ( Paradb_yannakakis.Yannakakis.Cyclic_query
-          | Paradb_core.Engine.Cyclic_query ) ->
-          Error "the query hypergraph is cyclic; use engine naive"
-      | exception Invalid_argument msg -> Error msg
-      | exception Not_found ->
-          Error (Printf.sprintf "query names a relation missing from %s" db)
-      | exception Budget.Exhausted { elapsed_ns; _ } ->
-          Metrics.incr m_deadline;
-          Error (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
-      | plan, outcome, n ->
-          let ns = now_ns () - t0 in
-          let hit = outcome = `Hit in
-          (if plan.Plan.engine = Plan.E_compiled then begin
-             if hit then Metrics.incr m_compiled_hits
-           end
-           else Metrics.incr m_interp_fallback);
-          Stats.record s.shared.stats
-            ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
-          Stats.record s.stats
-            ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
-          Ok (plan, hit, n, ns))
+let evaluated s ~db ~kind q render =
+  run s ~db ~kind q ~key:Plan.scoped_key ~prepare:Plan.prepare
+    ~exec:(Plan.evaluate ?family:s.shared.family)
+    render
 
 (* The [--max-rows] cap on an answer of [rows] rows: how many lines to
    render, and whether the answer is cut short. *)
@@ -210,45 +159,31 @@ let row_cap ~limits rows =
   | _ -> (None, false)
 
 let do_eval s ~db ~engine ~query =
-  match Plan.engine_kind_of_string engine with
-  | None -> err s (Printf.sprintf "unknown engine %s" engine)
-  | Some kind -> (
-      match Source.parse_query query with
-      | Error e -> err s e
-      | Ok q -> (
-          match run_eval s ~db ~kind q with
-          | Error e -> err s e
-          | Ok (plan, hit, result, ns) ->
-              let rows = Relation.cardinality result in
-              let limit, truncated = row_cap ~limits:s.shared.limits rows in
-              ok
-                ~payload:(Plan.sorted_tuples ?limit result)
-                (Printf.sprintf "engine=%s cache=%s rows=%d ns=%d%s"
-                   (Plan.engine_name plan.Plan.engine)
-                   (if hit then "hit" else "miss")
-                   rows ns
-                   (if truncated then " truncated=true" else ""))))
+  with_query ~engine ~query @@ fun kind q ->
+  evaluated s ~db ~kind q @@ fun plan ~cache ~ns result ->
+  let rows = Relation.cardinality result in
+  let limit, truncated = row_cap ~limits:s.shared.limits rows in
+  ok
+    ~payload:(Plan.sorted_tuples ?limit result)
+    (Printf.sprintf "engine=%s cache=%s rows=%d ns=%d%s"
+       (Plan.engine_name plan.Plan.engine)
+       cache rows ns
+       (if truncated then " truncated=true" else ""))
 
 (* COUNT: like EVAL, but the answer is a single number — the summary
    carries [count=<n>] and the payload is one line holding the bare
    count, so both a human and the coordinator's partial-sum gather can
    read it without parsing the summary. *)
 let do_count s ~db ~engine ~query =
-  match Plan.engine_kind_of_string engine with
-  | None -> err s (Printf.sprintf "unknown engine %s" engine)
-  | Some kind -> (
-      match Source.parse_query query with
-      | Error e -> err s e
-      | Ok q -> (
-          match run_count s ~db ~kind q with
-          | Error e -> err s e
-          | Ok (plan, hit, n, ns) ->
-              ok
-                ~payload:[ string_of_int n ]
-                (Printf.sprintf "engine=%s cache=%s count=%d ns=%d"
-                   (Plan.engine_name plan.Plan.engine)
-                   (if hit then "hit" else "miss")
-                   n ns)))
+  with_query ~engine ~query @@ fun kind q ->
+  run s ~db ~kind q ~key:Plan.scoped_count_key ~prepare:Plan.prepare_count
+    ~exec:Plan.count
+  @@ fun plan ~cache ~ns n ->
+  ok
+    ~payload:[ string_of_int n ]
+    (Printf.sprintf "engine=%s cache=%s count=%d ns=%d"
+       (Plan.engine_name plan.Plan.engine)
+       cache n ns)
 
 (* GATHER: evaluate like EVAL (engine auto) but answer the rows as fact
    lines [head(v1, v2).] — sorted, and in the one line format whose
@@ -261,23 +196,20 @@ let fact_lines ?limit r =
 
 (* GATHER and SHIP: evaluate with engine auto, then [render] the result. *)
 let gathered s ~db ~query render =
-  match Source.parse_query query with
-  | Error e -> err s e
-  | Ok q -> (
-      match run_eval s ~db ~kind:Plan.Auto q with
-      | Error e -> err s e
-      | Ok (_plan, hit, result, ns) ->
-          render ~cache:(if hit then "hit" else "miss") ~ns result)
+  with_query ~engine:"auto" ~query @@ fun kind q ->
+  evaluated s ~db ~kind q @@ fun _plan -> render
 
-let do_gather s ~db ~query =
-  gathered s ~db ~query @@ fun ~cache ~ns result ->
+let gather_answer ~limits ~cache ~ns result =
   let rows = Relation.cardinality result in
-  let limit, truncated = row_cap ~limits:s.shared.limits rows in
+  let limit, truncated = row_cap ~limits rows in
   ok
     ~payload:(fact_lines ?limit result)
     (Printf.sprintf "gathered %s cache=%s rows=%d ns=%d%s"
        (Relation.name result) cache rows ns
        (if truncated then " truncated=true" else ""))
+
+let do_gather s ~db ~query =
+  gathered s ~db ~query (gather_answer ~limits:s.shared.limits)
 
 (* SHIP: evaluate exactly like GATHER, but answer the result relation as
    one payload line — its segment ([Segment.encode], checksummed) in hex.
@@ -300,32 +232,6 @@ let ship_answer ~limits ~cache ~ns result =
 let do_ship s ~db ~query =
   gathered s ~db ~query (ship_answer ~limits:s.shared.limits)
 
-let finish_bulk s b =
-  match Catalog.bulk_set s.shared.catalog b.bulk_db (Buffer.contents b.buf) with
-  | Error e -> err s e
-  | Ok db ->
-      ok
-        (Printf.sprintf "bulk %s relations=%d tuples=%d" b.bulk_db
-           (List.length (Database.relations db))
-           (Database.size db))
-
-let do_bulk s ~db ~count =
-  if count = 0 then (Some (finish_bulk s { bulk_db = db; remaining = 0; buf = Buffer.create 0 }), `Continue)
-  else begin
-    s.bulk <- Some { bulk_db = db; remaining = count; buf = Buffer.create (count * 16) };
-    (None, `Continue)
-  end
-
-let bulk_line s b line =
-  Buffer.add_string b.buf line;
-  Buffer.add_char b.buf '\n';
-  b.remaining <- b.remaining - 1;
-  if b.remaining = 0 then begin
-    s.bulk <- None;
-    (Some (finish_bulk s b), `Continue)
-  end
-  else (None, `Continue)
-
 (* DIGEST: a content fingerprint of one catalog entry, built for
    replica comparison — one [relation <name> <arity> <rows> <crc32hex>]
    line per relation, sorted by name, with the checksum taken over the
@@ -336,7 +242,7 @@ let bulk_line s b line =
    divergent relation without knowing the schema. *)
 let do_digest s db =
   match Catalog.find s.shared.catalog db with
-  | None -> err s (Printf.sprintf "no database %s (use LOAD or FACT)" db)
+  | None -> Protocol.Err (Printf.sprintf "no database %s (use LOAD or FACT)" db)
   | Some (database, generation) ->
       let payload =
         Database.relations database
@@ -358,9 +264,9 @@ let do_digest s db =
         (Printf.sprintf "digest %s generation=%d relations=%d" db generation
            (List.length payload))
 
-let do_check s query =
+let check query =
   match Source.parse_query query with
-  | Error e -> err s e
+  | Error e -> Protocol.Err e
   | Ok q ->
       let plan = Plan.analyze Plan.Auto q in
       let pplan = plan.Plan.pplan in
@@ -383,9 +289,9 @@ let do_check s query =
       in
       ok ~payload (Printf.sprintf "checked size=%d" (Cq.size q))
 
-let do_explain s query =
+let explain query =
   match Source.parse_query query with
-  | Error e -> err s e
+  | Error e -> Protocol.Err e
   | Ok q ->
       let pplan = Planner.plan q in
       ok
@@ -421,54 +327,40 @@ let do_stats s =
   in
   ok ~payload "stats"
 
-let do_metrics () =
-  ok ~payload:[ Export.to_json (Metrics.snapshot ()) ] "metrics"
+let metrics () = ok ~payload:[ Export.to_json (Metrics.snapshot ()) ] "metrics"
 
-let dispatch s req =
-  match req with
-  | Protocol.Load { db; path } -> (Some (do_load s ~db ~path), `Continue)
-  | Protocol.Fact { db; fact } -> (Some (do_fact s ~db ~fact), `Continue)
-  | Protocol.Bulk { db; count } -> do_bulk s ~db ~count
-  | Protocol.Eval { db; engine; query } ->
-      (Some (do_eval s ~db ~engine ~query), `Continue)
-  | Protocol.Count { db; engine; query } ->
-      (Some (do_count s ~db ~engine ~query), `Continue)
-  | Protocol.Gather { db; query } -> (Some (do_gather s ~db ~query), `Continue)
-  | Protocol.Ship { db; query } -> (Some (do_ship s ~db ~query), `Continue)
-  | Protocol.Check query -> (Some (do_check s query), `Continue)
-  | Protocol.Explain query -> (Some (do_explain s query), `Continue)
-  | Protocol.Digest db -> (Some (do_digest s db), `Continue)
+let verb s = function
+  | Protocol.Load { db; path } -> do_load s ~db ~path
+  | Protocol.Fact { db; fact } -> do_fact s ~db ~fact
+  | Protocol.Eval { db; engine; query } -> do_eval s ~db ~engine ~query
+  | Protocol.Count { db; engine; query } -> do_count s ~db ~engine ~query
+  | Protocol.Gather { db; query } -> do_gather s ~db ~query
+  | Protocol.Ship { db; query } -> do_ship s ~db ~query
+  | Protocol.Check query -> check query
+  | Protocol.Explain query -> explain query
+  | Protocol.Digest db -> do_digest s db
   | Protocol.Repair _ ->
       (* repair compares replicas across shards; only the coordinator
          has the vantage point to do it *)
-      (Some (err s "REPAIR is a coordinator verb"), `Continue)
-  | Protocol.Stats -> (Some (do_stats s), `Continue)
-  | Protocol.Metrics -> (Some (do_metrics ()), `Continue)
-  | Protocol.Quit -> (Some (ok "bye"), `Quit)
+      Protocol.Err "REPAIR is a coordinator verb"
+  | Protocol.Stats -> do_stats s
+  | Protocol.Metrics -> metrics ()
+  | Protocol.Bulk _ | Protocol.Quit ->
+      invalid_arg "Session.verb: BULK and QUIT are framed by Frontend"
 
-let handle s req =
-  let verb = Protocol.verb_name req in
-  Trace.with_span ("server." ^ verb) @@ fun () ->
-  (* deliberately outside the dispatcher's error handling: exercises the
-     server loop's catch-all (chaos tests) *)
-  Fault.injected_raise ();
-  let t0 = now_ns () in
-  let r = dispatch s req in
-  observe_verb verb (now_ns () - t0);
+let create (shared : shared) =
+  Stats.incr_connections shared.stats;
+  let s = { shared; stats = Stats.create () } in
+  Stats.incr_connections s.stats;
+  { session = s; front = Frontend.handler ~verb:(verb s) ~bulk:(do_bulk s) () }
+
+(* Every ERR a session answers, whichever verb (or the front end's
+   parse) produced it, counts once, server-wide and per session. *)
+let handle_line t line =
+  let r = t.front.Frontend.on_line line in
+  (match r with
+  | Some (Protocol.Err _), _ ->
+      Stats.incr_errors t.session.shared.stats;
+      Stats.incr_errors t.session.stats
+  | _ -> ());
   r
-
-let handle_line s line =
-  let t0 = now_ns () in
-  match s.bulk with
-  | Some b ->
-      (* mid-BULK: the raw line is a fact line, not a request *)
-      let r = bulk_line s b line in
-      observe_verb "bulk" (now_ns () - t0);
-      r
-  | None -> (
-      match Protocol.parse_request line with
-      | Error e ->
-          let r = (Some (err s e), `Continue) in
-          observe_verb "invalid" (now_ns () - t0);
-          r
-      | Ok req -> handle s req)

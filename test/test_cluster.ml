@@ -199,47 +199,13 @@ let test_partition_split_keeps_all_relations () =
   Alcotest.(check int) "e rows conserved" 3 total
 
 (* ------------------------------------------------------------------ *)
-(* BULK framing through the session state machine *)
-
-let test_bulk_framing () =
-  let shared = Session.make_shared ~cache_capacity:4 () in
-  let s = Session.create shared in
-  let expect_silent line =
-    match Session.handle_line s line with
-    | None, `Continue -> ()
-    | Some _, _ -> Alcotest.failf "%s: expected no response mid-BULK" line
-    | None, `Quit -> Alcotest.failf "%s: unexpected quit" line
-  in
-  let expect_ok line =
-    match Session.handle_line s line with
-    | Some (Protocol.Ok_ { summary; _ }), `Continue -> summary
-    | Some (Protocol.Err e), _ -> Alcotest.failf "%s: ERR %s" line e
-    | _ -> Alcotest.failf "%s: expected a response" line
-  in
-  expect_silent "BULK g 3";
-  expect_silent "e(1, 2).";
-  expect_silent "e(2, 3).";
-  let summary = expect_ok "e(1, 2)." in
-  Alcotest.(check bool)
-    ("batch summary: " ^ summary)
-    true
-    (String.length summary >= 4 && String.sub summary 0 4 = "bulk");
-  (* Duplicate fact merged under set semantics: 2 tuples, queryable. *)
-  (match Session.handle_line s "EVAL g auto ans(X, Y) :- e(X, Y)." with
-  | Some (Protocol.Ok_ { payload; _ }), `Continue ->
-      Alcotest.(check int) "rows after BULK" 2 (List.length payload)
-  | _ -> Alcotest.fail "EVAL after BULK failed");
-  (* A zero-count frame answers immediately. *)
-  let summary = expect_ok "BULK g 0" in
-  Alcotest.(check bool) "zero-count immediate" true
-    (String.length summary >= 4 && String.sub summary 0 4 = "bulk")
-
-(* ------------------------------------------------------------------ *)
 (* Coordinator end-to-end *)
 
 let with_servers n f =
   let servers =
-    Array.init n (fun _ -> Server.start ~port:0 ~workers:1 ~cache_capacity:16 ())
+    Array.init n (fun _ ->
+        Server.start ~port:0 ~workers:1
+          (Session.make_shared ~cache_capacity:16 ()))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -261,6 +227,77 @@ let with_cluster ?(shards = 2) ?(replicas = 1) ?(tweak = fun c -> c) f =
   Client.with_connection ~timeout:30.0 ~retries:3 ~port:(Server.port front)
     (fun client -> f ~shard_servers ~client)
 
+(* ------------------------------------------------------------------ *)
+(* One framing script, two front ends: a single-node session and a
+   coordinator over one shard answer through the same Frontend *)
+
+(* Runs the script through [on_line]; [batch] inspects each BULK
+   batch's summary.  Returns what the two front ends must agree on: the
+   malformed line's ERR and the CHECK and EXPLAIN answers. *)
+let bulk_framing_script ~batch on_line =
+  let expect_silent line =
+    match on_line line with
+    | None, `Continue -> ()
+    | Some _, _ -> Alcotest.failf "%s: expected no response mid-BULK" line
+    | None, `Quit -> Alcotest.failf "%s: unexpected quit" line
+  in
+  let expect_ok line =
+    match on_line line with
+    | Some (Protocol.Ok_ { summary; payload }), `Continue -> (summary, payload)
+    | Some (Protocol.Err e), _ -> Alcotest.failf "%s: ERR %s" line e
+    | _ -> Alcotest.failf "%s: expected a response" line
+  in
+  expect_silent "BULK g 3";
+  expect_silent "e(1, 2).";
+  expect_silent "e(2, 3).";
+  batch (fst (expect_ok "e(1, 2)."));
+  (* Duplicate fact merged under set semantics: 2 tuples, queryable. *)
+  Alcotest.(check int) "rows after BULK" 2
+    (List.length (snd (expect_ok "EVAL g auto ans(X, Y) :- e(X, Y).")));
+  (* A zero-count frame answers immediately. *)
+  batch (fst (expect_ok "BULK g 0"));
+  let malformed =
+    match on_line "EVAL g auto" with
+    | Some (Protocol.Err e), `Continue -> e
+    | _ -> Alcotest.fail "malformed line: expected ERR"
+  in
+  let q = "ans(X, Z) :- e(X, Y), e(Y, Z), X != Z." in
+  let check = expect_ok ("CHECK " ^ q) in
+  let explain = expect_ok ("EXPLAIN " ^ q) in
+  (match on_line "QUIT" with
+  | Some (Protocol.Ok_ _), `Quit -> ()
+  | _ -> Alcotest.fail "QUIT: expected a farewell and `Quit");
+  (malformed, check, explain)
+
+let test_bulk_framing () =
+  let s = Session.create (Session.make_shared ~cache_capacity:4 ()) in
+  let single =
+    bulk_framing_script (Session.handle_line s) ~batch:(fun summary ->
+        Alcotest.(check bool)
+          ("batch summary: " ^ summary)
+          true
+          (String.starts_with ~prefix:"bulk" summary))
+  in
+  with_servers 1 @@ fun shard ->
+  let coord =
+    Coordinator.create
+      (Coordinator.default_config [ ("127.0.0.1", Server.port shard.(0)) ])
+  in
+  let h = Coordinator.handler coord () in
+  Fun.protect ~finally:h.Server.on_close @@ fun () ->
+  let cluster =
+    bulk_framing_script h.Server.on_line ~batch:(fun summary ->
+        Alcotest.(check bool)
+          ("batch summary: " ^ summary)
+          true (contains summary "shards=1"))
+  in
+  let malformed, check, explain = single
+  and malformed', check', explain' = cluster in
+  let answer = Alcotest.(pair string (list string)) in
+  Alcotest.(check string) "malformed line: same ERR" malformed malformed';
+  Alcotest.check answer "CHECK answer" check check';
+  Alcotest.check answer "EXPLAIN answer" explain explain'
+
 let facts =
   [
     "FACT g e(1, 2).";
@@ -271,6 +308,11 @@ let facts =
     "FACT g f(3, 30).";
     "FACT g f(3, 31).";
   ]
+
+let request_ok client line =
+  match Client.request_line client line with
+  | Protocol.Ok_ { summary; payload } -> (summary, payload)
+  | Protocol.Err e -> Alcotest.failf "%s: ERR %s" line e
 
 let load_facts client =
   List.iter
@@ -490,13 +532,94 @@ let test_cluster_count_matches_single_node () =
     queries
 
 let test_cluster_count_rejects_fpt () =
+  let line = "COUNT g fpt ans(X, Y) :- e(X, Y)." in
+  let s = Session.create (Session.make_shared ~cache_capacity:4 ()) in
+  ignore (Session.handle_line s "FACT g e(1, 2).");
+  let single =
+    match Session.handle_line s line with
+    | Some (Protocol.Err e), `Continue -> e
+    | _ -> Alcotest.fail "expected a session ERR for COUNT with fpt"
+  in
   with_cluster ~shards:2 @@ fun ~shard_servers:_ ~client ->
   load_facts client;
-  match Client.request_line client "COUNT g fpt ans(X, Y) :- e(X, Y)." with
+  match Client.request_line client line with
   | Protocol.Ok_ _ -> Alcotest.fail "expected ERR for COUNT with fpt"
   | Protocol.Err e ->
       Alcotest.(check bool) ("fpt rejection: " ^ e) true
-        (contains e "cannot count")
+        (contains e "cannot count");
+      Alcotest.(check string) "the session's refusal, byte for byte" single e
+
+(* A bodiless query touches no relation: the coordinator plans and runs
+   it like a single node, on the empty database, without a shard
+   request. *)
+let test_cluster_ground_queries () =
+  let m_out = Metrics.counter "cluster.bytes_out" in
+  with_servers 1 @@ fun single ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port single.(0))
+  @@ fun single_client ->
+  load_facts single_client;
+  with_cluster ~shards:2 @@ fun ~shard_servers:_ ~client ->
+  load_facts client;
+  List.iter
+    (fun q ->
+      List.iter
+        (fun verb ->
+          let line = Printf.sprintf "%s g auto %s" verb q in
+          let _, expected = request_ok single_client line in
+          let before = Metrics.counter_value m_out in
+          let _, got = request_ok client line in
+          Alcotest.(check (list string)) line expected got;
+          Alcotest.(check int) (line ^ ": no shard request") before
+            (Metrics.counter_value m_out))
+        [ "EVAL"; "COUNT" ])
+    [ {|ans(1, "a") :- 1 < 2.|}; "ans(1) :- 2 < 1." ]
+
+(* The coordinator's requests go through the Frontend, so they are
+   timed per verb.  Its shards see only SHIP here (both queries take
+   the exchange), so the EVAL, COUNT and invalid deltas are the
+   coordinator's own. *)
+let test_cluster_verb_histograms () =
+  let count verb =
+    (Metrics.histogram_read
+       (Metrics.histogram (Printf.sprintf "server.verb.%s.ns" verb)))
+      .Metrics.count
+  in
+  let verbs = [ "eval"; "count"; "invalid" ] in
+  with_servers 2 @@ fun shards ->
+  let coord =
+    Coordinator.create
+      (Coordinator.default_config
+         (Array.to_list
+            (Array.map (fun s -> ("127.0.0.1", Server.port s)) shards)))
+  in
+  let h = Coordinator.handler coord () in
+  Fun.protect ~finally:h.Server.on_close @@ fun () ->
+  let answer line =
+    match h.Server.on_line line with
+    | Some r, `Continue -> r
+    | _ -> Alcotest.failf "%s: expected a response" line
+  in
+  List.iter
+    (fun line ->
+      match answer line with
+      | Protocol.Ok_ _ -> ()
+      | Protocol.Err e -> Alcotest.failf "%s: ERR %s" line e)
+    facts;
+  let before = List.map count verbs in
+  let q = "ans(X, Z) :- e(X, Y), f(Y, Z)." in
+  List.iter
+    (fun line ->
+      match answer line with
+      | Protocol.Ok_ _ -> ()
+      | Protocol.Err e -> Alcotest.failf "%s: ERR %s" line e)
+    [ "EVAL g auto " ^ q; "COUNT g auto " ^ q ];
+  (match answer "EVAL g" with
+  | Protocol.Err _ -> ()
+  | Protocol.Ok_ _ -> Alcotest.fail "malformed line answered OK");
+  List.iter2
+    (fun verb b ->
+      Alcotest.(check int) ("server.verb." ^ verb ^ ".ns") (b + 1) (count verb))
+    verbs before
 
 (* Shard loss with a surviving replica: COUNT fails over and keeps
    returning the pre-failure totals on both strategies. *)
@@ -532,12 +655,22 @@ let test_cluster_shard_loss_without_replica () =
   with_cluster ~shards:2 ~replicas:1 @@ fun ~shard_servers ~client ->
   load_facts client;
   Server.stop shard_servers.(1);
-  match eval_on client "ans(X, Y) :- e(X, Y)." with
+  (match eval_on client "ans(X, Y) :- e(X, Y)." with
   | Ok _ -> Alcotest.fail "expected a clean ERR with no replica left"
   | Error e ->
       Alcotest.(check bool) ("shard-down error: " ^ e) true
         (contains e "shard 1"
-        && contains e "unreachable")
+        && contains e "unreachable"));
+  (* a write whose primary is down fails with the same clean ERR, not
+     the server loop's catch-all *)
+  let path = Test_support.write_temp_facts "e(1, 2). e(2, 3). e(3, 4)." in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
+  @@ fun () ->
+  match Client.request_line client ("LOAD g " ^ path) with
+  | Protocol.Ok_ _ -> Alcotest.fail "LOAD with a dead primary answered OK"
+  | Protocol.Err e ->
+      Alcotest.(check bool) ("LOAD shard-down error: " ^ e) true
+        (contains e "shard 1" && contains e "unreachable")
 
 (* ------------------------------------------------------------------ *)
 (* Replica self-healing: miss accounting, hinted handoff, REPAIR *)
@@ -552,11 +685,6 @@ let value_on_shard ~shards ~shard =
     else go (i + 1)
   in
   go 0
-
-let request_ok client line =
-  match Client.request_line client line with
-  | Protocol.Ok_ { summary; payload } -> (summary, payload)
-  | Protocol.Err e -> Alcotest.failf "%s: ERR %s" line e
 
 (* A write whose primary is reachable succeeds even when the replica's
    shard is down — counted on cluster.write.replica_miss. *)
@@ -604,7 +732,10 @@ let test_cluster_hinted_handoff () =
     (Metrics.counter_value m_journaled >= journaled + 2);
   (* the shard returns (same port, empty state is fine: it missed only
      these hinted writes) and the next write replays the journal first *)
-  let revived = Server.start ~port:port1 ~workers:1 ~cache_capacity:16 () in
+  let revived =
+    Server.start ~port:port1 ~workers:1
+      (Session.make_shared ~cache_capacity:16 ())
+  in
   Fun.protect ~finally:(fun () -> try Server.stop revived with _ -> ())
   @@ fun () ->
   let replayed = Metrics.counter_value m_replayed in
@@ -634,7 +765,10 @@ let test_cluster_repair_converges () =
   in
   let port1 = Server.port shard_servers.(1) in
   Server.stop shard_servers.(1);
-  let revived = Server.start ~port:port1 ~workers:1 ~cache_capacity:16 () in
+  let revived =
+    Server.start ~port:port1 ~workers:1
+      (Session.make_shared ~cache_capacity:16 ())
+  in
   Fun.protect ~finally:(fun () -> try Server.stop revived with _ -> ())
   @@ fun () ->
   let divergent = Metrics.counter_value m_divergent in
@@ -829,7 +963,9 @@ let test_repair_refuses_damaged_scan () =
   @@ fun () ->
   (* two workers: the coordinator pools one connection, the test writes
      behind its back on the other *)
-  let real = Server.start ~port:0 ~workers:2 ~cache_capacity:16 () in
+  let real =
+    Server.start ~port:0 ~workers:2 (Session.make_shared ~cache_capacity:16 ())
+  in
   Fun.protect ~finally:(fun () -> try Server.stop real with _ -> ())
   @@ fun () ->
   let coord =
@@ -990,6 +1126,10 @@ let () =
             test_cluster_count_matches_single_node;
           Alcotest.test_case "COUNT rejects fpt" `Quick
             test_cluster_count_rejects_fpt;
+          Alcotest.test_case "ground queries match single node" `Quick
+            test_cluster_ground_queries;
+          Alcotest.test_case "per-verb histograms" `Quick
+            test_cluster_verb_histograms;
           Alcotest.test_case "COUNT replica failover" `Quick
             test_cluster_count_failover;
           Alcotest.test_case "shard loss without replica" `Quick

@@ -355,7 +355,10 @@ let test_deadline_acceptance () =
   let limits =
     { Guard.default_limits with Guard.deadline_ns = Some (deadline_ms * 1_000_000) }
   in
-  let server = Server.start ~port:0 ~workers:4 ~limits ~cache_capacity:16 () in
+  let server =
+    Server.start ~port:0 ~workers:4
+      (Session.make_shared ~limits ~cache_capacity:16 ())
+  in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let port = Server.port server in
   Client.with_connection ~port (fun c ->
@@ -404,7 +407,9 @@ let test_deadline_acceptance () =
    the worker (and connection) survive *)
 
 let test_internal_error_survival () =
-  let server = Server.start ~port:0 ~workers:1 ~cache_capacity:4 () in
+  let server =
+    Server.start ~port:0 ~workers:1 (Session.make_shared ~cache_capacity:4 ())
+  in
   Fun.protect
     ~finally:(fun () ->
       Fault.set None;
@@ -429,7 +434,10 @@ let test_internal_error_survival () =
 (* Oversized request lines answer ERR and the connection continues. *)
 let test_oversize_line_over_the_wire () =
   let limits = { Guard.default_limits with Guard.max_line = 64 } in
-  let server = Server.start ~port:0 ~workers:1 ~limits ~cache_capacity:4 () in
+  let server =
+    Server.start ~port:0 ~workers:1
+      (Session.make_shared ~limits ~cache_capacity:4 ())
+  in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let port = Server.port server in
   Client.with_connection ~port (fun c ->
@@ -444,7 +452,10 @@ let test_oversize_line_over_the_wire () =
 (* Idle connections are reaped; the server stays serviceable. *)
 let test_idle_timeout_over_the_wire () =
   let limits = { Guard.default_limits with Guard.idle_timeout = Some 0.1 } in
-  let server = Server.start ~port:0 ~workers:1 ~limits ~cache_capacity:4 () in
+  let server =
+    Server.start ~port:0 ~workers:1
+      (Session.make_shared ~limits ~cache_capacity:4 ())
+  in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let port = Server.port server in
   let before = Metrics.counter_value (Metrics.counter "server.idle_closed") in
@@ -472,7 +483,9 @@ let test_idle_timeout_over_the_wire () =
 (* Graceful shutdown: stop drains, then aborts stragglers, boundedly *)
 
 let test_graceful_stop_aborts_stragglers () =
-  let server = Server.start ~port:0 ~workers:2 ~cache_capacity:4 () in
+  let server =
+    Server.start ~port:0 ~workers:2 (Session.make_shared ~cache_capacity:4 ())
+  in
   let port = Server.port server in
   let before = Metrics.counter_value (Metrics.counter "server.shutdown.aborted") in
   let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
@@ -515,7 +528,10 @@ let test_chaos () =
       idle_timeout = Some 1.0;
     }
   in
-  let server = Server.start ~port:0 ~workers:4 ~limits ~cache_capacity:16 () in
+  let server =
+    Server.start ~port:0 ~workers:4
+      (Session.make_shared ~limits ~cache_capacity:16 ())
+  in
   Fun.protect
     ~finally:(fun () ->
       Fault.set None;

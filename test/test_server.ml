@@ -541,7 +541,9 @@ let test_concurrent_sessions () =
         Plan.sorted_tuples (Plan.evaluate plan db q))
       queries
   in
-  let server = Server.start ~port:0 ~workers:8 ~cache_capacity:32 () in
+  let server =
+    Server.start ~port:0 ~workers:8 (Session.make_shared ~cache_capacity:32 ())
+  in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let port = Server.port server in
   Client.with_connection ~port (fun c ->
@@ -600,7 +602,9 @@ let test_concurrent_sessions () =
       | Protocol.Err e -> Alcotest.failf "STATS failed: %s" e)
 
 let test_server_stop_is_idempotent () =
-  let server = Server.start ~port:0 ~workers:2 ~cache_capacity:4 () in
+  let server =
+    Server.start ~port:0 ~workers:2 (Session.make_shared ~cache_capacity:4 ())
+  in
   let port = Server.port server in
   Client.with_connection ~port (fun c ->
       match Client.request_line c "CHECK ans(X) :- e(X, Y)." with
@@ -609,7 +613,9 @@ let test_server_stop_is_idempotent () =
   Server.stop server;
   Server.stop server;
   (* the port is released: a fresh server can bind it again *)
-  let server2 = Server.start ~port ~workers:1 ~cache_capacity:4 () in
+  let server2 =
+    Server.start ~port ~workers:1 (Session.make_shared ~cache_capacity:4 ())
+  in
   Server.stop server2
 
 (* ------------------------------------------------------------------ *)
