@@ -16,6 +16,7 @@ module Server = Paradb_server.Server
 module Frontend = Paradb_server.Frontend
 module Guard = Paradb_server.Guard
 module Plan = Paradb_server.Plan
+module Plan_cache = Paradb_server.Plan_cache
 module Session = Paradb_server.Session
 module Fault = Paradb_server.Fault
 module Metrics = Paradb_telemetry.Metrics
@@ -44,6 +45,12 @@ let g_inflight = Metrics.gauge "cluster.inflight"
 (* Exchange reducers answered from an identical reducer gathered
    earlier in the same request (the triangle's three scans of [e]). *)
 let m_reducers_reused = Metrics.counter "cluster.exchange.reducers_reused"
+
+(* Gather SHIPs by outcome: [shipped] decoded a payload, [unchanged]
+   reused the segment held from an earlier request because the shard
+   confirmed its snapshot token. *)
+let m_ship_shipped = Metrics.counter "cluster.ship.shipped"
+let m_ship_unchanged = Metrics.counter "cluster.ship.unchanged"
 
 (* Replica-health telemetry: a replica write that could not be
    delivered counts on [cluster.write.replica_miss] (and is journaled
@@ -86,6 +93,26 @@ module StringSet = Set.Make (String)
    empty" from "no such relation") and the total tuple count. *)
 type db_info = { rels : StringSet.t; tuples : int }
 
+(* One slice's last validated SHIP answer: which server and entry
+   answered, the snapshot token it named ([None]: the answer carried
+   none and cannot be revalidated), and the decoded segment. *)
+type slot = {
+  target : int;
+  entry : string;
+  snap : string option;
+  seg : Segment.t;
+}
+
+(* One gather's last result: a slot per slice ([None]: the slice holds
+   none of the relation), the union of their segments, and [key], the
+   gather's identity — the reducer's cache key and every slot's token,
+   [None] when some slot has no token. *)
+type gathered = {
+  slots : slot option array;
+  key : string option;
+  union : Relation.t;
+}
+
 type t = {
   config : config;
   ring : Ring.t;
@@ -94,7 +121,15 @@ type t = {
   inflight : int Atomic.t;
   shard_hist : Metrics.histogram array;
   hints : Hints.t option;
+  gathers : (string, gathered) Hashtbl.t;
+      (** by database and reducer cache key; at most [reuse_capacity] *)
+  gather_order : string Queue.t;  (** [gathers]' keys, oldest first *)
+  rejoins : Plan_cache.t;  (** compiled exchange re-joins *)
 }
+
+(* The bound on held gathers and re-join plans: the plan cache's
+   default capacity. *)
+let reuse_capacity = 128
 
 let create config =
   let n = Array.length config.addrs in
@@ -111,20 +146,20 @@ let create config =
       Array.init n (fun i ->
           Metrics.histogram (Printf.sprintf "cluster.shard%d.round.ns" i));
     hints = Option.map Hints.create config.hints_dir;
+    gathers = Hashtbl.create 16;
+    gather_order = Queue.create ();
+    rejoins = Plan_cache.create ~capacity:reuse_capacity ();
   }
 
 let shards t = Array.length t.config.addrs
 
-let find_db t db =
-  Mutex.lock t.mu;
-  let r = Hashtbl.find_opt t.dbs db in
-  Mutex.unlock t.mu;
-  r
+let find_db t db = Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.dbs db)
 
-let set_db t db info =
-  Mutex.lock t.mu;
-  Hashtbl.replace t.dbs db info;
-  Mutex.unlock t.mu
+(* Read-modify-write of [db]'s info under one lock hold, so concurrent
+   writers never drop each other's relation names. *)
+let update_db t db f =
+  Mutex.protect t.mu (fun () ->
+      Hashtbl.replace t.dbs db (f (Hashtbl.find_opt t.dbs db)))
 
 (* Early exit from deep inside a fan-out with a ready-made response. *)
 exception Reply of Protocol.response
@@ -237,13 +272,13 @@ let line_frame header = { Hints.header; payload = [] }
 (* A data request addressed to slice [shard] of [db]: try the primary,
    then walk the replica ranks.  Each rank is a different server AND a
    different entry name, so a half-loaded replica never shadows the
-   primary silently. *)
+   primary silently.  [mk ~target entry] builds the request line; the
+   answer comes back with the server and entry that gave it. *)
 let rec data_call t conns budget ~shard ~rank ~db mk =
   let target = Ring.replica_shard t.ring ~shard ~rank in
-  match
-    send_frame t conns budget target (line_frame (mk (replica_name db ~rank)))
-  with
-  | r -> r
+  let entry = replica_name db ~rank in
+  match send_frame t conns budget target (line_frame (mk ~target entry)) with
+  | r -> (target, entry, r)
   | exception (Shard_down _ as e) ->
       if rank + 1 >= t.config.replicas then raise e
       else begin
@@ -372,7 +407,7 @@ let distribute t conns ~db database =
       (fun acc r -> StringSet.add (Relation.name r) acc)
       StringSet.empty (Database.relations database)
   in
-  set_db t db { rels; tuples = Database.size database };
+  update_db t db (fun _ -> { rels; tuples = Database.size database });
   Protocol.Ok_
     {
       summary =
@@ -413,16 +448,15 @@ let do_fact t conns ~db ~fact =
                 (write_ranks t conns ~primary_fails:true ~db ~slice:owner
                    (fun name ->
                      line_frame (Printf.sprintf "FACT %s %s" name fact))));
-          let info =
-            match find_db t db with
-            | Some i -> i
-            | None -> { rels = StringSet.empty; tuples = 0 }
-          in
-          set_db t db
-            {
-              rels = StringSet.add (Relation.name r) info.rels;
-              tuples = info.tuples + 1;
-            };
+          update_db t db (fun info ->
+              let info =
+                Option.value info
+                  ~default:{ rels = StringSet.empty; tuples = 0 }
+              in
+              {
+                rels = StringSet.add (Relation.name r) info.rels;
+                tuples = info.tuples + 1;
+              });
           Protocol.Ok_
             { summary = Printf.sprintf "%s shard=%d" db owner; payload = [] }
       | _ -> Protocol.Err "FACT: expected exactly one ground fact")
@@ -485,35 +519,140 @@ let union_segments ~name ~arity segs =
 let truncated_answer summary =
   List.mem "truncated=true" (String.split_on_char ' ' summary)
 
-(* Ship the answer of [query_text] (a query whose head relation is
-   [head_name]) from every slice and union the decoded segments.  A
-   shard that truncated its answer, or whose payload fails to decode, is
-   a clean [ERR] for the whole request: a partial reducer would be
-   silently wrong. *)
-let gather_all t conns budget ~db ~head_name ~arity query_text =
+(* The gather this coordinator last validated under [key], if still
+   held; [remember] holds a new one, dropping the oldest past
+   [reuse_capacity]. *)
+let held t key = Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.gathers key)
+
+let remember t key g =
+  Mutex.protect t.mu (fun () ->
+      if not (Hashtbl.mem t.gathers key) then begin
+        Queue.push key t.gather_order;
+        if Queue.length t.gather_order > reuse_capacity then
+          Hashtbl.remove t.gathers (Queue.pop t.gather_order)
+      end;
+      Hashtbl.replace t.gathers key g)
+
+let snap_word word =
+  if String.starts_with ~prefix:"snap=" word then
+    Some (String.sub word 5 (String.length word - 5))
+  else None
+
+let summary_snap summary =
+  List.find_map snap_word (String.split_on_char ' ' summary)
+
+(* [shipped unchanged snap=<token>]: exactly three words, which no
+   answer carrying rows can be (those always have cache=, rows=, ns=). *)
+let unchanged_snap summary =
+  match String.split_on_char ' ' summary with
+  | [ "shipped"; "unchanged"; word ] -> snap_word word
+  | _ -> None
+
+(* [Some] of every value when none is [None]. *)
+let all_some opts =
+  List.fold_right
+    (fun o acc ->
+      match (o, acc) with Some x, Some rest -> Some (x :: rest) | _ -> None)
+    opts (Some [])
+
+(* One slice of a gather.  [prior] is the slice's slot from the last
+   validated gather; when the request goes to the server and entry that
+   slot came from, it is offered as [if=<snap>], and a matching
+   [unchanged] answer reuses it.  An [unchanged] answer to any other
+   request is a malformed peer, never a reuse. *)
+let ship_slice t conns budget ~db ~slice ~arity ~prior query_text =
+  let offered ~target entry =
+    match prior with
+    | Some ({ snap = Some snap; _ } as p)
+      when p.target = target && p.entry = entry ->
+        Some (p, snap)
+    | _ -> None
+  in
+  let target, entry, resp =
+    data_call t conns budget ~shard:slice ~rank:0 ~db (fun ~target entry ->
+        match offered ~target entry with
+        | Some (_, snap) ->
+            Printf.sprintf "SHIP %s if=%s %s" entry snap query_text
+        | None -> Printf.sprintf "SHIP %s %s" entry query_text)
+  in
+  let source = Printf.sprintf "shard %d" slice in
+  let invalid fmt =
+    Printf.ksprintf (fun m -> raise (Segment.Corrupt (source ^ ": " ^ m))) fmt
+  in
+  match resp with
+  | Protocol.Ok_ { summary; _ } when truncated_answer summary ->
+      raise
+        (Reply
+           (Protocol.Err
+              (Printf.sprintf
+                 "shard %d truncated its answer; raise max-rows on the shards"
+                 slice)))
+  | Protocol.Ok_ { summary; payload } -> (
+      match (unchanged_snap summary, offered ~target entry) with
+      | Some got, Some (p, asked) when got = asked && payload = [] ->
+          Metrics.incr m_ship_unchanged;
+          Some p
+      | Some got, Some (_, asked) ->
+          invalid "unchanged at snap %s, asked about %s" got asked
+      | Some _, None -> invalid "unchanged answer to an unconditional SHIP"
+      | None, _ ->
+          let seg = decode_shipped ~source ~arity payload in
+          Metrics.incr m_ship_shipped;
+          Some { target; entry; snap = summary_snap summary; seg })
+  | Protocol.Err e when is_missing_relation e -> None
+  | Protocol.Err e ->
+      raise (Reply (Protocol.Err (Printf.sprintf "shard %d: %s" slice e)))
+
+(* Ship the answer of [q] from every slice and union the decoded
+   segments into relation [head_name].  A shard that truncated its
+   answer, or whose payload fails to decode, is a clean [ERR] for the
+   whole request: a partial reducer would be silently wrong.
+
+   Gathers are held across requests, keyed by database and
+   [Cq.cache_key q]: each slice is asked [if=] its held snapshot
+   changed, and the union is rebuilt only when some slot's token did.
+   Also returns the gather's [key] (see {!gathered}). *)
+let gather_all t conns budget ~db ~head_name q =
+  let arity = List.length q.Cq.head in
+  let rkey = Cq.cache_key q in
+  let hkey = db ^ " " ^ rkey in
+  let last = held t hkey in
+  let text = Cq.to_string q in
   try
-    List.init (shards t) (fun s ->
-        match
-          data_call t conns budget ~shard:s ~rank:0 ~db (fun name ->
-              Printf.sprintf "SHIP %s %s" name query_text)
-        with
-        | Protocol.Ok_ { summary; _ } when truncated_answer summary ->
-            raise
-              (Reply
-                 (Protocol.Err
-                    (Printf.sprintf
-                       "shard %d truncated its answer; raise max-rows on the \
-                        shards"
-                       s)))
-        | Protocol.Ok_ { payload; _ } ->
-            Some
-              (decode_shipped ~source:(Printf.sprintf "shard %d" s) ~arity
-                 payload)
-        | Protocol.Err e when is_missing_relation e -> None
-        | Protocol.Err e ->
-            raise (Reply (Protocol.Err (Printf.sprintf "shard %d: %s" s e))))
-    |> List.filter_map Fun.id
-    |> union_segments ~name:head_name ~arity
+    let slots =
+      Array.init (shards t) (fun slice ->
+          ship_slice t conns budget ~db ~slice ~arity text
+            ~prior:(Option.bind last (fun g -> g.slots.(slice))))
+    in
+    let token = function
+      | None -> Some "-"
+      | Some { snap = None; _ } -> None
+      | Some { target; entry; snap = Some snap; _ } ->
+          Some (Printf.sprintf "%d/%s/%s" target entry snap)
+    in
+    let key =
+      all_some (List.map token (Array.to_list slots))
+      |> Option.map (fun toks -> String.concat " " (rkey :: toks))
+    in
+    let union =
+      match last with
+      | Some g when key <> None && g.key = key -> g.union
+      | _ ->
+          let g =
+            {
+              slots;
+              key;
+              union =
+                union_segments ~name:head_name ~arity
+                  (List.filter_map
+                     (Option.map (fun s -> s.seg))
+                     (Array.to_list slots));
+            }
+          in
+          if key <> None then remember t hkey g;
+          g.union
+    in
+    (Relation.with_name head_name union, key)
   with Segment.Corrupt msg ->
     raise (Reply (Protocol.Err ("shard payload invalid: " ^ msg)))
 
@@ -521,10 +660,8 @@ let gather_all t conns budget ~db ~head_name ~arity query_text =
    so the whole query is co-partitioned — each answer is witnessed
    entirely on the shard owning that variable's value.  One round:
    evaluate the original query on every shard, union. *)
-let scatter_eval t conns budget ~db ~query q =
-  round (fun () ->
-      gather_all t conns budget ~db ~head_name:q.Cq.name
-        ~arity:(List.length q.Cq.head) query)
+let scatter_eval t conns budget ~db q =
+  round (fun () -> fst (gather_all t conns budget ~db ~head_name:q.Cq.name q))
 
 (* Scatter counting: under co-partitioning every satisfying valuation's
    witness tuples all carry the same first value, so the valuation is
@@ -536,19 +673,20 @@ let scatter_count t conns budget ~db ~query =
       List.fold_left ( + ) 0
         (List.init (shards t) (fun s ->
              match
-               data_call t conns budget ~shard:s ~rank:0 ~db (fun name ->
-                   Printf.sprintf "COUNT %s auto %s" name query)
+               data_call t conns budget ~shard:s ~rank:0 ~db
+                 (fun ~target:_ entry ->
+                   Printf.sprintf "COUNT %s auto %s" entry query)
              with
-             | Protocol.Ok_ { payload = [ n ]; _ }
+             | _, _, Protocol.Ok_ { payload = [ n ]; _ }
                when int_of_string_opt (String.trim n) <> None ->
                  int_of_string (String.trim n)
-             | Protocol.Ok_ _ ->
+             | _, _, Protocol.Ok_ _ ->
                  raise
                    (Reply
                       (Protocol.Err
                          (Printf.sprintf "shard %d: malformed COUNT payload" s)))
-             | Protocol.Err e when is_missing_relation e -> 0
-             | Protocol.Err e ->
+             | _, _, Protocol.Err e when is_missing_relation e -> 0
+             | _, _, Protocol.Err e ->
                  raise
                    (Reply (Protocol.Err (Printf.sprintf "shard %d: %s" s e))))))
 
@@ -602,34 +740,37 @@ let reducer q i =
    selections/semijoins (linear shard-side), the exchange moves only
    reduced relations, and the final join runs the same planner the
    single node would.  Reducers equal up to variable renaming (same
-   [Cq.cache_key]) are gathered once and aliased. *)
+   [Cq.cache_key]) are gathered once and aliased.  Besides the scratch
+   database and the rewritten query, returns the re-join's identity:
+   every gather's key, [None] if some gather has none. *)
 let exchange_scratch t conns budget ~db q =
   let gname i = Printf.sprintf "gx%d" i in
   let shipped = Hashtbl.create 4 in
   let gathered =
     round (fun () ->
         List.mapi
-          (fun i atom ->
+          (fun i _atom ->
             let r = reducer q i in
             let key = Cq.cache_key r in
-            let rel =
+            let rel, gkey =
               match Hashtbl.find_opt shipped key with
-              | Some rel ->
+              | Some g ->
                   Metrics.incr m_reducers_reused;
-                  rel
+                  g
               | None ->
-                  let rel =
-                    gather_all t conns budget ~db ~head_name:reducer_head
-                      ~arity:(List.length atom.Atom.args) (Cq.to_string r)
+                  let g =
+                    gather_all t conns budget ~db ~head_name:reducer_head r
                   in
-                  Hashtbl.add shipped key rel;
-                  rel
+                  Hashtbl.add shipped key g;
+                  g
             in
-            Relation.with_name (gname i) rel)
+            (Relation.with_name (gname i) rel, gkey))
           q.Cq.body)
   in
   let scratch =
-    List.fold_left (fun acc r -> Database.add r acc) Database.empty gathered
+    List.fold_left
+      (fun acc (r, _) -> Database.add r acc)
+      Database.empty gathered
   in
   let rewritten =
     Cq.make ~name:q.Cq.name ~constraints:q.Cq.constraints ~head:q.Cq.head
@@ -637,23 +778,44 @@ let exchange_scratch t conns budget ~db q =
          (fun i atom -> Atom.make (gname i) atom.Atom.args)
          q.Cq.body)
   in
-  (scratch, rewritten)
+  let key =
+    Option.map (String.concat "\n") (all_some (List.map snd gathered))
+  in
+  (scratch, rewritten, key)
+
+(* Round 2: the re-join, compiled once per re-join identity and held in
+   [t.rejoins] — the same gathers always build the same scratch rows.
+   [scoped] is {!Plan.scoped_key} or {!Plan.scoped_count_key}, with the
+   identity standing in for the database. *)
+let rejoin t budget ~scoped ~prepare ~exec (scratch, rewritten, key) =
+  round (fun () ->
+      let build () =
+        prepare ?budget (Plan.analyze Plan.Auto rewritten) scratch ~generation:0
+      in
+      let plan =
+        match key with
+        | None -> build ()
+        | Some db ->
+            fst
+              (Plan_cache.find_or_build t.rejoins
+                 ~key:(scoped ~db ~generation:0 Plan.Auto rewritten)
+                 build)
+      in
+      exec ?budget plan scratch rewritten)
 
 let exchange_eval t conns budget ~db q =
-  let scratch, rewritten = exchange_scratch t conns budget ~db q in
-  round (fun () ->
-      let plan = Plan.analyze Plan.Auto rewritten in
-      Plan.evaluate ?budget plan scratch rewritten)
+  rejoin t budget ~scoped:Plan.scoped_key ~prepare:Plan.prepare
+    ~exec:(Plan.evaluate ?family:None)
+    (exchange_scratch t conns budget ~db q)
 
 (* COUNT over the exchange: the same round-1 reducers (semijoin
    reduction is count-preserving — a dropped tuple takes part in no
    satisfying valuation), then the exact count computed locally on the
    scratch database. *)
 let exchange_count t conns budget ~db q =
-  let scratch, rewritten = exchange_scratch t conns budget ~db q in
-  round (fun () ->
-      let plan = Plan.analyze Plan.Auto rewritten in
-      Plan.count ?budget plan scratch rewritten)
+  rejoin t budget ~scoped:Plan.scoped_count_key ~prepare:Plan.prepare_count
+    ~exec:Plan.count
+    (exchange_scratch t conns budget ~db q)
 
 (* Shared EVAL/GATHER/COUNT core: parse, precheck the relation names
    against the coordinator's recorded schema, arm the deadline, pick
@@ -701,7 +863,7 @@ let guarded t ~db ~engine ~query ~scatter ~exchange render =
 
 let guarded_eval t conns ~db ~engine ~query render =
   guarded t ~db ~engine ~query
-    ~scatter:(fun budget q -> scatter_eval t conns budget ~db ~query q)
+    ~scatter:(fun budget q -> scatter_eval t conns budget ~db q)
     ~exchange:(fun budget q -> exchange_eval t conns budget ~db q)
     render
 
@@ -1048,7 +1210,7 @@ let handler t () =
     | Protocol.Count { db; engine; query } ->
         do_count t conns ~db ~engine ~query
     | Protocol.Gather { db; query } -> do_gather t conns ~db ~query
-    | Protocol.Ship { db; query } -> do_ship t conns ~db ~query
+    | Protocol.Ship { db; query; _ } -> do_ship t conns ~db ~query
     | Protocol.Check query -> Session.check query
     | Protocol.Explain query -> Session.explain query
     | Protocol.Digest db -> do_digest t conns ~db

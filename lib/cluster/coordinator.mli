@@ -45,6 +45,18 @@
     [truncated=true] answers [ERR] too, since a partial union would be
     silently wrong.
 
+    Gathers outlive the request.  Per database and reducer
+    {!Paradb_query.Cq.cache_key} the coordinator holds each slice's
+    last segment with the shard's [snap=] token, and asks
+    [SHIP <entry> if=<snap>] next time; an [unchanged] answer reuses
+    the segment, and the union is rebuilt only when some token changed.
+    The exchange re-join's compiled plan is cached under the gathers'
+    tokens.  Any write to a shard entry, through the coordinator or
+    not, and any shard restart changes its token.  An [unchanged]
+    answer to a request that offered no token, or naming another one,
+    is [ERR shard payload invalid: ...].  Both caches hold at most 128
+    entries ([cluster.ship.shipped], [cluster.ship.unchanged]).
+
     Results are rendered with the same canonical serialization as a
     single node ([Plan.sorted_tuples] / fact lines), so answers are
     bit-for-bit identical — the property the differential oracle's

@@ -27,8 +27,12 @@ type t = {
   io : Mutex.t;
   mutable next_generation : int;
   data_dir : string option;
+  incarnation : string;
 }
 
+(* A random nonce per catalog, i.e. per server process: a restarted
+   server counts generations from 0 again, and the nonce keeps its
+   snapshot tokens from ever equalling the ones it handed out before. *)
 let create ?data_dir () =
   {
     table = Hashtbl.create 16;
@@ -36,6 +40,9 @@ let create ?data_dir () =
     io = Mutex.create ();
     next_generation = 0;
     data_dir;
+    incarnation =
+      Printf.sprintf "%016Lx"
+        (Random.State.bits64 (Random.State.make_self_init ()));
   }
 
 let data_dir cat = cat.data_dir
@@ -66,6 +73,11 @@ let find cat name =
       Option.map
         (fun e -> (e.db, e.generation))
         (Hashtbl.find_opt cat.table name))
+
+let snap cat ~generation = Printf.sprintf "%s.%d" cat.incarnation generation
+
+let current_snap cat name =
+  Option.map (fun (_, generation) -> snap cat ~generation) (find cat name)
 
 let merge base additions =
   List.fold_left

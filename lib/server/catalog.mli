@@ -40,6 +40,17 @@ val set : t -> string -> Database.t -> unit
 (** [find cat name] — the current snapshot and its generation. *)
 val find : t -> string -> (Database.t * int) option
 
+(** [snap cat ~generation] — the snapshot token
+    [<incarnation>.<generation>] a shard's [SHIP] answer carries.  The
+    incarnation is a random nonce drawn when the catalog is created
+    (once per server process), so a restarted server never reissues a
+    token, even after its generations catch up. *)
+val snap : t -> generation:int -> string
+
+(** [current_snap cat name] — the token of entry [name]'s current
+    snapshot, [None] if there is no such entry. *)
+val current_snap : t -> string -> string option
+
 (** [load cat name db] — the [LOAD] verb.  Without a data dir this
     replaces the entry.  With one, [db] is persisted as delta segments
     (the incremental-load path) and unioned with the existing snapshot;

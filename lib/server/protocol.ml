@@ -5,7 +5,7 @@ type request =
   | Eval of { db : string; engine : string; query : string }
   | Count of { db : string; engine : string; query : string }
   | Gather of { db : string; query : string }
-  | Ship of { db : string; query : string }
+  | Ship of { db : string; query : string; if_snap : string option }
   | Check of string
   | Explain of string
   | Digest of string
@@ -104,8 +104,18 @@ let parse_request line =
   | "SHIP" -> (
       match split_word rest with
       | "", _ -> need "database name" "SHIP"
-      | db, query when trim query <> "" -> Ok (Ship { db; query = trim query })
-      | _ -> need "query" "SHIP")
+      | db, rest -> (
+          let if_snap, query =
+            match split_word rest with
+            | word, query when String.starts_with ~prefix:"if=" word ->
+                (Some (String.sub word 3 (String.length word - 3)), query)
+            | _ -> (None, rest)
+          in
+          match (if_snap, query) with
+          | Some "", _ -> need "snapshot token" "SHIP"
+          | _, query when trim query <> "" ->
+              Ok (Ship { db; query = trim query; if_snap })
+          | _ -> need "query" "SHIP"))
   | "CHECK" ->
       if trim rest = "" then need "query" "CHECK" else Ok (Check (trim rest))
   | "EXPLAIN" ->
@@ -129,7 +139,9 @@ let request_to_line = function
   | Count { db; engine; query } ->
       Printf.sprintf "COUNT %s %s %s" db engine query
   | Gather { db; query } -> Printf.sprintf "GATHER %s %s" db query
-  | Ship { db; query } -> Printf.sprintf "SHIP %s %s" db query
+  | Ship { db; query; if_snap = None } -> Printf.sprintf "SHIP %s %s" db query
+  | Ship { db; query; if_snap = Some snap } ->
+      Printf.sprintf "SHIP %s if=%s %s" db snap query
   | Check query -> "CHECK " ^ query
   | Explain query -> "EXPLAIN " ^ query
   | Digest db -> "DIGEST " ^ db

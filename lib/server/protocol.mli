@@ -17,7 +17,8 @@
                                   compiled
       GATHER <db> <query>         evaluate and answer the result as fact
                                   lines (human-readable gather)
-      SHIP <db> <query>           evaluate like GATHER; the payload is one
+      SHIP <db> [if=<snap>] <query>
+                                  evaluate like GATHER; the payload is one
                                   line, the result's segment in hex (the
                                   cluster's gather wire format)
       CHECK <query>               static analysis (no database touched)
@@ -41,7 +42,13 @@
     values survive the round-trip that bare tuple lines would not.
     [SHIP] answers the same rows as one hex line of a checksummed
     segment ({!Paradb_storage.Segment.to_hex}), unsorted; an answer over
-    the row limit carries [truncated=true] and no payload line.
+    the row limit carries [truncated=true] and no payload line.  A
+    shard's [SHIP] summary ends in [snap=<incarnation>.<generation>],
+    the catalog snapshot the answer was evaluated on
+    ({!Catalog.snap}).  [SHIP <db> if=<snap> <query>] is conditional:
+    while entry [<db>]'s current token still equals [<snap>] the shard
+    answers [OK 0 shipped unchanged snap=<snap>] without parsing or
+    running the query; otherwise it ships as usual.
 
     Responses are framed so a client never guesses where a reply ends:
 
@@ -61,7 +68,7 @@ type request =
   | Eval of { db : string; engine : string; query : string }
   | Count of { db : string; engine : string; query : string }
   | Gather of { db : string; query : string }
-  | Ship of { db : string; query : string }
+  | Ship of { db : string; query : string; if_snap : string option }
   | Check of string
   | Explain of string
   | Digest of string

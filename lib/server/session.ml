@@ -194,10 +194,11 @@ let fact_lines ?limit r =
   Encode.lines ?limit ~left:(Relation.name r ^ "(")
     ~cell:Paradb_query.Fact_format.value_to_syntax ~right:")." r
 
-(* GATHER and SHIP: evaluate with engine auto, then [render] the result. *)
+(* GATHER and SHIP: evaluate with engine auto, then [render] the plan
+   and the result. *)
 let gathered s ~db ~query render =
   with_query ~engine:"auto" ~query @@ fun kind q ->
-  evaluated s ~db ~kind q @@ fun _plan -> render
+  evaluated s ~db ~kind q render
 
 let gather_answer ~limits ~cache ~ns result =
   let rows = Relation.cardinality result in
@@ -209,7 +210,7 @@ let gather_answer ~limits ~cache ~ns result =
        (if truncated then " truncated=true" else ""))
 
 let do_gather s ~db ~query =
-  gathered s ~db ~query (gather_answer ~limits:s.shared.limits)
+  gathered s ~db ~query (fun _plan -> gather_answer ~limits:s.shared.limits)
 
 (* SHIP: evaluate exactly like GATHER, but answer the result relation as
    one payload line — its segment ([Segment.encode], checksummed) in hex.
@@ -217,20 +218,38 @@ let do_gather s ~db ~query =
    into its union.  An answer over [--max-rows] is never shipped in part:
    the summary keeps the [truncated=true] marker and the payload is
    empty, so the coordinator refuses it exactly as it refuses a
-   truncated GATHER. *)
-let ship_answer ~limits ~cache ~ns result =
+   truncated GATHER.  [snap], when given, ends the summary as
+   [snap=<token>]. *)
+let ship_answer ?snap ~limits ~cache ~ns result =
   let rows = Relation.cardinality result in
   let _, truncated = row_cap ~limits rows in
   ok
     ~payload:
       (if truncated then []
        else [ Paradb_storage.Segment.(to_hex (encode result)) ])
-    (Printf.sprintf "shipped %s cache=%s rows=%d ns=%d%s"
+    (Printf.sprintf "shipped %s cache=%s rows=%d ns=%d%s%s"
        (Relation.name result) cache rows ns
-       (if truncated then " truncated=true" else ""))
+       (if truncated then " truncated=true" else "")
+       (match snap with Some t -> " snap=" ^ t | None -> ""))
 
-let do_ship s ~db ~query =
-  gathered s ~db ~query (ship_answer ~limits:s.shared.limits)
+(* A shard's SHIP names the snapshot it was evaluated on: the generation
+   is the plan's, which [run] prepared (or found cached) under the same
+   [Catalog.find] that produced the answer — a token read afterwards
+   could name a newer snapshot than the rows.  [if=<snap>] still
+   matching the entry's current token answers [shipped unchanged]
+   before any parse, plan or run: the asker already holds those rows. *)
+let do_ship s ~db ~query ~if_snap =
+  let catalog = s.shared.catalog in
+  match if_snap with
+  | Some snap
+    when Paradb_telemetry.Mutate.enabled "ship_stale_snapshot"
+         || Catalog.current_snap catalog db = Some snap ->
+      ok ("shipped unchanged snap=" ^ snap)
+  | _ ->
+      gathered s ~db ~query @@ fun plan ->
+      ship_answer
+        ~snap:(Catalog.snap catalog ~generation:plan.Plan.generation)
+        ~limits:s.shared.limits
 
 (* DIGEST: a content fingerprint of one catalog entry, built for
    replica comparison — one [relation <name> <arity> <rows> <crc32hex>]
@@ -335,7 +354,7 @@ let verb s = function
   | Protocol.Eval { db; engine; query } -> do_eval s ~db ~engine ~query
   | Protocol.Count { db; engine; query } -> do_count s ~db ~engine ~query
   | Protocol.Gather { db; query } -> do_gather s ~db ~query
-  | Protocol.Ship { db; query } -> do_ship s ~db ~query
+  | Protocol.Ship { db; query; if_snap } -> do_ship s ~db ~query ~if_snap
   | Protocol.Check query -> check query
   | Protocol.Explain query -> explain query
   | Protocol.Digest db -> do_digest s db

@@ -70,9 +70,12 @@ val gather_answer :
     ({!Paradb_storage.Segment.encode}, {!Paradb_storage.Segment.to_hex}),
     or, when [result] has more than [limits.max_rows] rows, no payload
     and [truncated=true] in the summary — a shipped answer is never
-    partial.  Shared by sessions and the cluster coordinator. *)
+    partial.  [snap] (a shard's {!Catalog.snap} of the snapshot the
+    answer was evaluated on) ends the summary as [snap=<snap>]; the
+    coordinator, which has no snapshot of its own, omits it.  Shared by
+    sessions and the cluster coordinator. *)
 val ship_answer :
-  limits:Guard.limits -> cache:string -> ns:int ->
+  ?snap:string -> limits:Guard.limits -> cache:string -> ns:int ->
   Paradb_relational.Relation.t -> Protocol.response
 
 (** [check query] — the [CHECK] answer: the paper's cost parameters

@@ -20,6 +20,8 @@ let known =
      "compiled first-witness cut sits one step before the last head variable is bound");
     ("barrier_key_prefix",
      "compiled barrier and memo keys hash and compare only their first register");
+    ("ship_stale_snapshot",
+     "a shard answers SHIP if=<snap> with unchanged whatever its current snapshot");
   ]
 
 let known_names = List.map fst known

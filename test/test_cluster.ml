@@ -19,6 +19,8 @@ module Value = Paradb_relational.Value
 module Source = Paradb_query.Source
 module TSet = Paradb_relational.Tuple.Set
 module Segment = Paradb_storage.Segment
+module Catalog = Paradb_server.Catalog
+module Plan_cache = Paradb_server.Plan_cache
 
 let contains hay sub =
   let nh = String.length hay and ns = String.length sub in
@@ -201,19 +203,28 @@ let test_partition_split_keeps_all_relations () =
 (* ------------------------------------------------------------------ *)
 (* Coordinator end-to-end *)
 
-let with_servers n f =
-  let servers =
-    Array.init n (fun _ ->
-        Server.start ~port:0 ~workers:1
-          (Session.make_shared ~cache_capacity:16 ()))
-  in
+let shard_shared () = Session.make_shared ~cache_capacity:16 ()
+
+let with_shards shareds f =
+  let servers = Array.map (Server.start ~port:0 ~workers:1) shareds in
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun s -> try Server.stop s with _ -> ()) servers)
     (fun () -> f servers)
 
-let with_cluster ?(shards = 2) ?(replicas = 1) ?(tweak = fun c -> c) f =
-  with_servers shards @@ fun shard_servers ->
+let with_servers n f = with_shards (Array.init n (fun _ -> shard_shared ())) f
+
+(* [shareds], when given, are the shards' server-wide states, so a test
+   can write to a shard behind the coordinator's back or read its
+   catalog and plan cache. *)
+let with_cluster ?(shards = 2) ?(replicas = 1) ?(tweak = fun c -> c) ?shareds
+    f =
+  let shareds =
+    match shareds with
+    | Some a -> a
+    | None -> Array.init shards (fun _ -> shard_shared ())
+  in
+  with_shards shareds @@ fun shard_servers ->
   let addrs =
     Array.to_list
       (Array.map (fun s -> ("127.0.0.1", Server.port s)) shard_servers)
@@ -686,6 +697,16 @@ let value_on_shard ~shards ~shard =
   in
   go 0
 
+(* [facts] all land on shard 0 of two; [load_spread] adds rows owned by
+   shard 1, so both shards hold a slice of every relation of [g] (a
+   shard missing a relation answers ERR, which holds nothing). *)
+let load_spread client =
+  load_facts client;
+  let v = value_on_shard ~shards:2 ~shard:1 in
+  List.iter
+    (fun fact -> ignore (request_ok client (Printf.sprintf fact v)))
+    [ "FACT g e(%d, 2)."; "FACT g f(%d, 20)." ]
+
 (* A write whose primary is reachable succeeds even when the replica's
    shard is down — counted on cluster.write.replica_miss. *)
 let test_cluster_replica_miss_counted () =
@@ -862,18 +883,27 @@ let test_ship_matches_gather () =
   check_ship_matches_gather "coordinator" client
 
 (* A shard process that speaks the protocol through a real session but
-   damages its SHIP answers on demand: one flipped hex digit, or a
-   [truncated=true] marker with no payload. *)
+   damages its SHIP answers on demand: one flipped hex digit, a
+   [truncated=true] marker with no payload, or an [unchanged] answer
+   naming a snapshot the shard never had.  It drops every [if=], so
+   each SHIP it answers honestly ships a payload the damage can land
+   on. *)
 let damaging_handler shared mode () =
   let s = Session.create shared in
   let is_ship line =
     String.length line >= 4
     && String.uppercase_ascii (String.sub line 0 4) = "SHIP"
   in
+  let unconditional line =
+    match Protocol.parse_request line with
+    | Ok (Protocol.Ship { db; query; if_snap = Some _ }) ->
+        Protocol.request_to_line (Protocol.Ship { db; query; if_snap = None })
+    | _ -> line
+  in
   {
     Server.on_line =
       (fun line ->
-        match (Session.handle_line s line, !mode) with
+        match (Session.handle_line s (unconditional line), !mode) with
         | (Some (Protocol.Ok_ { summary; payload = [ hex ] }), k), `Flip
           when is_ship line ->
             let b = Bytes.of_string hex in
@@ -885,6 +915,11 @@ let damaging_handler shared mode () =
             ( Some
                 (Protocol.Ok_
                    { summary = summary ^ " truncated=true"; payload = [] }),
+              k )
+        | (_, k), `Unchanged when is_ship line ->
+            ( Some
+                (Protocol.Ok_
+                   { summary = "shipped unchanged snap=0.0"; payload = [] }),
               k )
         | r, _ -> r);
     on_close = ignore;
@@ -1076,6 +1111,269 @@ let test_session_ship_truncation () =
         (contains summary "truncated")
   | _ -> Alcotest.fail "SHIP within max-rows did not ship one line"
 
+(* An [unchanged] answer is valid only as the answer to an [if=] the
+   coordinator sent, naming the same snapshot.  Unasked (nothing held
+   yet) or naming another snapshot, it is a malformed peer: a clean ERR,
+   and nothing of it is reused by the next honest request. *)
+let test_unsolicited_unchanged () =
+  let mode = ref `Unchanged in
+  let fake =
+    Server.start_handler ~port:0 ~workers:1
+      ~handler:(damaging_handler (shard_shared ()) mode)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> try Server.stop fake with _ -> ())
+  @@ fun () ->
+  with_servers 2 @@ fun real ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port real.(1))
+  @@ fun single_client ->
+  load_spread single_client;
+  let coord =
+    Coordinator.create
+      (Coordinator.default_config
+         [ ("127.0.0.1", Server.port real.(0)); ("127.0.0.1", Server.port fake) ])
+  in
+  let front = Coordinator.serve coord ~port:0 ~workers:1 in
+  Fun.protect ~finally:(fun () -> try Server.stop front with _ -> ())
+  @@ fun () ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port front) @@ fun client ->
+  load_spread client;
+  let q = "ans(X, Z) :- e(X, Y), f(Y, Z)." in
+  let refused why =
+    List.iter
+      (fun (verb, r) ->
+        match r with
+        | Ok _ -> Alcotest.failf "%s (%s) answered OK" verb why
+        | Error e ->
+            if not (contains e "shard payload invalid" && contains e why) then
+              Alcotest.failf "%s: ERR %S lacks %S" verb e why)
+      [ ("EVAL", eval_on client q); ("COUNT", count_on client q) ]
+  in
+  let honest () =
+    mode := `Honest;
+    List.iter
+      (fun on ->
+        Alcotest.(check (result (list string) string))
+          "the next honest answer" (on single_client q) (on client q))
+      [ eval_on; count_on ]
+  in
+  refused "unconditional";
+  honest ();
+  mode := `Unchanged;
+  refused "unchanged at snap 0.0";
+  honest ()
+
+(* The property snapshot validation rests on: a repeated request gets
+   the same bytes, and no shard evaluates anything or ships a payload
+   for it — each held segment is confirmed with a small [unchanged]
+   answer.  Scatter COUNT sums shard COUNTs and holds nothing; it only
+   has to stay identical. *)
+let test_repeat_ships_nothing () =
+  let unchanged = Metrics.counter "cluster.ship.unchanged"
+  and shipped = Metrics.counter "cluster.ship.shipped"
+  and bytes_in = Metrics.counter "cluster.bytes_in" in
+  with_servers 1 @@ fun single ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port single.(0))
+  @@ fun single_client ->
+  load_spread single_client;
+  let shareds = Array.init 2 (fun _ -> shard_shared ()) in
+  let runs () =
+    Array.to_list shareds
+    |> List.map (fun sh ->
+           let c = Plan_cache.counters sh.Session.cache in
+           c.Plan_cache.hits + c.Plan_cache.misses)
+  in
+  with_cluster ~shareds @@ fun ~shard_servers:_ ~client ->
+  load_spread client;
+  List.iter
+    (fun (verb, q, holds) ->
+      let line = Printf.sprintf "%s g auto %s" verb q in
+      let _, first = request_ok client line in
+      Alcotest.(check (list string))
+        (line ^ ": single node")
+        (snd (request_ok single_client line))
+        first;
+      let u0 = Metrics.counter_value unchanged
+      and s0 = Metrics.counter_value shipped
+      and b0 = Metrics.counter_value bytes_in
+      and r0 = runs () in
+      let _, again = request_ok client line in
+      Alcotest.(check (list string)) (line ^ ": repeat") first again;
+      Alcotest.(check int) (line ^ ": nothing shipped") s0
+        (Metrics.counter_value shipped);
+      if holds then begin
+        let u = Metrics.counter_value unchanged - u0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: both shards confirmed (%d)" line u)
+          true (u >= 2);
+        let b = Metrics.counter_value bytes_in - b0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d bytes in for %d unchanged answers" line b u)
+          true (b <= 64 * u);
+        Alcotest.(check (list int)) (line ^ ": no shard evaluated") r0 (runs ())
+      end)
+    [
+      ("EVAL", "ans(X, Y) :- e(X, Y), e(X, Z), Y != Z.", true);
+      ("COUNT", "ans(X, Y) :- e(X, Y), e(X, Z), Y != Z.", false);
+      ("EVAL", "ans(X, Z) :- e(X, Y), f(Y, Z).", true);
+      ("COUNT", "ans(X, Z) :- e(X, Y), f(Y, Z).", true);
+    ];
+  let _, stats = request_ok client "STATS" in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("STATS carries " ^ name) true
+        (List.exists (fun l -> contains l ("telemetry." ^ name)) stats))
+    [ "cluster.ship.unchanged"; "cluster.ship.shipped" ]
+
+(* A write invalidates only what it touched: after a FACT through the
+   coordinator, the owner shard re-runs its reducers and the other shard
+   confirms its held ones.  Shard-side evaluations are read off each
+   shard's plan cache, which an [unchanged] answer never consults. *)
+let test_fact_reships_owner_only () =
+  with_servers 1 @@ fun single ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port single.(0))
+  @@ fun single_client ->
+  load_spread single_client;
+  let shareds = Array.init 2 (fun _ -> shard_shared ()) in
+  let runs i =
+    let c = Plan_cache.counters shareds.(i).Session.cache in
+    c.Plan_cache.hits + c.Plan_cache.misses
+  in
+  with_cluster ~shareds @@ fun ~shard_servers:_ ~client ->
+  load_spread client;
+  let q = "ans(X, Z) :- e(X, Y), f(Y, Z)." in
+  let line = "EVAL g auto " ^ q in
+  ignore (request_ok client line);
+  let v = value_on_shard ~shards:2 ~shard:0 in
+  let fact = Printf.sprintf "FACT g e(%d, 3)." v in
+  ignore (request_ok single_client fact);
+  ignore (request_ok client fact);
+  let r0 = runs 0 and r1 = runs 1 in
+  Alcotest.(check (list string)) "answer after the FACT"
+    (snd (request_ok single_client line))
+    (snd (request_ok client line));
+  Alcotest.(check bool) "the owner re-ships" true (runs 0 > r0);
+  Alcotest.(check int) "the other shard ships nothing" r1 (runs 1)
+
+(* A FACT sent straight to a shard, behind the coordinator's back, still
+   bumps that shard's snapshot: the coordinator's next answer has it. *)
+let test_direct_shard_fact_visible () =
+  with_servers 1 @@ fun single ->
+  Client.with_connection ~timeout:30.0 ~port:(Server.port single.(0))
+  @@ fun single_client ->
+  load_spread single_client;
+  let shareds = Array.init 2 (fun _ -> shard_shared ()) in
+  with_cluster ~shareds @@ fun ~shard_servers:_ ~client ->
+  load_spread client;
+  let lines =
+    [
+      "EVAL g auto ans(X, Y) :- e(X, Y), e(X, Z), Y != Z.";
+      "EVAL g auto ans(X, Z) :- e(X, Y), f(Y, Z).";
+      "COUNT g auto ans(X, Z) :- e(X, Y), f(Y, Z).";
+    ]
+  in
+  List.iter (fun l -> ignore (request_ok client l)) lines;
+  let v = value_on_shard ~shards:2 ~shard:1 in
+  let fact = Printf.sprintf "e(%d, 3)." v in
+  ignore (request_ok single_client ("FACT g " ^ fact));
+  (match
+     Session.handle_line (Session.create shareds.(1)) ("FACT g " ^ fact)
+   with
+  | Some (Protocol.Ok_ _), _ -> ()
+  | _ -> Alcotest.fail "FACT straight to the shard failed");
+  List.iter
+    (fun l ->
+      Alcotest.(check (list string)) (l ^ " sees the shard's own FACT")
+        (snd (request_ok single_client l))
+        (snd (request_ok client l)))
+    lines
+
+(* A shard restarted on its port, then written to until its generation
+   equals the one the coordinator holds a token for, differs only in
+   incarnation — which is enough: its SHIP re-ships, and the answer is
+   the new shard's rows, not the held ones. *)
+let test_restarted_shard_reships () =
+  let shipped = Metrics.counter "cluster.ship.shipped" in
+  let shareds = Array.init 2 (fun _ -> shard_shared ()) in
+  with_cluster ~shareds @@ fun ~shard_servers ~client ->
+  load_spread client;
+  let line = "EVAL g auto ans(X, Y) :- e(X, Y)." in
+  ignore (request_ok client line);
+  let generation sh =
+    match Catalog.find sh.Session.catalog "g" with
+    | Some (_, g) -> g
+    | None -> -1
+  in
+  let old = generation shareds.(1) in
+  Alcotest.(check bool) "shard 1 holds a slice" true (old >= 0);
+  let port1 = Server.port shard_servers.(1) in
+  Server.stop shard_servers.(1);
+  let revived = shard_shared () in
+  let s = Session.create revived in
+  let v = value_on_shard ~shards:2 ~shard:1 in
+  while generation revived < old do
+    ignore (Session.handle_line s (Printf.sprintf "FACT g e(%d, 999)." v))
+  done;
+  Alcotest.(check int) "same generation, new incarnation" old
+    (generation revived);
+  Alcotest.(check bool) "different token" true
+    (Catalog.current_snap revived.Session.catalog "g"
+    <> Catalog.current_snap shareds.(1).Session.catalog "g");
+  let server = Server.start ~port:port1 ~workers:1 revived in
+  Fun.protect ~finally:(fun () -> try Server.stop server with _ -> ())
+  @@ fun () ->
+  let ring = Ring.create ~shards:2 () in
+  let on_shard0 =
+    List.filter_map
+      (fun l ->
+        Scanf.sscanf l "FACT g %[a-z](%d, %d)." (fun r a b ->
+            if r = "e" && Ring.owner_of_value ring (Value.int a) = 0 then
+              Some (Printf.sprintf "(%d, %d)" a b)
+            else None))
+      facts
+  in
+  let s0 = Metrics.counter_value shipped in
+  Alcotest.(check (list string)) "the restarted shard's rows"
+    (List.sort compare (Printf.sprintf "(%d, 999)" v :: on_shard0))
+    (List.sort compare (snd (request_ok client line)));
+  Alcotest.(check bool) "re-shipped" true (Metrics.counter_value shipped > s0)
+
+(* Two connections FACT distinct new relations at once.  Each FACT
+   adds its relation name to the coordinator's record of [g]; a
+   read-then-write of that record in two lock holds lets one writer drop
+   the other's name, and a later query over it answers "missing". *)
+let test_concurrent_facts_keep_every_relation () =
+  let shared = Session.make_shared ~cache_capacity:16 () in
+  let shard = Server.start ~port:0 ~workers:2 shared in
+  Fun.protect ~finally:(fun () -> try Server.stop shard with _ -> ())
+  @@ fun () ->
+  let coord =
+    Coordinator.create
+      (Coordinator.default_config [ ("127.0.0.1", Server.port shard) ])
+  in
+  let per_writer = 5000 in
+  let writer tag () =
+    let h = Coordinator.handler coord () in
+    Fun.protect ~finally:h.Server.on_close @@ fun () ->
+    for i = 1 to per_writer do
+      match h.Server.on_line (Printf.sprintf "FACT g %s%d(%d)." tag i i) with
+      | Some (Protocol.Ok_ _), _ -> ()
+      | _ -> failwith (Printf.sprintf "FACT %s%d failed" tag i)
+    done
+  in
+  let a = Domain.spawn (writer "a") and b = Domain.spawn (writer "b") in
+  Domain.join a;
+  Domain.join b;
+  let h = Coordinator.handler coord () in
+  Fun.protect ~finally:h.Server.on_close @@ fun () ->
+  match h.Server.on_line "STATS" with
+  | Some (Protocol.Ok_ { payload; _ }), _ ->
+      Alcotest.(check (list string))
+        "every relation recorded"
+        [ Printf.sprintf "db.g.relations %d" (2 * per_writer) ]
+        (List.filter (String.starts_with ~prefix:"db.g.relations ") payload)
+  | _ -> Alcotest.fail "STATS failed"
+
 let test_coordinator_validation () =
   let rejects config =
     match Coordinator.create config with
@@ -1134,6 +1432,8 @@ let () =
             test_cluster_count_failover;
           Alcotest.test_case "shard loss without replica" `Quick
             test_cluster_shard_loss_without_replica;
+          Alcotest.test_case "concurrent FACTs keep every relation" `Quick
+            test_concurrent_facts_keep_every_relation;
           Alcotest.test_case "config validation" `Quick
             test_coordinator_validation;
         ] );
@@ -1147,6 +1447,16 @@ let () =
             test_repair_refuses_damaged_scan;
           Alcotest.test_case "triangle reuses reducers" `Quick
             test_triangle_reuses_reducers;
+          Alcotest.test_case "unsolicited unchanged answer" `Quick
+            test_unsolicited_unchanged;
+          Alcotest.test_case "repeat ships nothing" `Quick
+            test_repeat_ships_nothing;
+          Alcotest.test_case "FACT re-ships the owner only" `Quick
+            test_fact_reships_owner_only;
+          Alcotest.test_case "FACT straight to a shard is seen" `Quick
+            test_direct_shard_fact_visible;
+          Alcotest.test_case "restarted shard re-ships" `Quick
+            test_restarted_shard_reships;
           Alcotest.test_case "session times SHIP" `Quick
             test_session_times_ship;
           Alcotest.test_case "SHIP over max-rows ships nothing" `Quick

@@ -278,6 +278,12 @@ let test_mutant_barrier_key_prefix () =
   check_mutant_caught ~mutant:"barrier_key_prefix"
     ~engines:[ "compiled"; "count-compiled" ] ()
 
+(* A shard that confirms any held snapshot lets the coordinator reuse
+   segments gathered from an earlier case's data: the cluster engine
+   re-LOADs for every case, so the stale answer diverges. *)
+let test_mutant_ship_stale_snapshot () =
+  check_mutant_caught ~mutant:"ship_stale_snapshot" ~engines:[ "cluster" ] ()
+
 let test_unknown_mutant_rejected () =
   with_mutation "not_a_mutant" @@ fun () ->
   Alcotest.(check bool) "raises" true
@@ -328,6 +334,8 @@ let () =
             test_mutant_exists_cut_early;
           Alcotest.test_case "barrier key prefix" `Quick
             test_mutant_barrier_key_prefix;
+          Alcotest.test_case "ship stale snapshot" `Quick
+            test_mutant_ship_stale_snapshot;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

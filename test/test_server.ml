@@ -31,7 +31,10 @@ let test_parse_request () =
     (Protocol.Eval { db = "g"; engine = "auto"; query = "ans(X) :- e(X, Y)." });
   ok "CHECK ans(X) :- e(X, X)." (Protocol.Check "ans(X) :- e(X, X).");
   ok "ship g  gx(X) :- e(X, Y)"
-    (Protocol.Ship { db = "g"; query = "gx(X) :- e(X, Y)" });
+    (Protocol.Ship { db = "g"; query = "gx(X) :- e(X, Y)"; if_snap = None });
+  ok "SHIP g if=0f.7 gx(X) :- e(X, Y)"
+    (Protocol.Ship
+       { db = "g"; query = "gx(X) :- e(X, Y)"; if_snap = Some "0f.7" });
   ok "DIGEST g" (Protocol.Digest "g");
   ok "repair g" (Protocol.Repair "g");
   ok "stats" Protocol.Stats;
@@ -48,6 +51,8 @@ let test_parse_request () =
   err "EVAL g auto";
   err "CHECK";
   err "SHIP g";
+  err "SHIP g if=0f.7";
+  err "SHIP g if= gx(X) :- e(X, Y)";
   err "DIGEST";
   err "REPAIR";
   err "FROB g"
@@ -64,7 +69,14 @@ let test_request_line_roundtrip () =
       Protocol.Fact { db = "g"; fact = "edge(1, 2)." };
       Protocol.Eval { db = "g"; engine = "fpt"; query = "ans(X) :- e(X, Y), X != Y." };
       Protocol.Check "ans() :- e(X, X).";
-      Protocol.Ship { db = "g"; query = "gx(X, 1) :- e(X, 1), X != 2" };
+      Protocol.Ship
+        { db = "g"; query = "gx(X, 1) :- e(X, 1), X != 2"; if_snap = None };
+      Protocol.Ship
+        {
+          db = "g@r1";
+          query = "gx(X, 1) :- e(X, 1), X != 2";
+          if_snap = Some "00c0ffee00c0ffee.12";
+        };
       Protocol.Digest "g";
       Protocol.Repair "g";
       Protocol.Stats;
