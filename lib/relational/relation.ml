@@ -351,6 +351,71 @@ let sort_merge_join r1 r2 =
     ~schema_array:(Array.append r1.schema (Array.of_list extra))
     ~dict:r1.dict rows
 
+let m_semijoin_probe = Paradb_telemetry.Metrics.counter "relation.semijoin.probe"
+let m_semijoin_scan = Paradb_telemetry.Metrics.counter "relation.semijoin.scan"
+
+(* [r2] at most [1 / probe_ratio] the size of [r1] takes the probe side. *)
+let probe_ratio = 4
+
+(* Probe side of [r1 ⋉ r2]: the ids of [r1]'s rows matching a distinct
+   key of [r2], walked through [r1]'s memoized index.  Each row of [r1]
+   matches at most one distinct key, so the walk is |r2| + (matches)
+   and the ids come out distinct.  A row of [r2] stands for its key iff
+   it is the first its own key's chain yields. *)
+let probe_matches r1 key1 r2 key2 =
+  let ids = ref (Array.make 16 0) and m = ref 0 in
+  let push i =
+    if !m = Array.length !ids then begin
+      let a = Array.make (2 * !m) 0 in
+      Array.blit !ids 0 a 0 !m;
+      ids := a
+    end;
+    !ids.(!m) <- i;
+    incr m
+  in
+  (* Mutation hook: keep only the first matched row of each key. *)
+  let first_only = Paradb_telemetry.Mutate.enabled "semijoin_probe_first_only" in
+  let n2 = cardinality r2 in
+  if n2 > 0 then begin
+    let idx2 = key_index r2 key2 and idx1 = key_index r1 key1 in
+    let rows2 = rows r2 in
+    for j = 0 to n2 - 1 do
+      let key = rows2.(j) in
+      if probe_first r2 idx2 key key2 = j then begin
+        let i = ref (probe_first r1 idx1 key key2) in
+        while !i >= 0 do
+          push !i;
+          i := if first_only then -1 else probe_next r1 idx1 key key2 !i
+        done
+      end
+    done
+  end;
+  (!ids, !m)
+
+(* The kept ids [ids.(0..m-1)] (distinct, any order) as [r1]'s rows in
+   row-id order: sort the ids when few, mark and sweep when many. *)
+let rows_in_order r1 ids m =
+  let n = cardinality r1 and rows1 = rows r1 in
+  if 16 * m < n then begin
+    let ids = Array.sub ids 0 m in
+    Array.sort (fun (a : int) b -> compare a b) ids;
+    Array.map (fun i -> rows1.(i)) ids
+  end
+  else begin
+    let mark = Bytes.make n '\000' in
+    for j = 0 to m - 1 do
+      Bytes.unsafe_set mark ids.(j) '\001'
+    done;
+    let kept = Array.make m [||] and k = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get mark i <> '\000' then begin
+        kept.(!k) <- rows1.(i);
+        incr k
+      end
+    done;
+    kept
+  end
+
 let semijoin r1 r2 =
   let r2 = recode_into r1.dict r2 in
   let common = common_attrs r1 r2 in
@@ -367,22 +432,35 @@ let semijoin r1 r2 =
   | _ ->
       (* The kept rows are a subset of a set, collected in r1's order:
          seal them instead of rehashing, and when nothing is dropped
-         return r1 itself so its memoized indexes stay live. *)
+         return r1 itself so its memoized indexes stay live.  A small r2
+         probes r1's index with its distinct keys, so the cost is the
+         rows matched, not |r1|; otherwise every row of r1 probes r2's. *)
       let key1 = positions r1 common and key2 = positions r2 common in
-      let idx = key_index r2 key2 in
       let n = cardinality r1 in
-      let kept = Array.make n [||] and k = ref 0 in
-      Row_set.iter
-        (fun row ->
-          if probe_mem r2 idx row key1 then begin
-            kept.(!k) <- row;
-            incr k
-          end)
-        r1.rows;
-      if !k = n then r1
-      else
-        make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict
-          (Row_set.of_unique_array kept !k)
+      let sealed kept k =
+        if k = n then r1
+        else
+          make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict
+            (Row_set.of_unique_array kept k)
+      in
+      if probe_ratio * cardinality r2 <= n then begin
+        Paradb_telemetry.Metrics.incr m_semijoin_probe;
+        let ids, m = probe_matches r1 key1 r2 key2 in
+        if m = n then r1 else sealed (rows_in_order r1 ids m) m
+      end
+      else begin
+        Paradb_telemetry.Metrics.incr m_semijoin_scan;
+        let idx = key_index r2 key2 in
+        let kept = Array.make n [||] and k = ref 0 in
+        Row_set.iter
+          (fun row ->
+            if probe_mem r2 idx row key1 then begin
+              kept.(!k) <- row;
+              incr k
+            end)
+          r1.rows;
+        sealed kept !k
+      end
 
 (* Reorder r2's columns to match r1's schema; fail if attribute sets
    differ. *)

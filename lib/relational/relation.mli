@@ -90,12 +90,23 @@ val sort_merge_join : t -> t -> t
     (including 0-ary [s] holding the empty tuple), the empty relation over
     [r]'s schema when [s] is empty.
 
-    When no row of [r] is dropped the result is [r] itself (physically),
-    so [r]'s memoized key indexes serve later probes.  Otherwise the kept
-    rows, in [r]'s order, form a sealed row store (no dedup hashing; the
-    probe table is built on a first [mem]/[add]) and a fresh index memo.
-    [r] is only read densely and [s] only through its locked index memo,
-    so both may be shared across domains. *)
+    The result holds exactly the rows of [r] that match, in [r]'s row
+    order ({!rows}).  When no row of [r] is dropped it is [r] itself
+    (physically), so [r]'s memoized key indexes serve later probes.
+    Otherwise the kept rows form a sealed row store (no dedup hashing;
+    the probe table is built on a first [mem]/[add]) and a fresh index
+    memo.
+
+    Two sides compute it.  When [s] has at most a quarter of [r]'s rows,
+    each distinct join key of [s] walks [r]'s memoized index on the
+    common columns (built and memoized on first use, and shared by
+    views of a base), and the matched row ids are put back in [r]'s
+    order: |s| + |result| work once the index exists, not |r|.
+    Otherwise every row of [r] probes [s]'s index.  Either way [r] and
+    [s] are only read densely and through their locked index memos, so
+    both may be shared across domains.  The counters
+    [relation.semijoin.probe] and [relation.semijoin.scan] record which
+    side each semijoin with common attributes took. *)
 val semijoin : t -> t -> t
 
 val union : t -> t -> t

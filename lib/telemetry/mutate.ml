@@ -22,6 +22,8 @@ let known =
      "compiled barrier and memo keys hash and compare only their first register");
     ("ship_stale_snapshot",
      "a shard answers SHIP if=<snap> with unchanged whatever its current snapshot");
+    ("semijoin_probe_first_only",
+     "the probe side of a semijoin keeps only the first matched row of each key");
   ]
 
 let known_names = List.map fst known

@@ -29,7 +29,7 @@ echo "mutation_smoke: clean run ok ($CASES cases)"
 for mutant in semijoin_off_by_one drop_neq color_count probe_key_swap \
               sum_instead_of_max count_dedup_drop materialize_drop_eq \
               ship_drop_row exists_cut_early barrier_key_prefix \
-              ship_stale_snapshot; do
+              ship_stale_snapshot semijoin_probe_first_only; do
   set +e
   out=$(PARADB_MUTATE=$mutant "$PARADB" fuzz --seed "$SEED" --cases "$CASES")
   status=$?

@@ -284,6 +284,12 @@ let test_mutant_barrier_key_prefix () =
 let test_mutant_ship_stale_snapshot () =
   check_mutant_caught ~mutant:"ship_stale_snapshot" ~engines:[ "cluster" ] ()
 
+(* Keeping one row per probed key drops the other rows of [r] that
+   share it: any engine's reduced relation loses answers. *)
+let test_mutant_semijoin_probe_first_only () =
+  check_mutant_caught ~mutant:"semijoin_probe_first_only"
+    ~engines:[ "compiled"; "yannakakis" ] ()
+
 let test_unknown_mutant_rejected () =
   with_mutation "not_a_mutant" @@ fun () ->
   Alcotest.(check bool) "raises" true
@@ -336,6 +342,8 @@ let () =
             test_mutant_barrier_key_prefix;
           Alcotest.test_case "ship stale snapshot" `Quick
             test_mutant_ship_stale_snapshot;
+          Alcotest.test_case "semijoin probe first only" `Quick
+            test_mutant_semijoin_probe_first_only;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

@@ -464,6 +464,27 @@ let test_count_allocation () =
   if words > 2048. then
     Alcotest.failf "star count allocated %.0f words for %d valuations" words n
 
+(* Output-sensitive compile: once the base's column indexes exist, an
+   anchored query's semijoins probe them with the few rows its selection
+   keeps, so compiling costs the rows reached, not n.  A scan of the
+   200k-row [e] keeping any per-row array allocates 1.6 MB. *)
+let test_anchored_compile_allocation () =
+  (* four distinct out-edges per node *)
+  let db = edge (List.init 200_000 (fun i -> (i / 4, ((i * 7919) + 1) mod 50_000))) in
+  let e = Database.find db "e" in
+  ignore (Relation.hash_index e [| 0 |]);
+  ignore (Relation.hash_index e [| 1 |]);
+  let p = plan "ans(Z) :- e(1, Y), e(Y, Z)." in
+  let before = Gc.allocated_bytes () in
+  let exec = Compile.compile p db in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "answers = naive"
+    (Relation.cardinality (Cq_naive.evaluate db p.Planner.query))
+    (Relation.cardinality (Compile.run exec));
+  if bytes > 65536. then
+    Alcotest.failf "anchored compile over %d edges allocated %.0f bytes \
+                    (bound 65536)" (Relation.cardinality e) bytes
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -492,6 +513,8 @@ let () =
             test_run_allocation;
           Alcotest.test_case "count allocates per memo key only" `Quick
             test_count_allocation;
+          Alcotest.test_case "anchored compile allocates per reached row"
+            `Quick test_anchored_compile_allocation;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -11,6 +11,7 @@ module Database = Paradb_relational.Database
 module Engine = Paradb_core.Engine
 module Hashing = Paradb_core.Hashing
 module Generators = Paradb_workload.Generators
+module Metrics = Paradb_telemetry.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Reference implementations: nested loops and ordered sets, no
@@ -133,6 +134,69 @@ let equivalence_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Semijoin order: both sides of [Relation.semijoin] — probing [r]'s
+   index with the keys of a small [s], or scanning [r] against [s]'s
+   index — keep exactly the rows of [r] that match, in [r]'s order. *)
+
+let semijoin_probe = Metrics.counter "relation.semijoin.probe"
+let semijoin_scan = Metrics.counter "relation.semijoin.scan"
+
+(* The rows of [r] matching some row of [s], in [r]'s order: a linear
+   search over [s]'s decoded keys, no index. *)
+let ref_semijoin_rows r s =
+  let common = Relation.common_attrs r s in
+  let pr = Relation.positions r common and ps = Relation.positions s common in
+  let keys = List.map (fun t -> Tuple.sub t ps) (Relation.tuples s) in
+  let decode row = Array.map (Relation.decode_value r) row in
+  List.filter
+    (fun row ->
+      let k = Tuple.sub (decode row) pr in
+      List.exists (Tuple.equal k) keys)
+    (Array.to_list (Array.sub (Relation.rows r) 0 (Relation.cardinality r)))
+
+let semijoin_rows r s =
+  let got = Relation.semijoin r s in
+  Array.to_list (Array.sub (Relation.rows got) 0 (Relation.cardinality got))
+
+(* [r] up to 64 rows over a small domain (so keys repeat on both sides);
+   [s] half the time at most |r| / 8 rows, which takes the probe side. *)
+let sized_pair rng =
+  let s1, s2 = schemas rng in
+  let domain_size = 2 + Random.State.int rng 8 in
+  let rel schema tuples =
+    Qgen.random_relation rng ~name:"r" ~arity:(List.length schema) ~domain_size
+      ~tuples
+    |> Relation.rename_positional schema
+  in
+  let r = rel s1 (Random.State.int rng 65) in
+  let small = Random.State.bool rng in
+  let s_tuples =
+    if small then Random.State.int rng (1 + (Relation.cardinality r / 8))
+    else Random.State.int rng 17
+  in
+  (r, rel s2 s_tuples)
+
+let test_semijoin_order () =
+  let cases = 400 in
+  let probe0 = Metrics.counter_value semijoin_probe
+  and scan0 = Metrics.counter_value semijoin_scan in
+  for seed = 0 to cases - 1 do
+    let r, s = sized_pair (Random.State.make [| seed |]) in
+    if Relation.common_attrs r s <> [] && semijoin_rows r s <> ref_semijoin_rows r s
+    then
+      Alcotest.failf "seed %d: semijoin rows differ from r's matching rows in \
+                      r's order" seed
+  done;
+  let probes = Metrics.counter_value semijoin_probe - probe0
+  and scans = Metrics.counter_value semijoin_scan - scan0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "probe side ran often (%d of %d)" probes cases)
+    true (probes >= cases / 8);
+  Alcotest.(check bool)
+    (Printf.sprintf "scan side ran often (%d of %d)" scans cases)
+    true (scans >= cases / 8)
+
+(* ------------------------------------------------------------------ *)
 (* Parallel trials must give bit-identical answers to sequential ones. *)
 
 let with_domains n f =
@@ -190,6 +254,11 @@ let () =
   Alcotest.run "relation-equiv"
     [
       ("equivalence", List.map QCheck_alcotest.to_alcotest equivalence_tests);
+      ( "semijoin order",
+        [
+          Alcotest.test_case "rows in r's order, both sides" `Quick
+            test_semijoin_order;
+        ] );
       ( "parallel determinism",
         [
           Alcotest.test_case "satisfiable verdict" `Quick

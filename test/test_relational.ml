@@ -138,6 +138,84 @@ let test_semijoin () =
   Alcotest.(check bool) "empty other side" true
     (Relation.is_empty (Relation.semijoin r_edges empty_t))
 
+(* The probe side of [semijoin]: an [s] at most a quarter of [r] walks
+   [r]'s memoized index with its distinct keys.  It must keep the same
+   rows, in [r]'s order, as the scan side. *)
+module Dictionary = Paradb_relational.Dictionary
+module Metrics = Paradb_telemetry.Metrics
+
+let semijoin_probe = Metrics.counter "relation.semijoin.probe"
+
+let probes f =
+  let before = Metrics.counter_value semijoin_probe in
+  let x = f () in
+  (x, Metrics.counter_value semijoin_probe - before)
+
+let row_list r = Array.to_list (Array.sub (Relation.rows r) 0 (Relation.cardinality r))
+
+(* 64 edges (i, i mod 8): every key of column b repeats 8 times. *)
+let fan = rel "e" [ "a"; "b" ] (List.init 64 (fun i -> [ i; i mod 8 ]))
+
+let expect_fan_rows name keys got =
+  let ints row = List.map (fun c -> Value.to_int (Relation.decode_value got c)) row in
+  Alcotest.(check (list (list int))) name
+    (List.filter_map
+       (fun i -> if List.mem (i mod 8) keys then Some [ i; i mod 8 ] else None)
+       (List.init 64 Fun.id))
+    (List.map (fun row -> ints (Array.to_list row)) (row_list got))
+
+let test_semijoin_probe_side () =
+  (* duplicate join keys in s: each key is probed once, its rows kept once *)
+  let s = rel "s" [ "b"; "c" ] [ [ 3; 0 ]; [ 5; 1 ]; [ 3; 2 ]; [ 3; 3 ] ] in
+  let got, n = probes (fun () -> Relation.semijoin fan s) in
+  check_cardinality "probe side taken" 1 n;
+  expect_fan_rows "duplicate keys: r's matching rows, in r's order" [ 3; 5 ] got;
+  (* s under a private dictionary is recoded into r's first *)
+  let dict = Dictionary.create () in
+  ignore (Dictionary.intern dict (Value.Str "shifts every code"));
+  let s =
+    Relation.create ~dict ~name:"s" ~schema:[ "b" ]
+      (List.map Tuple.of_ints [ [ 6 ]; [ 1 ]; [ 42 ] ])
+  in
+  let got, n = probes (fun () -> Relation.semijoin fan s) in
+  check_cardinality "probe side taken" 1 n;
+  expect_fan_rows "private dictionary" [ 1; 6 ] got;
+  (* the same s, large enough for the scan side, agrees *)
+  let big =
+    Relation.create ~dict ~name:"s" ~schema:[ "b" ]
+      (List.init 20 (fun i -> Tuple.of_ints [ (i * 5) + 1 ]))
+  in
+  let got, n = probes (fun () -> Relation.semijoin fan big) in
+  check_cardinality "scan side taken" 0 n;
+  expect_fan_rows "scan side, private dictionary" [ 1; 6 ] got;
+  (* nothing dropped: r itself, physically *)
+  let all = rel "s" [ "b" ] (List.init 8 (fun i -> [ i ])) in
+  let got, n = probes (fun () -> Relation.semijoin fan all) in
+  check_cardinality "probe side taken" 1 n;
+  Alcotest.(check bool) "nothing dropped returns r" true (got == fan);
+  (* no key matches: empty, with r's schema *)
+  let none = rel "s" [ "b" ] [ [ 99 ] ] in
+  let got = Relation.semijoin fan none in
+  Alcotest.(check bool) "no match is empty" true (Relation.is_empty got);
+  Alcotest.(check (list string)) "keeps r's schema" [ "a"; "b" ]
+    (Relation.schema_list got)
+
+(* Two domains probing one shared base view at once — racing to build
+   its key index — get the rows a sequential semijoin gets. *)
+let test_semijoin_shared_view_domains () =
+  let n = 20_000 in
+  let base = rel "e" [ "x"; "y" ] (List.init n (fun i -> [ i mod 500; i ])) in
+  let view () = Relation.rename_positional [ "a"; "b" ] base in
+  let s = rel "s" [ "a" ] [ [ 7 ]; [ 123 ]; [ 499 ] ] in
+  let sj () = row_list (Relation.semijoin (view ()) s) in
+  let d1 = Domain.spawn sj and d2 = Domain.spawn sj in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let keys = List.map (fun row -> row.(0)) (row_list s) in
+  let expected = List.filter (fun row -> List.mem row.(0) keys) (row_list base) in
+  check_cardinality "matched rows" 120 (List.length expected);
+  Alcotest.(check bool) "domain 1 = sequential reference" true (r1 = expected);
+  Alcotest.(check bool) "domain 2 = domain 1" true (r2 = r1)
+
 (* Degenerate shapes: empty sides, empty common-attribute sets, 0-ary
    operands.  These are the cartesian-guard corners of semijoin /
    natural_join / product. *)
@@ -490,6 +568,10 @@ let () =
           Alcotest.test_case "join as product" `Quick test_join_no_common_is_product;
           Alcotest.test_case "product guard" `Quick test_product_rejects_shared;
           Alcotest.test_case "semijoin" `Quick test_semijoin;
+          Alcotest.test_case "semijoin probe side" `Quick
+            test_semijoin_probe_side;
+          Alcotest.test_case "semijoin on a shared view from two domains"
+            `Quick test_semijoin_shared_view_domains;
           Alcotest.test_case "sealed row set grows" `Quick
             test_sealed_row_set_grows;
           Alcotest.test_case "degenerate cases" `Quick test_degenerate_cases;

@@ -325,6 +325,9 @@ let test_session_dispatch () =
     (contains (List.hd metrics) "server.verb.eval.ns");
   Alcotest.(check bool) "metrics reports key-index builds" true
     (contains (List.hd metrics) "relation.key_index.builds");
+  Alcotest.(check bool) "metrics reports both semijoin sides" true
+    (contains (List.hd metrics) "relation.semijoin.probe"
+    && contains (List.hd metrics) "relation.semijoin.scan");
   Alcotest.(check bool) "stats carries telemetry lines" true
     (List.exists
        (fun l -> contains l "telemetry.server.plan_cache.hits")
