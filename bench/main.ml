@@ -2113,6 +2113,92 @@ let cluster_scaling () =
      climbs with the number of cores available to host them."
 
 (* ------------------------------------------------------------------ *)
+(* ORDER-INDEX: growing the dictionary order index *)
+
+(* The order index behind compiled [<] and the answer encoder is built
+   once per dictionary and then extended by merging the codes interned
+   since.  No end-to-end workload interns new values after LOAD, so this
+   is where the extension's cost is measured: k new codes merged into D
+   (k = 1 and k = D/100) against building the index of the same
+   dictionary from nothing, the full re-sort a rebuild would pay.  Only
+   the [Dictionary.order] call is timed; interning the new values is
+   not.  The extended dictionary grows by k per run. *)
+let order_index_growth () =
+  header
+    "ORDER-INDEX — extending the dictionary order index by k codes \
+     (merge) vs building it from nothing (full sort)";
+  let module Dictionary = Paradb_relational.Dictionary in
+  let r = rng 31 in
+  let value () =
+    if Random.State.int r 4 = 0 then
+      Value.Str (Printf.sprintf "s%d" (Random.State.bits r))
+    else Value.Int (Random.State.bits r - (1 lsl 29))
+  in
+  let fill d n =
+    while Dictionary.size d < n do
+      ignore (Dictionary.intern d (value ()))
+    done
+  in
+  let median samples =
+    List.nth (List.sort compare samples) (List.length samples / 2)
+  in
+  let timed_order d =
+    snd (B.time (fun () -> Dictionary.order d ~covering:(Dictionary.size d)))
+  in
+  let rows = ref [] in
+  List.iter
+    (fun d_size ->
+      let runs = if d_size >= 1_000_000 then 3 else 7 in
+      List.iter
+        (fun k ->
+          let d = Dictionary.create ~size_hint:d_size () in
+          fill d d_size;
+          ignore (Dictionary.order d ~covering:d_size);
+          let extend =
+            median
+              (List.init runs (fun _ ->
+                   fill d (Dictionary.size d + k);
+                   timed_order d))
+          in
+          let full =
+            median
+              (List.init runs (fun _ ->
+                   let n = Dictionary.size d in
+                   let fresh = Dictionary.create ~size_hint:n () in
+                   for c = 0 to n - 1 do
+                     ignore (Dictionary.intern fresh (Dictionary.value d c))
+                   done;
+                   timed_order fresh))
+          in
+          B.record
+            [
+              ("name", B.J_string "order-index-growth");
+              ("n", B.J_int d_size);
+              ("k", B.J_int k);
+              ("median_ns", B.J_int (int_of_float (extend *. 1e9)));
+              ("full_ns", B.J_int (int_of_float (full *. 1e9)));
+              ("ratio", B.J_float (extend /. full));
+            ];
+          rows :=
+            [
+              string_of_int d_size;
+              string_of_int k;
+              B.pretty_seconds extend;
+              B.pretty_seconds full;
+              Printf.sprintf "%.3f" (extend /. full);
+            ]
+            :: !rows)
+        [ 1; max 1 (d_size / 100) ])
+    [ 1_000; 10_000; 100_000; 1_000_000 ];
+  B.print_table
+    ~header:[ "D"; "k"; "extend (merge)"; "full build"; "extend/full" ]
+    (List.rev !rows);
+  print_endline
+    "\nAn extension binary-searches each new code's place and blits the\n\
+     runs between, then rebuilds the rank and text arrays: O(D + k log D)\n\
+     against the full build's O(D log D) comparisons of boxed values."
+
+(* ------------------------------------------------------------------ *)
 (* registry + drivers *)
 
 let experiments =
@@ -2142,6 +2228,7 @@ let experiments =
     ("ablation-datalog", ablation_seminaive);
     ("compiled-vs-interpreted", compiled_vs_interpreted);
     ("count-overhead", count_overhead);
+    ("order-index-growth", order_index_growth);
     ("server-throughput", server_throughput);
     ("durability-overhead", durability_overhead);
     ("cluster-scaling", cluster_scaling);

@@ -217,6 +217,9 @@ let run_eval db_path query_text engine family seed count stats trace =
           1
       | Invalid_argument msg ->
           Printf.eprintf "error: %s\n" msg;
+          1
+      | Paradb_relational.Semiring.Count_overflow ->
+          Printf.eprintf "error: %s\n" Paradb_server.Session.count_overflow;
           1)
 
 let count_arg =

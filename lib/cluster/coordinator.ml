@@ -3,6 +3,7 @@ module Tuple = Paradb_relational.Tuple
 module Relation = Paradb_relational.Relation
 module Dictionary = Paradb_relational.Dictionary
 module Database = Paradb_relational.Database
+module Semiring = Paradb_relational.Semiring
 module Source = Paradb_query.Source
 module Cq = Paradb_query.Cq
 module Atom = Paradb_query.Atom
@@ -670,7 +671,7 @@ let scatter_eval t conns budget ~db q =
    body relation is empty (never shipped) contributes zero. *)
 let scatter_count t conns budget ~db ~query =
   round (fun () ->
-      List.fold_left ( + ) 0
+      List.fold_left Semiring.checked_add 0
         (List.init (shards t) (fun s ->
              match
                data_call t conns budget ~shard:s ~rank:0 ~db
@@ -686,6 +687,9 @@ let scatter_count t conns budget ~db ~query =
                       (Protocol.Err
                          (Printf.sprintf "shard %d: malformed COUNT payload" s)))
              | _, _, Protocol.Err e when is_missing_relation e -> 0
+             | _, _, (Protocol.Err e as overflow) when e = Session.count_overflow
+               ->
+                 raise (Reply overflow)
              | _, _, Protocol.Err e ->
                  raise
                    (Reply (Protocol.Err (Printf.sprintf "shard %d: %s" s e))))))
@@ -859,6 +863,7 @@ let guarded t ~db ~engine ~query ~scatter ~exchange render =
           Metrics.incr m_deadline;
           Protocol.Err
             (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
+      | Semiring.Count_overflow -> Protocol.Err Session.count_overflow
       | Invalid_argument msg -> Protocol.Err msg)
 
 let guarded_eval t conns ~db ~engine ~query render =

@@ -2,6 +2,7 @@ module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
 module Dictionary = Paradb_relational.Dictionary
 module Row_set = Paradb_relational.Row_set
+module Semiring = Paradb_relational.Semiring
 module Code_row = Paradb_relational.Code_row
 module Planner = Paradb_planner.Planner
 module Budget = Paradb_telemetry.Budget
@@ -135,29 +136,51 @@ let materialize ?budget db scan atom =
     end
   end
 
-(* One fused register-level check per constraint. *)
-let compile_constraint reg_of c =
+(* One fused register-level check per constraint.  [<] and [<=] compare
+   value-order ranks from the dictionary's order index, taken once per
+   compile ([order] forces it) and covering every code interned before
+   the compile — the snapshot's codes among them.  A constant is placed
+   in that order by binary search, never interned: [x < v] iff
+   [rank x < lo], [x <= v] iff [rank x < hi], where [lo] / [hi] covered
+   values are below / at or below [v]. *)
+let compile_constraint reg_of order c =
   let operand = function
     | Term.Var x -> `Reg (reg_of x)
-    | Term.Const v -> `Const (Dictionary.intern Dictionary.global v, v)
+    | Term.Const v -> `Const v
   in
   let l = operand c.Constr.lhs and r = operand c.Constr.rhs in
-  match c.Constr.op with
-  | Constr.Neq -> (
-      match (l, r) with
-      | `Reg a, `Reg b -> fun regs -> regs.(a) <> regs.(b)
-      | `Reg a, `Const (c, _) -> fun regs -> regs.(a) <> c
-      | `Const (c, _), `Reg b -> fun regs -> c <> regs.(b)
-      | `Const (c1, _), `Const (c2, _) ->
-          let v = c1 <> c2 in
-          fun _ -> v)
-  | (Constr.Lt | Constr.Le) as op ->
-      let value = function
-        | `Reg a -> fun regs -> Dictionary.value Dictionary.global regs.(a)
-        | `Const (_, v) -> fun _ -> v
+  match (c.Constr.op, l, r) with
+  | op, `Const u, `Const v ->
+      let b = Constr.eval_op op u v in
+      fun _ -> b
+  | Constr.Neq, `Reg a, `Reg b -> fun regs -> regs.(a) <> regs.(b)
+  | Constr.Neq, `Reg a, `Const v | Constr.Neq, `Const v, `Reg a -> (
+      (* an absent constant differs from every register *)
+      match Dictionary.code_opt Dictionary.global v with
+      | Some c -> fun regs -> regs.(a) <> c
+      | None -> fun _ -> true)
+  | ((Constr.Lt | Constr.Le) as op), l, r -> (
+      let o : Dictionary.order = Lazy.force order in
+      (* Mutation hook: compare the raw codes (first-seen order) instead
+         of their value-order ranks. *)
+      let rank =
+        if Mutate.enabled "order_raw_codes" then Array.init o.covered Fun.id
+        else o.rank
       in
-      let lv = value l and rv = value r in
-      fun regs -> Constr.eval_op op (lv regs) (rv regs)
+      let bounds v = Dictionary.bounds Dictionary.global o v in
+      match (l, r) with
+      | `Reg a, `Reg b ->
+          if op = Constr.Lt then fun regs -> rank.(regs.(a)) < rank.(regs.(b))
+          else fun regs -> rank.(regs.(a)) <= rank.(regs.(b))
+      | `Reg a, `Const v ->
+          let lo, hi = bounds v in
+          let below = if op = Constr.Lt then lo else hi in
+          fun regs -> rank.(regs.(a)) < below
+      | `Const v, `Reg b ->
+          let lo, hi = bounds v in
+          let from = if op = Constr.Lt then hi else lo in
+          fun regs -> rank.(regs.(b)) >= from
+      | `Const _, `Const _ -> assert false)
 
 (* Materialize every atom and apply the plan's semijoin program (full
    reduction for acyclic plans).  Count-preserving: materialization's
@@ -194,6 +217,15 @@ let memo_store st k id c =
   end;
   st.counts.(k).(id) <- c
 
+(* The Nat sink's adds, overflow-checked like [Semiring.nat]: a branch
+   and no allocation.  [checked] is false only under the [unchecked_add]
+   mutant, read once per compile. *)
+let add ~checked a b =
+  let s = a + b in
+  if checked && (a lxor s) land (b lxor s) < 0 then
+    raise Semiring.Count_overflow
+  else s
+
 (* Dead-variable barriers (planned by {!Planner.barrier_spec}) under the
    two sinks.  Past a barrier the downstream work is a function of the
    live registers alone (later steps read only already-bound key
@@ -208,7 +240,7 @@ let memo_store st k id c =
    Both hash and compare the registers in place, in one probe of the
    key set per visit; only a new key is copied.  The key goes in before
    its subtree runs: barrier [k] does not recur below itself. *)
-let barrier sink k pos next =
+let barrier ~checked sink k pos next =
   match sink with
   | Bool ->
       fun st ->
@@ -220,13 +252,13 @@ let barrier sink k pos next =
         let keys = st.keys.(k) in
         let n = Row_set.cardinal keys in
         let id = Row_set.add_sub keys st.regs pos in
-        if id < n then st.acc <- st.acc + st.counts.(k).(id)
+        if id < n then st.acc <- add ~checked st.acc st.counts.(k).(id)
         else begin
           let saved = st.acc in
           st.acc <- 0;
           next st;
           memo_store st k id st.acc;
-          st.acc <- saved + st.acc
+          st.acc <- add ~checked saved st.acc
         end
 
 (* Lower the plan to one pipeline of fused closures over the register
@@ -265,6 +297,8 @@ let build ?budget sink plan db =
                !c - 1)
          q.Cq.head)
   in
+  (* Mutation hook: the Nat sink's sums wrap silently on overflow. *)
+  let checked = not (Mutate.enabled "unchecked_add") in
   let emit =
     match sink with
     | Bool ->
@@ -274,7 +308,7 @@ let build ?budget sink plan db =
     | Nat ->
         fun st ->
           tick st;
-          st.acc <- st.acc + 1
+          st.acc <- add ~checked st.acc 1
   in
   let nkeys, pipeline =
     if not (List.for_all Constr.ground_holds plan.Planner.ground) then
@@ -285,10 +319,16 @@ let build ?budget sink plan db =
       (* Acyclic plans: full semijoin reduction at compile time, so the
          pipeline below enumerates without dead ends (Yannakakis). *)
       let mats = reduced_mats ?budget plan db atoms in
+      let order =
+        lazy
+          (Dictionary.order Dictionary.global
+             ~covering:(Dictionary.size Dictionary.global))
+      in
       let with_filters i next =
         match
           List.filter_map
-            (fun (j, c) -> if j = i then Some (compile_constraint reg_of c) else None)
+            (fun (j, c) ->
+              if j = i then Some (compile_constraint reg_of order c) else None)
             plan.Planner.filters
         with
         | [] -> next
@@ -311,7 +351,7 @@ let build ?budget sink plan db =
               then [| pos.(0) |]
               else pos
             in
-            barrier sink k pos next
+            barrier ~checked sink k pos next
       in
       (* First-witness cut (the plan's [cut]), Bool only: once every head
          variable is bound, the remaining steps only decide whether this

@@ -1,4 +1,7 @@
 module Database = Paradb_relational.Database
+module Relation = Paradb_relational.Relation
+module Dictionary = Paradb_relational.Dictionary
+module Value = Paradb_relational.Value
 module Generators = Paradb_workload.Generators
 open Paradb_query
 
@@ -12,7 +15,10 @@ type instance = {
   shape : shape;
 }
 
-let classes =
+(* The classes cycled by case index; [order-mixed] takes every tenth
+   case instead, so every other index keeps the class (and instance) it
+   has in this nine-class cycle. *)
+let cycled =
   [
     "acyclic";
     "acyclic-neq";
@@ -24,6 +30,12 @@ let classes =
     "boolean-neq";
     "anchored";
   ]
+
+let classes = cycled @ [ "order-mixed" ]
+
+let label_of index =
+  if index mod 10 = 9 then "order-mixed"
+  else List.nth cycled (index mod List.length cycled)
 
 (* Per-case RNG: independent of every other case, reproducible from
    (seed, index) alone.  The leading literal keeps the stream disjoint
@@ -105,9 +117,84 @@ let anchored_cq rng ~max_atoms ~domain_size =
   let head = List.filter (fun _ -> Random.State.bool rng) (List.rev !vars) in
   Cq.make ~head:(List.map Term.var head) body
 
+(* The [order-mixed] value pool: Ints and Strs, some Strs spelled like
+   numbers.  Value order puts every Int before every Str. *)
+let order_pool =
+  Array.append
+    (Array.init 11 (fun i -> Value.Int (i - 5)))
+    (Array.map
+       (fun s -> Value.Str s)
+       [| "a"; "b"; "ab"; "ba"; "z"; "x1"; "10"; "-3" |])
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+(* [order-mixed]: a tree CQ over a mixed Int/Str domain, dense in [<]
+   and [<=] between variables and against constants.  The domain is
+   interned in shuffled order before any row is built, so dictionary
+   codes (first-seen order) disagree with value order — the case the
+   compiled checks must see through by ranking.  Constants come from
+   the domain (interned, but not always in the rows) or, one in three,
+   are a fresh Int beyond the pool or a fresh Str: absent from the
+   dictionary too, since comparison constants are never interned. *)
+let order_mixed_instance rng ~max_atoms ~domain_size ~tuples =
+  let pool = Array.copy order_pool in
+  shuffle rng pool;
+  let domain = Array.sub pool 0 domain_size in
+  Array.iter (fun v -> ignore (Dictionary.intern Dictionary.global v)) domain;
+  let to_domain = function
+    | Value.Int i when i >= 0 && i < domain_size -> domain.(i)
+    | v -> v
+  in
+  let db =
+    Generators.tree_cq_database rng ~max_arity:3 ~domain_size ~tuples
+    |> Database.relations
+    |> List.map (fun r ->
+           Relation.create ~name:(Relation.name r)
+             ~schema:(Relation.schema_list r)
+             (List.map (Array.map to_domain) (Relation.tuples r)))
+    |> Database.of_relations
+  in
+  let q =
+    Generators.random_tree_cq rng ~max_atoms ~max_arity:3 ~neq_tries:0
+      ~domain_size
+  in
+  let term = function Term.Const v -> Term.Const (to_domain v) | t -> t in
+  let body =
+    List.map (fun a -> Atom.make a.Atom.rel (List.map term a.Atom.args)) q.Cq.body
+  in
+  let vars = Array.of_list (Cq.vars q) in
+  let nv = Array.length vars in
+  let const () =
+    Term.Const
+      (match Random.State.int rng 6 with
+       | 0 -> Value.Int (100 + Random.State.int rng 1_000_000)
+       | 1 -> Value.Str (Printf.sprintf "m%d" (Random.State.int rng 1_000_000))
+       | _ -> domain.(Random.State.int rng domain_size))
+  in
+  let cmp () =
+    let op = if Random.State.bool rng then Constr.lt else Constr.le in
+    let x = Term.var vars.(Random.State.int rng nv) in
+    match Random.State.int rng 3 with
+    | 0 -> op x (Term.var vars.(Random.State.int rng nv))
+    | 1 -> op x (const ())
+    | _ -> op (const ()) x
+  in
+  let constraints =
+    List.filter
+      (fun c -> c.Constr.lhs <> c.Constr.rhs)
+      (List.init (1 + Random.State.int rng 3) (fun _ -> cmp ()))
+  in
+  (db, Cq.make ~constraints ~head:q.Cq.head body)
+
 let instance ~seed ~index ~max_vars ~max_tuples =
   let rng = case_rng ~seed ~index in
-  let label = List.nth classes (index mod List.length classes) in
+  let label = label_of index in
   let max_atoms = max 1 (min 4 (max_vars / 2)) in
   let domain_size = 2 + Random.State.int rng 6 in
   let tuples = 1 + Random.State.int rng (max 1 max_tuples) in
@@ -158,6 +245,9 @@ let instance ~seed ~index ~max_vars ~max_tuples =
             ~depth:(2 + Random.State.int rng 2)
         in
         (db, Sentence f)
+    | "order-mixed" ->
+        let db, q = order_mixed_instance rng ~max_atoms ~domain_size ~tuples in
+        (db, Query q)
     | "anchored" ->
         let q = anchored_cq rng ~max_atoms ~domain_size in
         let db =

@@ -1,12 +1,16 @@
 (** Seeded random (query, database) instances for the differential
     oracle, layered on {!Paradb_workload.Generators}.
 
-    Case classes cycle deterministically with the case index so every
+    Case classes follow the case index deterministically (every tenth
+    case is [order-mixed], the others cycle through the rest) so every
     run of [n] cases covers the same mix: acyclic CQs (bare, with [<>],
     with comparisons, mixed), far-apart-[<>] chain queries (I1-rich, the
     Theorem-2 core), cyclic CQs, closed positive FO sentences, Boolean
-    [<>] queries, and anchored CQs (constants in argument 0, ground
-    atoms, absent constants, constants beside repeated variables). *)
+    [<>] queries, anchored CQs (constants in argument 0, ground atoms,
+    absent constants, constants beside repeated variables), and
+    [order-mixed] CQs ([<], [<=] over a mixed Int/Str domain interned in
+    shuffled order, so code order is not value order; constants present,
+    absent from the data, and absent from the dictionary). *)
 
 type shape = Query of Paradb_query.Cq.t | Sentence of Paradb_query.Fo.t
 

@@ -26,13 +26,29 @@ let bool =
     to_string = string_of_bool;
   }
 
+exception Count_overflow
+
+(* Overflow iff both operands' signs differ from the sum's.  A branch,
+   no allocation: [Count_overflow] is a constant constructor. *)
+let checked_add a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then raise Count_overflow else s
+
+let checked_mul a b =
+  if a = 0 || b = 0 then 0
+  else
+    let p = a * b in
+    if p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int) then
+      raise Count_overflow
+    else p
+
 let nat =
   {
     name = "nat";
     zero = 0;
     one = 1;
-    plus = ( + );
-    times = ( * );
+    plus = checked_add;
+    times = checked_mul;
     equal = Int.equal;
     to_string = string_of_int;
   }

@@ -24,6 +24,19 @@ type 'a t = {
 }
 
 val bool : bool t
+
+(** A count left the native [int] range.  Counts grow like n^|vars|, so
+    this is the normal outcome at scale; no path answers a wrapped
+    number.  The server answers it as [ERR count-overflow]. *)
+exception Count_overflow
+
+(** [checked_add a b] / [checked_mul a b] — [a + b] / [a * b], raising
+    {!Count_overflow} where the native result would wrap. *)
+val checked_add : int -> int -> int
+val checked_mul : int -> int -> int
+
+(** +/× on native ints, overflow-checked ({!checked_add},
+    {!checked_mul}). *)
 val nat : int t
 
 (** [tropical ()] is min-plus over [int] with [max_int] = +∞ and

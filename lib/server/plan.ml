@@ -1,6 +1,5 @@
 module Cq = Paradb_query.Cq
 module Atom = Paradb_query.Atom
-module Constr = Paradb_query.Constr
 module Term = Paradb_query.Term
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
@@ -78,9 +77,11 @@ let scoped_key ~db ~generation kind q =
 let scoped_count_key ~db ~generation kind q =
   Printf.sprintf "%s#%d|count|%s" db generation (cache_key kind q)
 
+(* Constraint constants are left out: the compiled checks look them up
+   ([!=]) or place them in the order index ([<], [<=]), so an absent one
+   never grows the dictionary. *)
 let constants q =
   List.concat_map Atom.constants q.Cq.body
-  @ List.concat_map Constr.constants q.Cq.constraints
   @ List.filter_map
       (function Term.Const v -> Some v | Term.Var _ -> None)
       q.Cq.head
@@ -165,6 +166,4 @@ let count ?budget plan db q =
           Compile.run_count ?budget (Compile.compile_count ?budget plan.pplan db))
   | E_fpt -> invalid_arg (cannot_count plan.engine)
 
-let sorted_tuples ?limit r =
-  Encode.lines ?limit ~left:"(" ~cell:Paradb_relational.Value.to_string
-    ~right:")" r
+let sorted_tuples ?limit r = Encode.lines ?limit ~left:"(" ~right:")" r

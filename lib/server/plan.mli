@@ -66,9 +66,10 @@ val scoped_count_key :
 (** [analyze kind q] resolves the dispatch ([Auto] and [Compiled] go to
     the compiled pipeline engine; the named interpreters are forced by
     name) and precomputes the cacheable, database-independent analysis,
-    including the {!Paradb_planner.Planner} classification.  All
-    constants of [q] are interned into the global dictionary here, per
-    the {!Paradb_relational.Dictionary} concurrency contract. *)
+    including the {!Paradb_planner.Planner} classification.  The
+    constants of [q]'s atoms and head are interned into the global
+    dictionary here; constraint constants are not (compiled checks look
+    them up or place them in the dictionary's order index). *)
 val analyze : engine_kind -> Cq.t -> t
 
 (** [prepare plan db ~generation] compiles an [E_compiled] plan against

@@ -89,6 +89,8 @@ let with_query ~engine ~query k =
       | Error e -> Protocol.Err e
       | Ok q -> k kind q)
 
+let count_overflow = "count-overflow"
+
 (* The one query runner: resolve the snapshot, arm the budget, look the
    plan up under [key] (building it with [prepare] on a miss), run it
    with [exec], record stats, and [render] the result.  EVAL, GATHER and
@@ -134,6 +136,8 @@ let run s ~db ~kind q ~key
           Metrics.incr m_deadline;
           Protocol.Err
             (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
+      | exception Paradb_relational.Semiring.Count_overflow ->
+          Protocol.Err count_overflow
       | plan, outcome, result ->
           let ns = now_ns () - t0 in
           let hit = outcome = `Hit in
@@ -191,8 +195,9 @@ let do_count s ~db ~engine ~query =
    human- and script-readable gather; the coordinator itself reads SHIP
    (below).  Truncation keeps EVAL's explicit [truncated=true] marker. *)
 let fact_lines ?limit r =
-  Encode.lines ?limit ~left:(Relation.name r ^ "(")
-    ~cell:Paradb_query.Fact_format.value_to_syntax ~right:")." r
+  Encode.lines ?limit
+    ~quote:(fun s -> Paradb_query.Fact_format.value_to_syntax (Str s))
+    ~left:(Relation.name r ^ "(") ~right:")." r
 
 (* GATHER and SHIP: evaluate with engine auto, then [render] the plan
    and the result. *)

@@ -43,6 +43,11 @@ val with_query :
   (Plan.engine_kind -> Paradb_query.Cq.t -> Protocol.response) ->
   Protocol.response
 
+(** ["count-overflow"]: the [ERR] message of a COUNT whose answer does
+    not fit a native int ({!Paradb_relational.Semiring.Count_overflow}).
+    The coordinator forwards a shard's as is. *)
+val count_overflow : string
+
 (** [row_cap ~limits rows] — for an answer of [rows] rows: the line
     limit to render under [limits.max_rows] ([None]: all of them), and
     whether the answer is truncated.  Shared with the coordinator. *)

@@ -24,6 +24,10 @@ let known =
      "a shard answers SHIP if=<snap> with unchanged whatever its current snapshot");
     ("semijoin_probe_first_only",
      "the probe side of a semijoin keeps only the first matched row of each key");
+    ("order_raw_codes",
+     "compiled < and <= compare raw dictionary codes instead of value-order ranks");
+    ("unchecked_add",
+     "the compiled count sink's sums wrap on overflow instead of raising");
   ]
 
 let known_names = List.map fst known

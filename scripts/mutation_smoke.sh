@@ -29,7 +29,7 @@ echo "mutation_smoke: clean run ok ($CASES cases)"
 for mutant in semijoin_off_by_one drop_neq color_count probe_key_swap \
               sum_instead_of_max count_dedup_drop materialize_drop_eq \
               ship_drop_row exists_cut_early barrier_key_prefix \
-              ship_stale_snapshot semijoin_probe_first_only; do
+              ship_stale_snapshot semijoin_probe_first_only order_raw_codes; do
   set +e
   out=$(PARADB_MUTATE=$mutant "$PARADB" fuzz --seed "$SEED" --cases "$CASES")
   status=$?
@@ -45,5 +45,23 @@ for mutant in semijoin_off_by_one drop_neq color_count probe_key_swap \
   [ "$tuples" -le "$MAX_TUPLES" ] || fail "mutant $mutant: counterexample has $tuples tuples (> $MAX_TUPLES)"
   echo "mutation_smoke: $mutant caught (atoms=$atoms tuples=$tuples)"
 done
+
+# --- unchecked_add: no bounded fuzz case reaches 2^62 valuations, so the
+# overflow mutant is caught on the query that needs it: COUNT of a
+# 12-edge path on the complete 40-node graph (40^13 valuations) must
+# fail with count-overflow, and the mutant must answer a number.
+facts=$(mktemp)
+trap 'rm -f "$facts"' EXIT
+for i in $(seq 0 39); do for j in $(seq 0 39); do echo "e($i, $j)."; done; done > "$facts"
+path='ans() :- e(X0, X1), e(X1, X2), e(X2, X3), e(X3, X4), e(X4, X5), e(X5, X6), e(X6, X7), e(X7, X8), e(X8, X9), e(X9, X10), e(X10, X11), e(X11, X12).'
+set +e
+err=$("$PARADB" eval --count -d "$facts" "$path" 2>&1)
+status=$?
+set -e
+[ "$status" -ne 0 ] && echo "$err" | grep -q 'count-overflow' \
+  || fail "clean build did not refuse the overflowing COUNT: $err"
+out=$(PARADB_MUTATE=unchecked_add "$PARADB" eval --count -d "$facts" "$path" 2>&1) \
+  || fail "unchecked_add survived: $out"
+echo "mutation_smoke: unchecked_add caught (answered $(echo "$out" | tail -1))"
 
 echo "mutation_smoke: all mutants caught"

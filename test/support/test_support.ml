@@ -43,3 +43,15 @@ let db_to_string db = Paradb_query.Fact_format.to_string db
 
 (* Seeded RNG; 17 is the suites' traditional default. *)
 let rng ?(seed = 17) () = Random.State.make [| seed |]
+
+(* The complete digraph on [n] nodes, self-loops included, as facts of
+   [e]: a k-edge path then has exactly n^(k+1) valuations. *)
+let complete_graph_facts n =
+  String.concat "\n"
+    (List.init (n * n) (fun i -> Printf.sprintf "e(%d, %d)." (i / n) (i mod n)))
+
+(* [ans() :- e(X0, X1), ..., e(X(k-1), Xk).] *)
+let path_query k =
+  Printf.sprintf "ans() :- %s."
+    (String.concat ", "
+       (List.init k (fun i -> Printf.sprintf "e(X%d, X%d)" i (i + 1))))

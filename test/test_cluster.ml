@@ -542,6 +542,57 @@ let test_cluster_count_matches_single_node () =
       | _, Error e -> Alcotest.failf "%s: cluster ERR %s" q e)
     queries
 
+(* COUNT overflow at every level of the cluster: shards whose own
+   counts overflow answer ERR count-overflow and the coordinator
+   forwards it as is (scatter); the coordinator's own re-join count
+   overflows the same way (exchange); and shard counts that each fit
+   but whose sum does not are caught in the shard sum. *)
+let load_text client text =
+  let path = Test_support.write_temp_facts text in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (request_ok client ("LOAD g " ^ path))
+
+let star_query leaves =
+  Printf.sprintf "ans() :- %s."
+    (String.concat ", " (List.init leaves (Printf.sprintf "e(X, Y%d)")))
+
+let expect_overflow client q =
+  match count_on client q with
+  | Error e -> Alcotest.(check string) ("COUNT " ^ q) "count-overflow" e
+  | Ok p -> Alcotest.failf "COUNT %s answered %s" q (String.concat " " p)
+
+let test_cluster_count_overflow () =
+  let shareds = Array.init 2 (fun _ -> shard_shared ()) in
+  with_cluster ~shards:2 ~replicas:1 ~shareds @@ fun ~shard_servers:_ ~client ->
+  load_text client (Test_support.complete_graph_facts 40);
+  expect_overflow client (star_query 12);
+  expect_overflow client (Test_support.path_query 12);
+  (* 18 leaves over 10 targets: 10^18 per centre, 2 centres on one
+     shard and 3 on the other — each shard's count fits, the sum
+     (5 * 10^18 > max_int) does not *)
+  let ring = Ring.create ~shards:2 () in
+  let centres shard n =
+    List.filteri
+      (fun i _ -> i < n)
+      (List.filter
+         (fun x -> Ring.owner_of_value ring (Value.int x) = shard)
+         (List.init 10_000 Fun.id))
+  in
+  load_text client
+    (String.concat "\n"
+       (List.concat_map
+          (fun x -> List.init 10 (Printf.sprintf "e(%d, %d)." x))
+          (centres 0 2 @ centres 1 3)));
+  let q = star_query 18 in
+  Array.iter
+    (fun shared ->
+      match Session.handle_line (Session.create shared) ("COUNT g auto " ^ q) with
+      | Some (Protocol.Ok_ _), _ -> ()
+      | Some (Protocol.Err e), _ -> Alcotest.failf "a shard's own count failed: %s" e
+      | None, _ -> Alcotest.fail "no answer")
+    shareds;
+  expect_overflow client q
+
 let test_cluster_count_rejects_fpt () =
   let line = "COUNT g fpt ans(X, Y) :- e(X, Y)." in
   let s = Session.create (Session.make_shared ~cache_capacity:4 ()) in
@@ -1422,6 +1473,8 @@ let () =
           Alcotest.test_case "replica failover" `Quick test_cluster_failover;
           Alcotest.test_case "COUNT matches single node" `Quick
             test_cluster_count_matches_single_node;
+          Alcotest.test_case "COUNT overflow is an error" `Quick
+            test_cluster_count_overflow;
           Alcotest.test_case "COUNT rejects fpt" `Quick
             test_cluster_count_rejects_fpt;
           Alcotest.test_case "ground queries match single node" `Quick

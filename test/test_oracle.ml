@@ -290,6 +290,13 @@ let test_mutant_semijoin_probe_first_only () =
   check_mutant_caught ~mutant:"semijoin_probe_first_only"
     ~engines:[ "compiled"; "yannakakis" ] ()
 
+(* Raw codes are first-seen order; the order-mixed class interns its
+   mixed Int/Str domain shuffled, so a [<] that skips the ranks keeps or
+   drops the wrong rows. *)
+let test_mutant_order_raw_codes () =
+  check_mutant_caught ~mutant:"order_raw_codes"
+    ~engines:[ "compiled"; "count-compiled" ] ()
+
 let test_unknown_mutant_rejected () =
   with_mutation "not_a_mutant" @@ fun () ->
   Alcotest.(check bool) "raises" true
@@ -344,6 +351,8 @@ let () =
             test_mutant_ship_stale_snapshot;
           Alcotest.test_case "semijoin probe first only" `Quick
             test_mutant_semijoin_probe_first_only;
+          Alcotest.test_case "order raw codes" `Quick
+            test_mutant_order_raw_codes;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

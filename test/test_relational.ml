@@ -542,6 +542,102 @@ let qcheck_tests =
         Relation.set_equal r back);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Dictionary: lookups racing growth, and the order index *)
+
+(* [code_opt] against a concurrent [intern] that resizes the table: a
+   present value must never read as absent (a miss used to make an
+   anchored EVAL answer empty). *)
+let test_code_opt_races_intern () =
+  let d = Dictionary.create ~size_hint:16 () in
+  let ints = Array.init 1000 (fun i -> Value.Int i) in
+  Array.iter (fun v -> ignore (Dictionary.intern d v)) ints;
+  let done_ = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        for i = 0 to 299_999 do
+          ignore (Dictionary.intern d (Value.Str (string_of_int i)))
+        done;
+        Atomic.set done_ true)
+  in
+  let misses = ref 0 and lookups = ref 0 in
+  while not (Atomic.get done_) do
+    Array.iter
+      (fun v ->
+        incr lookups;
+        if Dictionary.code_opt d v = None then incr misses)
+      ints
+  done;
+  Domain.join writer;
+  Alcotest.(check bool) "lookups ran" true (!lookups > 0);
+  check_cardinality "no present value missed" 0 !misses
+
+let order_builds = Metrics.counter "dictionary.order.builds"
+let order_extends = Metrics.counter "dictionary.order.extends"
+
+(* The index against a from-scratch sort of every covered code. *)
+let check_order name d (o : Dictionary.order) =
+  let n = o.Dictionary.covered in
+  let codes = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b -> Value.compare (Dictionary.value d a) (Dictionary.value d b))
+    codes;
+  Alcotest.(check (array int)) (name ^ ": sorted") codes o.Dictionary.sorted;
+  Array.iteri
+    (fun r c ->
+      check_cardinality (name ^ ": rank") r o.Dictionary.rank.(c);
+      Alcotest.(check string) (name ^ ": text")
+        (Value.to_string (Dictionary.value d c))
+        o.Dictionary.text.(c))
+    codes
+
+let test_order_index () =
+  let rng = Random.State.make [| 7 |] in
+  let fresh () =
+    if Random.State.bool rng then Value.Int (Random.State.int rng 2001 - 1000)
+    else Value.Str (string_of_int (Random.State.int rng 100))
+  in
+  let d = Dictionary.create () in
+  List.iter
+    (fun v -> ignore (Dictionary.intern d v))
+    [ Value.Str "b"; Value.Int 3; Value.Str "10"; Value.Int (-2); Value.Str "a" ];
+  let b0 = Metrics.counter_value order_builds
+  and e0 = Metrics.counter_value order_extends in
+  let empty = Dictionary.order d ~covering:0 in
+  check_cardinality "nothing asked, nothing built" 0 empty.Dictionary.covered;
+  let o = Dictionary.order d ~covering:2 in
+  check_cardinality "built to the whole dictionary" 5 o.Dictionary.covered;
+  check_order "first build" d o;
+  Alcotest.(check bool) "covered: the same index" true
+    (Dictionary.order d ~covering:5 == o);
+  (* an absent value is placed without being interned *)
+  let size = Dictionary.size d in
+  Alcotest.(check (pair int int)) "absent between" (1, 1)
+    (Dictionary.bounds d o (Value.Int 0));
+  Alcotest.(check (pair int int)) "present" (3, 4)
+    (Dictionary.bounds d o (Value.Str "a"));
+  Alcotest.(check (pair int int)) "above all" (5, 5)
+    (Dictionary.bounds d o (Value.Str "zz"));
+  Alcotest.(check (pair int int)) "below all" (0, 0)
+    (Dictionary.bounds d o (Value.Int min_int));
+  check_cardinality "bounds interns nothing" size (Dictionary.size d);
+  (* growth by one code, then by many: merged, never a second build *)
+  ignore (Dictionary.intern d (Value.Int 0));
+  let o1 = Dictionary.order d ~covering:6 in
+  check_order "extended by one" d o1;
+  check_order "the old index is unchanged" d o;
+  for _ = 1 to 500 do
+    ignore (Dictionary.intern d (fresh ()))
+  done;
+  let o2 = Dictionary.order d ~covering:(Dictionary.size d) in
+  check_order "extended by many" d o2;
+  check_cardinality "one build" 1 (Metrics.counter_value order_builds - b0);
+  check_cardinality "two extensions" 2 (Metrics.counter_value order_extends - e0);
+  Alcotest.(check bool) "beyond the dictionary" true
+    (match Dictionary.order d ~covering:(Dictionary.size d + 1) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let () =
   Alcotest.run "relational"
     [
@@ -579,6 +675,12 @@ let () =
           Alcotest.test_case "extend" `Quick test_extend;
           Alcotest.test_case "0-ary relations" `Quick test_arity_zero;
           Alcotest.test_case "domain" `Quick test_domain;
+        ] );
+      ( "dictionary",
+        [
+          Alcotest.test_case "code_opt races intern" `Quick
+            test_code_opt_races_intern;
+          Alcotest.test_case "order index" `Quick test_order_index;
         ] );
       ( "database",
         [

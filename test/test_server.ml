@@ -325,6 +325,9 @@ let test_session_dispatch () =
     (contains (List.hd metrics) "server.verb.eval.ns");
   Alcotest.(check bool) "metrics reports key-index builds" true
     (contains (List.hd metrics) "relation.key_index.builds");
+  Alcotest.(check bool) "metrics reports order-index counters" true
+    (contains (List.hd metrics) "dictionary.order.builds"
+    && contains (List.hd metrics) "dictionary.order.extends");
   Alcotest.(check bool) "metrics reports both semijoin sides" true
     (contains (List.hd metrics) "relation.semijoin.probe"
     && contains (List.hd metrics) "relation.semijoin.scan");
@@ -469,6 +472,42 @@ let test_count_verb () =
       Alcotest.(check bool) ("fpt refusal: " ^ e) true
         (contains e "cannot count")
   | Protocol.Ok_ _ -> Alcotest.fail "COUNT with fpt should ERR"
+
+(* COUNT never answers a wrapped number.  On the complete 40-node
+   graph a 12-edge path has 40^13 valuations, past [max_int]: the
+   compiled sink (memo replay and subtree sums) and the annotated
+   Yannakakis products both answer ERR count-overflow, while a 3-edge
+   path still counts exactly.  Under the [unchecked_add] mutant the
+   compiled sink wraps, which this test must catch. *)
+let k40_session () =
+  let shared = Session.make_shared ~cache_capacity:8 () in
+  let session = Session.create shared in
+  let run line = Option.get (fst (Session.handle_line session line)) in
+  let path = write_temp_facts (Test_support.complete_graph_facts 40) in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (summary_of (run (Printf.sprintf "LOAD g %s" path)));
+  run
+
+let test_count_overflow () =
+  let run = k40_session () in
+  Alcotest.(check (list string)) "3-edge path counts exactly" [ "2560000" ]
+    (payload_of (run ("COUNT g auto " ^ Test_support.path_query 3)));
+  List.iter
+    (fun engine ->
+      match run (Printf.sprintf "COUNT g %s %s" engine (Test_support.path_query 12)) with
+      | Protocol.Err e ->
+          Alcotest.(check string) ("12-edge path via " ^ engine) "count-overflow" e
+      | Protocol.Ok_ { summary; _ } ->
+          Alcotest.failf "12-edge path via %s answered %s" engine summary)
+    [ "auto"; "yannakakis" ]
+
+let test_mutant_unchecked_add () =
+  Unix.putenv "PARADB_MUTATE" "unchecked_add";
+  Fun.protect ~finally:(fun () -> Unix.putenv "PARADB_MUTATE" "") @@ fun () ->
+  let run = k40_session () in
+  match run ("COUNT g compiled " ^ Test_support.path_query 12) with
+  | Protocol.Ok_ _ -> () (* 40^13 fits no int: any count is wrapped *)
+  | Protocol.Err e -> Alcotest.failf "mutant survived: ERR %s" e
 
 (* DIGEST: a deterministic per-relation content fingerprint — identical
    databases agree, any content change disagrees.  REPAIR is the
@@ -683,6 +722,38 @@ let random_answer rng =
     ~schema:(List.init arity (Printf.sprintf "a%d"))
     rows
 
+(* The encoder across dictionary growth: an answer encoded, then values
+   interned between its own (so every rank after the first insertion
+   point moves), then the same answer and one over the new codes
+   encoded again.  A private dictionary pre-grown by [pad] unused values
+   puts the answer on either side of the radix/compare-sort threshold
+   (cells >= D/8). *)
+let grown_answers_match rng =
+  let dict = Dictionary.create () in
+  let pad = Random.State.int rng 600 in
+  for i = 1 to pad do
+    ignore (Dictionary.intern dict (Value.Str (Printf.sprintf "pad%d" i)))
+  done;
+  let answer () =
+    let arity = 1 + Random.State.int rng 3 in
+    Relation.create ~dict ~name:"ans"
+      ~schema:(List.init arity (Printf.sprintf "a%d"))
+      (List.init (Random.State.int rng 25) (fun _ ->
+           Array.init arity (fun _ -> tricky_value rng)))
+  in
+  let matches r =
+    let limit = Random.State.int rng (Relation.cardinality r + 3) - 1 in
+    Plan.sorted_tuples r = Test_support.sorted_rows r
+    && Plan.sorted_tuples ~limit r = take limit (Test_support.sorted_rows r)
+    && Session.fact_lines r = Test_support.sorted_fact_lines r
+  in
+  let before = answer () in
+  let first = matches before in
+  for _ = 1 to Random.State.int rng 40 do
+    ignore (Dictionary.intern dict (tricky_value rng))
+  done;
+  first && matches before && matches (answer ())
+
 let encoder_tests =
   [
     Qgen.seeded_property ~name:"encoder = decode-and-sort reference"
@@ -695,6 +766,8 @@ let encoder_tests =
         && Plan.sorted_tuples ~limit r = take limit tuples
         && Session.fact_lines r = facts
         && Session.fact_lines ~limit r = take limit facts);
+    Qgen.seeded_property ~name:"encoder = reference across dictionary growth"
+      ~count:200 grown_answers_match;
   ]
 
 let tricky_facts =
@@ -784,6 +857,10 @@ let () =
           Alcotest.test_case "explain verb" `Quick test_explain_verb;
           Alcotest.test_case "count verb" `Quick test_count_verb;
           Alcotest.test_case "digest verb" `Quick test_digest_verb;
+          Alcotest.test_case "count overflow is an error" `Quick
+            test_count_overflow;
+          Alcotest.test_case "mutant unchecked_add is caught" `Quick
+            test_mutant_unchecked_add;
         ] );
       ( "encoder",
         Alcotest.test_case "answers match the decode-and-sort reference"
