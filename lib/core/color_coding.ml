@@ -118,60 +118,6 @@ let colorful_path ?budget g colors k =
       in
       Some (walk state [])
 
-(* Semiring generalization of the colorful-path DP: instead of
-   remembering one parent per (v, mask) state, carry an annotation —
-   ann(v, mask) = ⊕ over colorful paths ending at v with color set mask
-   of the ⊗-product of their vertex weights.  Extending a path
-   ⊗-multiplies by the new vertex's weight; two paths meeting at a state
-   ⊕-merge.  Nat with unit weights counts colorful k-paths (as directed
-   vertex sequences); Tropical with vertex costs yields the cheapest
-   colorful path.  The Bool instance degenerates to exactly the
-   reachability computed by [colorful_path], which keeps its dedicated
-   witness-recovering implementation as the trusted fast path. *)
-let colorful_path_aggregate ?budget (sr : 'a Paradb_relational.Semiring.t)
-    ?weight g colors k =
-  if k < 1 then
-    invalid_arg "Color_coding.colorful_path_aggregate: k must be positive";
-  let n = Graph.n_vertices g in
-  Array.iter
-    (fun c ->
-      if c < 0 || c >= k then
-        invalid_arg "Color_coding.colorful_path_aggregate: color out of range")
-    colors;
-  if Array.length colors <> n then
-    invalid_arg "Color_coding.colorful_path_aggregate: one color per vertex";
-  let wt = match weight with Some f -> f | None -> fun _ -> sr.one in
-  let layer : (int * int, 'a) Hashtbl.t = Hashtbl.create 1024 in
-  let merge tbl state ann =
-    match Hashtbl.find_opt tbl state with
-    | None -> Hashtbl.replace tbl state ann
-    | Some prev -> Hashtbl.replace tbl state (sr.plus prev ann)
-  in
-  for v = 0 to n - 1 do
-    merge layer (v, 1 lsl colors.(v)) (wt v)
-  done;
-  let current = ref layer in
-  for _step = 2 to k do
-    Budget.poll budget;
-    let next = Hashtbl.create (Hashtbl.length !current) in
-    Hashtbl.iter
-      (fun (v, mask) ann ->
-        List.iter
-          (fun w ->
-            let bit = 1 lsl colors.(w) in
-            if mask land bit = 0 then
-              merge next (w, mask lor bit) (sr.times ann (wt w)))
-          (Graph.neighbors g v))
-      !current;
-    current := next
-  done;
-  (* After k layers every surviving mask has k distinct colors, i.e. is
-     full; the filter is belt and braces. *)
-  let full = (1 lsl k) - 1 in
-  Hashtbl.fold
-    (fun (_, mask) ann acc -> if mask = full then sr.plus acc ann else acc)
-    !current sr.zero
-
 let find_simple_path_dp ?budget ?trials ?(seed = 0) g k =
   if k = 0 then Some []
   else if k > Graph.n_vertices g then None

@@ -41,19 +41,6 @@ val colorful_path :
   ?budget:Budget.t ->
   Paradb_graph.Graph.t -> int array -> int -> int list option
 
-(** [colorful_path_aggregate sr g colors k] — semiring aggregation over
-    all colorful paths on [k] vertices (as directed vertex sequences):
-    ⊕ over paths of the ⊗-product of per-vertex weights (default
-    [sr.one]).  [Semiring.nat] counts colorful [k]-paths; tropical with
-    vertex costs yields the cheapest one.  Bool degenerates to
-    {!colorful_path}'s reachability, which keeps its dedicated
-    witness-recovering implementation. *)
-val colorful_path_aggregate :
-  ?budget:Budget.t ->
-  'a Paradb_relational.Semiring.t ->
-  ?weight:(int -> 'a) ->
-  Paradb_graph.Graph.t -> int array -> int -> 'a
-
 (** [find_simple_path_dp ?trials ?seed g k] — random colorings (default
     [3·e^k] trials) + the colorful-path DP; one-sided error like the
     paper's randomized driver. *)

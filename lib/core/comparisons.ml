@@ -107,14 +107,10 @@ let is_acyclic_with_comparisons q =
       Paradb_hypergraph.Hypergraph.is_acyclic
         (Paradb_hypergraph.Hypergraph.of_cq q')
 
-let empty_result q =
-  Relation.create ~name:q.Cq.name
-    ~schema:(List.mapi (fun i _ -> Printf.sprintf "a%d" i) q.Cq.head)
-    []
-
 let evaluate ?budget db q =
   match preprocess q with
-  | Inconsistent -> empty_result q
+  | Inconsistent ->
+      Paradb_yannakakis.Yannakakis.answer q Paradb_relational.Tuple.Set.empty
   | Collapsed q' ->
       let acyclic =
         Paradb_hypergraph.Hypergraph.is_acyclic

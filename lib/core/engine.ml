@@ -59,7 +59,6 @@ type task = {
   formula_consts : Value.t list;
   head : Term.t list;
   head_vars : string list;
-  name : string;
   separation : int;               (* hash range parameter k *)
 }
 
@@ -136,13 +135,12 @@ let build_task ?budget ?(prereduce = true) db q formula =
               (SS.union (prime_of u_sets.(j))
                  (SS.fold (fun x acc -> SS.add (primed x) acc) w SS.empty)))
       in
+      let filter binding =
+        Ineq.i2_filter part (List.map fst (Binding.bindings binding)) binding
+      in
       let base_rels =
-        Yannakakis.atom_relations ?budget
-          ~filter:(fun binding ->
-            Ineq.i2_filter part
-              (List.map fst (Binding.bindings binding))
-              binding)
-          db q
+        Array.of_list
+          (List.map (Yannakakis.atom_relation ?budget ~filter db) q.Cq.body)
       in
       let base_rels =
         if prereduce then prereduce_base ?budget tree base_rels else base_rels
@@ -158,7 +156,6 @@ let build_task ?budget ?(prereduce = true) db q formula =
         formula_consts;
         head = q.Cq.head;
         head_vars = Cq.head_vars q;
-        name = q.Cq.name;
         separation =
           (let k = SS.cardinal prime_vars + List.length formula_consts in
            (* Mutation hook: under-count the hash range by one; at k = 2
@@ -279,8 +276,12 @@ let root_filter task trial rel =
       in
       Relation.select_codes (fun row -> holds row f) rel
 
-(* Algorithm 1: bottom-up pass.  Returns the final P array if Q_h(d) is
-   nonempty, None otherwise. *)
+exception Dead_end
+
+(* Algorithm 1: bottom-up pass, each child projected onto its parent's Y
+   set and joined in under the selection F; it stops at the first node
+   the join empties.  Returns the final P array if Q_h(d) is nonempty,
+   None otherwise. *)
 let algorithm1_trial ?stats task trial =
   let observe rel =
     match stats with Some s -> observe s rel | None -> ()
@@ -290,108 +291,74 @@ let algorithm1_trial ?stats task trial =
   let n = Join_tree.n_nodes tree in
   let p = Array.init n (prime_relation task trial colors) in
   Array.iter observe p;
-  let failed = ref false in
-  Array.iter
-    (fun j ->
-      let u = tree.Join_tree.parent.(j) in
-      if (not !failed) && u >= 0 then begin
-        let proj_attrs =
-          List.filter
-            (fun a -> SS.mem a task.y_sets.(u))
-            (Relation.schema_list p.(j))
-        in
-        let parent_attrs = Relation.schema_list p.(u) in
-        let proj = Relation.project proj_attrs p.(j) in
-        let checks = f_checks task ~proj_attrs ~parent_attrs j u in
-        let filtered =
-          match checks with
-          | [] -> Relation.natural_join p.(u) proj
-          | _ ->
-              (* The join's output schema is the parent's attributes
-                 followed by the projection's non-common ones, so check
-                 positions are known before the join runs; the filter
-                 fuses into the probe loop.  Shadow cells are codes of
-                 the same dictionary, so color inequality is plain code
-                 inequality. *)
-              let out_attrs =
-                parent_attrs
-                @ List.filter
-                    (fun a -> not (List.mem a parent_attrs))
-                    proj_attrs
-              in
-              let pos a =
-                let rec go i = function
-                  | [] -> raise Not_found
-                  | b :: rest -> if String.equal a b then i else go (i + 1) rest
-                in
-                go 0 out_attrs
-              in
-              let positions =
-                List.map (fun (a, b) -> (pos a, pos b)) checks
-              in
-              Relation.natural_join
-                ~keep:(fun row ->
-                  List.for_all (fun (i, l) -> row.(i) <> row.(l)) positions)
-                p.(u) proj
-        in
-        observe filtered;
-        p.(u) <- filtered;
-        if Relation.is_empty filtered then failed := true
-      end)
-    tree.Join_tree.bottom_up;
-  if !failed then None
-  else begin
-    let root = tree.Join_tree.root in
-    p.(root) <- root_filter task trial p.(root);
-    if Relation.is_empty p.(root) then None else Some p
-  end
+  let join j u parent proj =
+    let proj_attrs = Relation.schema_list proj in
+    let parent_attrs = Relation.schema_list parent in
+    let checks = f_checks task ~proj_attrs ~parent_attrs j u in
+    let filtered =
+      match checks with
+      | [] -> Relation.natural_join parent proj
+      | _ ->
+          (* The join's output schema is the parent's attributes
+             followed by the projection's non-common ones, so check
+             positions are known before the join runs; the filter
+             fuses into the probe loop.  Shadow cells are codes of
+             the same dictionary, so color inequality is plain code
+             inequality. *)
+          let out_attrs =
+            parent_attrs
+            @ List.filter (fun a -> not (List.mem a parent_attrs)) proj_attrs
+          in
+          let pos a =
+            let rec go i = function
+              | [] -> raise Not_found
+              | b :: rest -> if String.equal a b then i else go (i + 1) rest
+            in
+            go 0 out_attrs
+          in
+          let positions = List.map (fun (a, b) -> (pos a, pos b)) checks in
+          Relation.natural_join
+            ~keep:(fun row ->
+              List.for_all (fun (i, l) -> row.(i) <> row.(l)) positions)
+            parent proj
+    in
+    observe filtered;
+    if Relation.is_empty filtered then raise_notrace Dead_end;
+    filtered
+  in
+  match
+    Yannakakis.fold_up tree
+      ~keep:(fun _ u -> task.y_sets.(u))
+      ~project:Yannakakis.project_onto ~join p
+  with
+  | exception Dead_end -> None
+  | p ->
+      let root = tree.Join_tree.root in
+      p.(root) <- root_filter task trial p.(root);
+      if Relation.is_empty p.(root) then None else Some p
 
 let algorithm1 ?stats task h = algorithm1_trial ?stats task (prep_trial task h)
 
-(* Algorithm 2: top-down semijoin pass, then bottom-up join-and-project;
-   returns Q_h(d)'s projection onto the head variables. *)
+(* Algorithm 2: top-down semijoin pass, then bottom-up join-and-project
+   (a child keeps the parent's Y set and the head variables); returns
+   Q_h(d)'s projection onto the head variables.  No budget: trials run
+   on worker domains, which drain without raising. *)
 let algorithm2 task p =
   let tree = task.tree in
-  Trace.with_span "engine.semijoin_top_down" (fun () ->
-      Array.iter
-        (fun j ->
-          let u = tree.Join_tree.parent.(j) in
-          if u >= 0 then p.(j) <- Relation.semijoin p.(j) p.(u))
-        tree.Join_tree.top_down);
-  let head_set = SS.of_list task.head_vars in
-  Trace.with_span "engine.join_bottom_up" (fun () ->
-      Array.iter
-        (fun j ->
-          let u = tree.Join_tree.parent.(j) in
-          if u >= 0 then begin
-            let keep =
-              List.filter
-                (fun a -> SS.mem a task.y_sets.(u) || SS.mem a head_set)
-                (Relation.schema_list p.(j))
-            in
-            p.(u) <- Relation.natural_join p.(u) (Relation.project keep p.(j))
-          end)
-        tree.Join_tree.bottom_up);
-  Relation.project task.head_vars p.(tree.Join_tree.root)
-
-let head_schema task = List.mapi (fun i _ -> Printf.sprintf "a%d" i) task.head
-
-let head_rows task proj =
-  let positions =
-    List.map
-      (function
-        | Term.Var x -> `Var (Relation.position proj x)
-        | Term.Const v -> `Const v)
-      task.head
+  let p =
+    Trace.with_span "engine.semijoin_top_down" (fun () ->
+        Yannakakis.semijoin_top_down tree p)
   in
-  Relation.fold
-    (fun row acc ->
-      let out =
-        Array.of_list
-          (List.map (function `Var i -> row.(i) | `Const v -> v) positions)
-      in
-      Tuple.Set.add out acc)
-    proj Tuple.Set.empty
+  let head_set = SS.of_list task.head_vars in
+  let p =
+    Trace.with_span "engine.join_bottom_up" (fun () ->
+        Yannakakis.fold_up tree
+          ~keep:(fun _ u -> SS.union task.y_sets.(u) head_set)
+          ~project:Yannakakis.project_onto
+          ~join:(fun _ _ parent child -> Relation.natural_join parent child)
+          p)
+  in
+  Relation.project task.head_vars p.(tree.Join_tree.root)
 
 let hash_domain db task =
   Value.Set.elements
@@ -557,45 +524,33 @@ let run_satisfiable ?budget ?prereduce ~family ~stats db q formula =
   end
 
 let run_evaluate ?budget ?prereduce ~family ~stats db q formula =
-  let task =
-    if q.Cq.body = [] then None
-    else Some (build_task ?budget ?prereduce db q formula)
-  in
-  match task with
-  | None ->
-      let head =
-        List.map
-          (function Term.Const v -> v | Term.Var _ -> assert false)
-          q.Cq.head
-      in
-      let schema = List.mapi (fun i _ -> Printf.sprintf "a%d" i) head in
-      let holds =
-        match formula with
-        | None -> true
-        | Some f -> Ineq_formula.holds Binding.empty f
-      in
-      if holds then
-        Relation.create ~name:q.Cq.name ~schema [ Array.of_list head ]
-      else Relation.create ~name:q.Cq.name ~schema []
-  | Some task ->
-      let schema = head_schema task in
-      if Array.exists Relation.is_empty task.base_rels then
-        Relation.create ~name:task.name ~schema []
-      else begin
-        let domain = hash_domain db task in
-        let functions =
-          Hashing.functions family ~domain ~k:task.separation
-        in
-        let rows =
-          run_trials ?budget ~stats ~stop_on_hit:false task functions
-            ~init:Tuple.Set.empty ~merge:Tuple.Set.union
-            ~run:(fun st trial ->
-              match algorithm1_trial ~stats:st task trial with
-              | None -> None
-              | Some p -> Some (head_rows task (algorithm2 task p)))
-        in
-        Relation.of_set ~name:task.name ~schema rows
-      end
+  let answer = Yannakakis.answer q in
+  if q.Cq.body = [] then
+    let holds =
+      match formula with
+      | None -> true
+      | Some f -> Ineq_formula.holds Binding.empty f
+    in
+    answer
+      (if holds then
+         Yannakakis.head_rows q.Cq.head (Relation.create ~schema:[] [ [||] ])
+       else Tuple.Set.empty)
+  else begin
+    let task = build_task ?budget ?prereduce db q formula in
+    if Array.exists Relation.is_empty task.base_rels then
+      answer Tuple.Set.empty
+    else begin
+      let domain = hash_domain db task in
+      let functions = Hashing.functions family ~domain ~k:task.separation in
+      answer
+        (run_trials ?budget ~stats ~stop_on_hit:false task functions
+           ~init:Tuple.Set.empty ~merge:Tuple.Set.union
+           ~run:(fun st trial ->
+             match algorithm1_trial ~stats:st task trial with
+             | None -> None
+             | Some p -> Some (Yannakakis.head_rows task.head (algorithm2 task p))))
+    end
+  end
 
 let is_satisfiable ?budget ?prereduce ?(family = default_family) ?stats db q =
   let stats = match stats with Some s -> s | None -> new_stats () in
@@ -672,13 +627,12 @@ let evaluate_with db q h =
     run_evaluate ~family:default_family ~stats db q None
   else begin
     let task = build_task db q None in
-    let schema = head_schema task in
-    if Array.exists Relation.is_empty task.base_rels then
-      Relation.create ~name:task.name ~schema []
-    else
-      match algorithm1 task h with
-      | None -> Relation.create ~name:task.name ~schema []
-      | Some p ->
-          Relation.of_set ~name:task.name ~schema
-            (head_rows task (algorithm2 task p))
+    let rows =
+      if Array.exists Relation.is_empty task.base_rels then Tuple.Set.empty
+      else
+        match algorithm1 task h with
+        | None -> Tuple.Set.empty
+        | Some p -> Yannakakis.head_rows task.head (algorithm2 task p)
+    in
+    Yannakakis.answer q rows
   end

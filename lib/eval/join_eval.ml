@@ -1,37 +1,12 @@
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
 module Tuple = Paradb_relational.Tuple
-module Value = Paradb_relational.Value
+module Yannakakis = Paradb_yannakakis.Yannakakis
 open Paradb_query
 
 type join_algorithm =
   | Hash_join
   | Sort_merge
-
-(* One relation per atom, over the atom's variables (constants and
-   repeated variables resolved by selection). *)
-let atom_relation db atom =
-  let vars = Atom.vars atom in
-  let rel = Database.find db atom.Atom.rel in
-  (* Accumulate a plain list: [Relation.create] dedups in its hash store,
-     so no ordered-set intermediate is needed. *)
-  let rows =
-    Relation.fold
-      (fun tuple acc ->
-        match Atom.matches atom tuple with
-        | None -> acc
-        | Some binding ->
-            Array.of_list
-              (List.map
-                 (fun x ->
-                   match Binding.find x binding with
-                   | Some v -> v
-                   | None -> assert false)
-                 vars)
-            :: acc)
-      rel []
-  in
-  Relation.create ~schema:vars rows
 
 (* Apply every not-yet-applied constraint whose variables are all present
    in the relation. *)
@@ -67,23 +42,15 @@ let evaluate ?(algorithm = Hash_join) db q =
     | Hash_join -> Relation.natural_join a b
     | Sort_merge -> Relation.sort_merge_join a b
   in
-  let head_schema = List.mapi (fun i _ -> Printf.sprintf "a%d" i) q.Cq.head in
+  let answer = Yannakakis.answer q in
   match q.Cq.body with
   | [] ->
-      let ok =
-        List.for_all (Constr.holds Binding.empty) q.Cq.constraints
-      in
-      let rows =
-        if ok then
-          [ Array.of_list
-              (List.map
-                 (function Term.Const v -> v | Term.Var _ -> assert false)
-                 q.Cq.head) ]
-        else []
-      in
-      Relation.create ~name:q.Cq.name ~schema:head_schema rows
+      answer
+        (if List.for_all (Constr.holds Binding.empty) q.Cq.constraints then
+           Yannakakis.head_rows q.Cq.head (Relation.create ~schema:[] [ [||] ])
+         else Tuple.Set.empty)
   | body ->
-      let rels = List.map (atom_relation db) body in
+      let rels = List.map (Yannakakis.atom_relation db) body in
       let smallest_first =
         List.sort
           (fun a b -> Int.compare (Relation.cardinality a) (Relation.cardinality b))
@@ -121,27 +88,9 @@ let evaluate ?(algorithm = Hash_join) db q =
       in
       let joined, pending = fold acc pending rest in
       assert (pending = []);
-      let head_vars = Cq.head_vars q in
-      let proj = Relation.project head_vars joined in
-      let positions =
-        List.map
-          (function
-            | Term.Var x -> `Var (Relation.position proj x)
-            | Term.Const v -> `Const v)
-          q.Cq.head
-      in
-      let rows =
-        Relation.fold
-          (fun row acc ->
-            Tuple.Set.add
-              (Array.of_list
-                 (List.map
-                    (function `Var i -> row.(i) | `Const v -> v)
-                    positions))
-              acc)
-          proj Tuple.Set.empty
-      in
-      Relation.of_set ~name:q.Cq.name ~schema:head_schema rows
+      answer
+        (Yannakakis.head_rows q.Cq.head
+           (Relation.project (Cq.head_vars q) joined))
 
 let is_satisfiable ?algorithm db q =
   not (Relation.is_empty (evaluate ?algorithm db q))

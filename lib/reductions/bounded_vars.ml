@@ -1,32 +1,7 @@
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
-module Tuple = Paradb_relational.Tuple
+module Yannakakis = Paradb_yannakakis.Yannakakis
 open Paradb_query
-
-(* P_a: the relation, over the atom's distinct variables in canonical
-   (sorted) order, of instantiations mapping the atom into its database
-   relation. *)
-let atom_instantiations db atom order =
-  let rel = Database.find db atom.Atom.rel in
-  let rows =
-    Relation.fold
-      (fun tuple acc ->
-        match Atom.matches atom tuple with
-        | None -> acc
-        | Some binding ->
-            let row =
-              Array.of_list
-                (List.map
-                   (fun x ->
-                     match Binding.find x binding with
-                     | Some v -> v
-                     | None -> assert false)
-                   order)
-            in
-            Tuple.Set.add row acc)
-      rel Tuple.Set.empty
-  in
-  Relation.of_set ~schema:order rows
 
 let reduce db q =
   if Cq.has_constraints q then
@@ -47,7 +22,10 @@ let reduce db q =
     List.map
       (fun (key, members) ->
         let rels =
-          List.map (fun a -> atom_instantiations db a key) members
+          (* P_a over the atom's variables in canonical (sorted) order *)
+          List.map
+            (fun a -> Relation.project key (Yannakakis.atom_relation db a))
+            members
         in
         let intersection =
           match rels with

@@ -9,17 +9,12 @@
    the set kernel would dedup and intersect. *)
 
 type 'a t = {
-  name : string;
   schema : string array;
   rows : 'a Code_row.Table.t;
 }
 
-let name t = t.name
 let schema t = Array.to_list t.schema
 let cardinality t = Code_row.Table.length t.rows
-let is_empty t = Code_row.Table.length t.rows = 0
-let iter f t = Code_row.Table.iter f t.rows
-let fold f t init = Code_row.Table.fold f t.rows init
 let find t row = Code_row.Table.find_opt t.rows row
 
 let position t attr =
@@ -54,7 +49,7 @@ let merge_row (sr : 'a Semiring.t) ~dedup_drop rows row ann =
   | Some prev ->
       if not dedup_drop then Code_row.Table.replace rows row (sr.plus prev ann)
 
-let of_rows (sr : 'a Semiring.t) ?(name = "") ~schema pairs =
+let of_rows (sr : 'a Semiring.t) ~schema pairs =
   check_schema "of_rows" schema;
   let arity = List.length schema in
   let rows = Code_row.Table.create (List.length pairs + 1) in
@@ -64,7 +59,7 @@ let of_rows (sr : 'a Semiring.t) ?(name = "") ~schema pairs =
         invalid_arg "Annotated.of_rows: row arity mismatch";
       merge_row sr ~dedup_drop:false rows row ann)
     pairs;
-  { name; schema = Array.of_list schema; rows }
+  { schema = Array.of_list schema; rows }
 
 let of_relation (sr : 'a Semiring.t) ?weight rel =
   let rows = Code_row.Table.create (Relation.cardinality rel + 1) in
@@ -72,7 +67,7 @@ let of_relation (sr : 'a Semiring.t) ?weight rel =
     match weight with Some f -> f | None -> fun _ -> sr.one
   in
   Relation.iter_codes (fun row -> Code_row.Table.replace rows row (ann row)) rel;
-  { name = Relation.name rel; schema = Relation.schema rel; rows }
+  { schema = Relation.schema rel; rows }
 
 let project (sr : 'a Semiring.t) attrs t =
   check_schema "project" attrs;
@@ -83,7 +78,7 @@ let project (sr : 'a Semiring.t) attrs t =
     (fun row ann ->
       merge_row sr ~dedup_drop rows (Code_row.sub row pos) ann)
     t.rows;
-  { name = t.name; schema = Array.of_list attrs; rows }
+  { schema = Array.of_list attrs; rows }
 
 let common_attrs a b =
   List.filter (fun attr -> Array.exists (String.equal attr) b.schema)
@@ -121,29 +116,7 @@ let natural_join (sr : 'a Semiring.t) a b =
               merge_row sr ~dedup_drop:false rows out (sr.times ann_a ann_b))
             matches)
     a.rows;
-  { name = a.name; schema = Array.of_list out_schema; rows }
-
-(* a ⋉ b: rows of [a] with a join partner in [b], annotations preserved
-   — semijoin reduction is pure pruning and must not touch multiplicity
-   (the dropped rows contribute 0 to any aggregate anyway). *)
-let semijoin a b =
-  let common = common_attrs a b in
-  match common with
-  | [] ->
-      if is_empty b then { a with rows = Code_row.Table.create 1 } else a
-  | _ ->
-      let key_a = positions a common and key_b = positions b common in
-      let keys = Code_row.Table.create (Code_row.Table.length b.rows + 1) in
-      Code_row.Table.iter
-        (fun row _ -> Code_row.Table.replace keys (Code_row.sub row key_b) ())
-        b.rows;
-      let rows = Code_row.Table.create (Code_row.Table.length a.rows + 1) in
-      Code_row.Table.iter
-        (fun row ann ->
-          if Code_row.Table.mem keys (Code_row.sub row key_a) then
-            Code_row.Table.replace rows row ann)
-        a.rows;
-      { a with rows }
+  { schema = Array.of_list out_schema; rows }
 
 let total (sr : 'a Semiring.t) t =
   Code_row.Table.fold (fun _ ann acc -> sr.plus acc ann) t.rows sr.zero

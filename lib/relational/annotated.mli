@@ -3,7 +3,7 @@
     An annotated relation maps each (dictionary-encoded) row to an
     annotation in a {!Semiring}.  Projection ⊕-sums the annotations of
     rows that merge; natural join ⊗-multiplies the annotations of joined
-    rows; semijoin prunes without touching annotations.  Under
+    rows.  Under
     {!Semiring.nat} with all base annotations 1, the total annotation of
     a query's answer is its number of satisfying valuations; under
     {!Semiring.tropical} it is the minimum cost over witnesses.
@@ -15,12 +15,8 @@
 
 type 'a t
 
-val name : 'a t -> string
 val schema : 'a t -> string list
 val cardinality : 'a t -> int
-val is_empty : 'a t -> bool
-val iter : (Code_row.t -> 'a -> unit) -> 'a t -> unit
-val fold : (Code_row.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 val find : 'a t -> Code_row.t -> 'a option
 
 (** [of_relation sr rel] annotates every row of [rel] — with [sr.one], or
@@ -33,7 +29,7 @@ val of_relation :
     annotation)] pairs; duplicate rows ⊕-merge.  Raises
     [Invalid_argument] on arity mismatch or repeated attributes. *)
 val of_rows :
-  'a Semiring.t -> ?name:string -> schema:string list ->
+  'a Semiring.t -> schema:string list ->
   (Code_row.t * 'a) list -> 'a t
 
 (** [project sr attrs t] keeps exactly [attrs] (which may reorder
@@ -46,11 +42,6 @@ val project : 'a Semiring.t -> string list -> 'a t -> 'a t
     each output row carries [a_ann ⊗ b_ann] (⊕-summed should outputs
     collide). *)
 val natural_join : 'a Semiring.t -> 'a t -> 'a t -> 'a t
-
-(** [semijoin a b] keeps the rows of [a] with a join partner in [b],
-    annotations untouched.  With no common attributes: [a] itself when
-    [b] is nonempty, empty otherwise. *)
-val semijoin : 'a t -> 'b t -> 'a t
 
 (** [total sr t] ⊕-sums every annotation; [sr.zero] when empty. *)
 val total : 'a Semiring.t -> 'a t -> 'a

@@ -1,7 +1,9 @@
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
+module Annotated = Paradb_relational.Annotated
 module Tuple = Paradb_relational.Tuple
 module Join_tree = Paradb_hypergraph.Join_tree
+module SS = Paradb_hypergraph.Hypergraph.String_set
 module Trace = Paradb_telemetry.Trace
 module Metrics = Paradb_telemetry.Metrics
 module Budget = Paradb_telemetry.Budget
@@ -11,53 +13,84 @@ exception Cyclic_query
 
 let m_full_reduce = Metrics.counter "yannakakis.full_reduce"
 
-let atom_relations ?budget ?(filter = fun _ -> true) db q =
-  let per_atom atom =
-    Budget.poll budget;
-    let vars = Atom.vars atom in
-    let rel = Database.find db atom.Atom.rel in
-    (* Accumulate a plain list: [Relation.of_seq] dedups in its hash
-       store, so no ordered-set intermediate is needed. *)
-    let rows =
-      Relation.fold
-        (fun tuple acc ->
-          match Atom.matches atom tuple with
-          | None -> acc
-          | Some binding ->
-              if filter binding then
-                Array.of_list
-                  (List.map
-                     (fun x ->
-                       match Binding.find x binding with
-                       | Some v -> v
-                       | None -> assert false)
-                     vars)
-                :: acc
-              else acc)
-        rel []
-    in
-    Relation.create ~name:atom.Atom.rel ~schema:vars rows
+let atom_relation ?budget ?(filter = fun _ -> true) db atom =
+  Budget.poll budget;
+  let vars = Atom.vars atom in
+  (* Accumulate a plain list: [Relation.create] dedups in its hash store,
+     so no ordered-set intermediate is needed. *)
+  let rows =
+    Relation.fold
+      (fun tuple acc ->
+        match Atom.matches atom tuple with
+        | Some binding when filter binding ->
+            Array.of_list
+              (List.map
+                 (fun x ->
+                   match Binding.find x binding with
+                   | Some v -> v
+                   | None -> assert false)
+                 vars)
+            :: acc
+        | _ -> acc)
+      (Database.find db atom.Atom.rel)
+      []
   in
-  Array.of_list (List.map per_atom q.Cq.body)
+  Relation.create ~name:atom.Atom.rel ~schema:vars rows
 
-let semijoin_bottom_up ?budget tree rels =
-  Trace.with_span "yannakakis.semijoin_bottom_up" @@ fun () ->
-  let rels = Array.copy rels in
-  (* Mutation hook: skip the first semijoin of the pass, leaving the
-     reduction one edge short — [join_nonempty] then trusts a root that
-     was never filtered against that subtree. *)
-  let skip =
-    ref (if Paradb_telemetry.Mutate.enabled "semijoin_off_by_one" then 1 else 0)
+let answer q rows =
+  Relation.of_set ~name:q.Cq.name
+    ~schema:(List.mapi (fun i _ -> Printf.sprintf "a%d" i) q.Cq.head)
+    rows
+
+let head_rows head proj =
+  let cells =
+    List.map
+      (function
+        | Term.Var x -> `Var (Relation.position proj x)
+        | Term.Const v -> `Const v)
+      head
   in
+  Relation.fold
+    (fun row acc ->
+      Tuple.Set.add
+        (Array.of_list
+           (List.map (function `Var i -> row.(i) | `Const v -> v) cells))
+        acc)
+    proj Tuple.Set.empty
+
+let fold_up ?budget tree ~keep ~project ~join rels =
+  let acc = Array.copy rels in
   Array.iter
     (fun j ->
       Budget.poll budget;
       let u = tree.Join_tree.parent.(j) in
-      if u >= 0 then
-        if !skip > 0 then decr skip
-        else rels.(u) <- Relation.semijoin rels.(u) rels.(j))
+      if u >= 0 then acc.(u) <- join j u acc.(u) (project (keep j u) acc.(j)))
     tree.Join_tree.bottom_up;
-  rels
+  acc
+
+let project_onto keep r =
+  Relation.project
+    (List.filter (fun a -> SS.mem a keep) (Relation.schema_list r))
+    r
+
+let connectors tree j u =
+  SS.inter tree.Join_tree.node_vars.(j) tree.Join_tree.node_vars.(u)
+
+let semijoin_bottom_up ?budget tree rels =
+  Trace.with_span "yannakakis.semijoin_bottom_up" @@ fun () ->
+  (* Mutation hook: skip the first semijoin of the pass, leaving the
+     reduction one edge short — [is_satisfiable] then trusts a root that
+     was never filtered against that subtree. *)
+  let skip =
+    ref (if Paradb_telemetry.Mutate.enabled "semijoin_off_by_one" then 1 else 0)
+  in
+  (* [⋉] reads only the child's connector columns, so the child goes in
+     unprojected. *)
+  fold_up ?budget tree ~keep:(connectors tree)
+    ~project:(fun _ child -> child)
+    ~join:(fun _ _ parent child ->
+      if !skip > 0 then (decr skip; parent) else Relation.semijoin parent child)
+    rels
 
 let semijoin_top_down ?budget tree rels =
   Trace.with_span "yannakakis.semijoin_top_down" @@ fun () ->
@@ -74,96 +107,52 @@ let full_reducer ?budget tree rels =
   Metrics.incr m_full_reduce;
   semijoin_top_down ?budget tree (semijoin_bottom_up ?budget tree rels)
 
-let join_nonempty ?budget tree rels =
-  let reduced = semijoin_bottom_up ?budget tree rels in
-  not (Relation.is_empty reduced.(tree.Join_tree.root))
+(* What the shared prelude leaves each entry point to finish. *)
+type prelude =
+  | Empty_body  (** no atoms: the head is all constants and holds *)
+  | Empty  (** an atom relation, or the reduced root, is empty *)
+  | Reduced of Join_tree.t * Relation.t array
 
-let head_schema q = List.mapi (fun i _ -> Printf.sprintf "a%d" i) q.Cq.head
-
-(* Instantiate the head terms from a row of the projection onto the head
-   variables. *)
-let head_rows q proj =
-  let positions =
-    List.map
-      (function
-        | Term.Var x -> `Var (Relation.position proj x)
-        | Term.Const v -> `Const v)
-      q.Cq.head
-  in
-  Relation.fold
-    (fun row acc ->
-      let out =
-        Array.of_list
-          (List.map
-             (function `Var i -> row.(i) | `Const v -> v)
-             positions)
-      in
-      Tuple.Set.add out acc)
-    proj Tuple.Set.empty
-
-let evaluate ?budget db q =
+let prelude ?budget ~entry ~reduce db q =
   if Cq.has_constraints q then
     invalid_arg
-      "Yannakakis.evaluate: query has constraint atoms; use Paradb_core";
-  let empty_result () = Relation.create ~name:q.Cq.name ~schema:(head_schema q) [] in
+      (Printf.sprintf
+         "Yannakakis.%s: query has constraint atoms; use Paradb_core" entry);
   match q.Cq.body with
-  | [] ->
-      (* No atoms: the head is all constants; the query holds trivially. *)
-      let row =
-        Array.of_list
-          (List.map
-             (function
-               | Term.Const v -> v
-               | Term.Var _ -> assert false (* unsafe, rejected by Cq.make *))
-             q.Cq.head)
-      in
-      Relation.create ~name:q.Cq.name ~schema:(head_schema q) [ row ]
-  | _ -> (
+  | [] -> Empty_body
+  | body -> (
       match Join_tree.of_cq q with
       | None -> raise Cyclic_query
       | Some tree ->
-          let rels = atom_relations ?budget db q in
-          if Array.exists Relation.is_empty rels then empty_result ()
-          else begin
-            let rels = full_reducer ?budget tree rels in
-            if Relation.is_empty rels.(tree.Join_tree.root) then empty_result ()
-            else begin
-              let head_vars = Cq.head_vars q in
-              let module SS = Paradb_hypergraph.Hypergraph.String_set in
-              let head_set = SS.of_list head_vars in
-              (* Bottom-up join-and-project: fold each child into its parent,
-                 keeping only join attributes and head attributes. *)
-              let acc = Array.copy rels in
-              Array.iter
-                (fun j ->
-                  Budget.poll budget;
-                  let u = tree.Join_tree.parent.(j) in
-                  if u >= 0 then begin
-                    let connectors =
-                      SS.inter tree.Join_tree.node_vars.(j)
-                        tree.Join_tree.node_vars.(u)
-                    in
-                    let keep =
-                      SS.union connectors
-                        (SS.inter head_set tree.Join_tree.subtree_vars.(j))
-                    in
-                    let child =
-                      Relation.project
-                        (List.filter
-                           (fun a -> SS.mem a keep)
-                           (Relation.schema_list acc.(j)))
-                        acc.(j)
-                    in
-                    acc.(u) <- Relation.natural_join acc.(u) child
-                  end)
-                tree.Join_tree.bottom_up;
-              let proj =
-                Relation.project head_vars acc.(tree.Join_tree.root)
-              in
-              Relation.of_set ~name:q.Cq.name ~schema:(head_schema q)
-                (head_rows q proj)
-            end
-          end)
+          let rels =
+            Array.of_list (List.map (atom_relation ?budget db) body)
+          in
+          if Array.exists Relation.is_empty rels then Empty
+          else
+            let rels = reduce ?budget tree rels in
+            if Relation.is_empty rels.(tree.Join_tree.root) then Empty
+            else Reduced (tree, rels))
+
+let evaluate ?budget db q =
+  match prelude ?budget ~entry:"evaluate" ~reduce:full_reducer db q with
+  | Empty_body ->
+      answer q (head_rows q.Cq.head (Relation.create ~schema:[] [ [||] ]))
+  | Empty -> answer q Tuple.Set.empty
+  | Reduced (tree, rels) ->
+      (* Join-and-project: a child keeps its connectors and the head
+         variables of its subtree. *)
+      let head_vars = Cq.head_vars q in
+      let head_set = SS.of_list head_vars in
+      let acc =
+        fold_up ?budget tree
+          ~keep:(fun j u -> SS.union (connectors tree j u) head_set)
+          ~project:project_onto
+          ~join:(fun _ _ parent child -> Relation.natural_join parent child)
+          rels
+      in
+      answer q
+        (head_rows q.Cq.head
+           (Relation.project head_vars acc.(tree.Join_tree.root)))
 
 (* Semiring aggregation by message passing on the join tree.  Each atom
    relation is annotated (with [sr.one], or with [weight] when given),
@@ -182,64 +171,36 @@ let evaluate ?budget db q =
    kernel does the cheap filtering and the annotated passes only touch
    what survives. *)
 let aggregate ?budget (sr : 'a Paradb_relational.Semiring.t) ?weight db q =
-  if Cq.has_constraints q then
-    invalid_arg
-      "Yannakakis.aggregate: query has constraint atoms; use Paradb_core";
-  match q.Cq.body with
-  | [] -> sr.one
-  | _ -> (
-      match Join_tree.of_cq q with
-      | None -> raise Cyclic_query
-      | Some tree ->
-          Trace.with_span "yannakakis.aggregate" @@ fun () ->
-          let rels = atom_relations ?budget db q in
-          if Array.exists Relation.is_empty rels then sr.zero
-          else begin
-            let rels = full_reducer ?budget tree rels in
-            if Relation.is_empty rels.(tree.Join_tree.root) then sr.zero
-            else begin
-              let module Annotated = Paradb_relational.Annotated in
-              let module SS = Paradb_hypergraph.Hypergraph.String_set in
-              let acc =
-                Array.mapi
-                  (fun i rel ->
-                    let weight = Option.map (fun f -> f i rel) weight in
-                    Annotated.of_relation sr ?weight rel)
-                  rels
-              in
-              Array.iter
-                (fun j ->
-                  Budget.poll budget;
-                  let u = tree.Join_tree.parent.(j) in
-                  if u >= 0 then begin
-                    let connectors =
-                      SS.elements
-                        (SS.inter tree.Join_tree.node_vars.(j)
-                           tree.Join_tree.node_vars.(u))
-                    in
-                    let msg = Annotated.project sr connectors acc.(j) in
-                    acc.(u) <- Annotated.natural_join sr acc.(u) msg
-                  end)
-                tree.Join_tree.bottom_up;
-              Annotated.total sr acc.(tree.Join_tree.root)
-            end
-          end)
+  Trace.with_span "yannakakis.aggregate" @@ fun () ->
+  match prelude ?budget ~entry:"aggregate" ~reduce:full_reducer db q with
+  | Empty_body -> sr.one
+  | Empty -> sr.zero
+  | Reduced (tree, rels) ->
+      let annotated =
+        Array.mapi
+          (fun i rel ->
+            Annotated.of_relation sr ?weight:(Option.map (fun f -> f i rel) weight)
+              rel)
+          rels
+      in
+      let acc =
+        fold_up ?budget tree ~keep:(connectors tree)
+          ~project:(fun keep a -> Annotated.project sr (SS.elements keep) a)
+          ~join:(fun _ _ parent msg -> Annotated.natural_join sr parent msg)
+          annotated
+      in
+      Annotated.total sr acc.(tree.Join_tree.root)
 
 let count ?budget db q = aggregate ?budget Paradb_relational.Semiring.nat db q
 
+(* Emptiness needs only the bottom-up pass: the root is then nonempty
+   iff the full join is. *)
 let is_satisfiable ?budget db q =
-  if Cq.has_constraints q then
-    invalid_arg
-      "Yannakakis.is_satisfiable: query has constraint atoms; use Paradb_core";
-  match q.Cq.body with
-  | [] -> true
-  | _ -> (
-      match Join_tree.of_cq q with
-      | None -> raise Cyclic_query
-      | Some tree ->
-          let rels = atom_relations ?budget db q in
-          (not (Array.exists Relation.is_empty rels))
-          && join_nonempty ?budget tree rels)
+  match
+    prelude ?budget ~entry:"is_satisfiable" ~reduce:semijoin_bottom_up db q
+  with
+  | Empty_body | Reduced _ -> true
+  | Empty -> false
 
 let decide ?budget db q tuple =
   match Cq.close_with_tuple q tuple with

@@ -9,33 +9,70 @@
 
 exception Cyclic_query
 
-(** [atom_relations db q] computes [S_j] for every relational atom of the
-    body: schema = the atom's distinct variables; selections enforce the
+(** [atom_relation db atom] computes [S_j] for one relational atom:
+    schema = the atom's distinct variables; selections enforce the
     atom's constants and repeated variables.  [filter] (used by the
     Theorem-2 engine for intra-atom [≠] atoms) additionally restricts the
-    admitted variable instantiations. *)
-val atom_relations :
+    admitted variable instantiations.  [budget], here and below, is
+    polled once per atom / per tree node
+    ({!Paradb_telemetry.Budget.Exhausted} propagates). *)
+val atom_relation :
   ?budget:Paradb_telemetry.Budget.t ->
   ?filter:(Paradb_query.Binding.t -> bool) ->
-  Paradb_relational.Database.t -> Paradb_query.Cq.t ->
-  Paradb_relational.Relation.t array
+  Paradb_relational.Database.t -> Paradb_query.Atom.t ->
+  Paradb_relational.Relation.t
 
-(** Bottom-up then top-down semijoin passes over the join tree; the result
-    is globally consistent (every tuple participates in the full join).
-    Relations are indexed by tree node.  [budget], here and below, is
-    polled once per tree node / per atom
-    ({!Paradb_telemetry.Budget.Exhausted} propagates). *)
-val full_reducer :
+(** [answer q rows] is [q]'s answer relation holding [rows]: named
+    after [q], over the positional head schema [a0, a1, ...]. *)
+val answer :
+  Paradb_query.Cq.t -> Paradb_relational.Tuple.Set.t ->
+  Paradb_relational.Relation.t
+
+(** [head_rows head proj] instantiates the head terms from every row of
+    [proj], a relation over (at least) the head's variables.  An empty
+    body's answer is [head_rows head] of the 0-ary relation holding the
+    empty row. *)
+val head_rows :
+  Paradb_query.Term.t list -> Paradb_relational.Relation.t ->
+  Paradb_relational.Tuple.Set.t
+
+(** [fold_up tree ~keep ~project ~join rels] — the bottom-up pass over a
+    join tree, children before parents: for each child [j] with parent
+    [u], [rels.(u) <- join j u rels.(u) (project (keep j u) rels.(j))].
+    Returns the updated copy of [rels] (indexed by tree node); the
+    answer is at [tree.root].  An exception from [join] stops the pass.
+    The semijoin pass, {!evaluate}'s join-and-project, {!aggregate}'s
+    ⊕-project/⊗-join and the Theorem-2 engine's Algorithms 1 and 2 are
+    its instances. *)
+val fold_up :
+  ?budget:Paradb_telemetry.Budget.t ->
+  Paradb_hypergraph.Join_tree.t ->
+  keep:(int -> int -> Paradb_hypergraph.Hypergraph.String_set.t) ->
+  project:(Paradb_hypergraph.Hypergraph.String_set.t -> 'r -> 'r) ->
+  join:(int -> int -> 'r -> 'r -> 'r) -> 'r array -> 'r array
+
+(** [project_onto keep r] projects [r] onto its attributes in [keep],
+    in [r]'s column order: the [project] of the {!fold_up} instances over
+    plain relations. *)
+val project_onto :
+  Paradb_hypergraph.Hypergraph.String_set.t ->
+  Paradb_relational.Relation.t -> Paradb_relational.Relation.t
+
+(** The top-down semijoin pass: each child is reduced by its parent. *)
+val semijoin_top_down :
   ?budget:Paradb_telemetry.Budget.t ->
   Paradb_hypergraph.Join_tree.t ->
   Paradb_relational.Relation.t array ->
   Paradb_relational.Relation.t array
 
-(** Emptiness of the full join, via the bottom-up semijoin pass only. *)
-val join_nonempty :
+(** Bottom-up then top-down semijoin passes over the join tree; the result
+    is globally consistent (every tuple participates in the full join).
+    Relations are indexed by tree node. *)
+val full_reducer :
   ?budget:Paradb_telemetry.Budget.t ->
   Paradb_hypergraph.Join_tree.t ->
-  Paradb_relational.Relation.t array -> bool
+  Paradb_relational.Relation.t array ->
+  Paradb_relational.Relation.t array
 
 (** [evaluate db q] for an acyclic [q] without constraint atoms.
     Raises [Cyclic_query] if the query hypergraph is cyclic, and

@@ -1,5 +1,6 @@
 module Relation = Paradb_relational.Relation
 module Tuple = Paradb_relational.Tuple
+module Value = Paradb_relational.Value
 module Yannakakis = Paradb_yannakakis.Yannakakis
 module Join_tree = Paradb_hypergraph.Join_tree
 module Cq_naive = Paradb_eval.Cq_naive
@@ -64,7 +65,9 @@ let test_full_reducer_consistency () =
   match Join_tree.of_cq q with
   | None -> Alcotest.fail "acyclic expected"
   | Some tree ->
-      let rels = Yannakakis.atom_relations db q in
+      let rels =
+        Array.of_list (List.map (Yannakakis.atom_relation db) q.Cq.body)
+      in
       let reduced = Yannakakis.full_reducer tree rels in
       (* global consistency: every remaining tuple joins through *)
       let full =
@@ -87,15 +90,49 @@ let test_full_reducer_consistency () =
 
 let test_atom_relations_selections () =
   (* constants and repeated variables are pushed into S_j *)
-  let q = Parser.parse_cq "ans(X) :- r3(X, X, 3)." in
-  let rels = Yannakakis.atom_relations db q in
-  Alcotest.(check int) "one atom" 1 (Array.length rels);
-  Alcotest.(check int) "no row survives" 0 (Relation.cardinality rels.(0));
-  let q2 = Parser.parse_cq "ans(X) :- r3(1, X, 3)." in
-  let rels2 = Yannakakis.atom_relations db q2 in
-  Alcotest.(check int) "one row" 1 (Relation.cardinality rels2.(0));
+  let rel text =
+    Yannakakis.atom_relation db (List.hd (Parser.parse_cq text).Cq.body)
+  in
+  Alcotest.(check int) "no row survives" 0
+    (Relation.cardinality (rel "ans(X) :- r3(X, X, 3)."));
+  let r = rel "ans(X) :- r3(1, X, 3)." in
+  Alcotest.(check int) "one row" 1 (Relation.cardinality r);
   Alcotest.(check bool) "row is (2)" true
-    (Relation.mem (Tuple.of_ints [ 2 ]) rels2.(0))
+    (Relation.mem (Tuple.of_ints [ 2 ]) r)
+
+(* The prelude's four outcomes, each through all three entry points and
+   checked against the naive reference.  The flag says whether every
+   atom relation is nonempty, which tells the reducer's outcome apart
+   from the empty-atom short cut. *)
+let test_prelude_outcomes () =
+  let cases =
+    [
+      ( "empty body, constant head",
+        Cq.make ~name:"ans" ~head:[ Term.Const (Value.Int 7) ] [],
+        true );
+      ("empty atom relation", Parser.parse_cq "ans(X) :- e(X, 9), u(X).", false);
+      ( "root emptied by the reducer",
+        Parser.parse_cq "ans(X) :- e(X, Y), e(Y, X).",
+        true );
+      ( "nonempty answer",
+        Parser.parse_cq "ans(X, Y) :- e(X, Z), e(Z, Y), u(Z).",
+        true );
+    ]
+  in
+  List.iter
+    (fun (what, q, atoms_nonempty) ->
+      Alcotest.(check bool) (what ^ ": atom relations") atoms_nonempty
+        (List.for_all
+           (fun a -> not (Relation.is_empty (Yannakakis.atom_relation db a)))
+           q.Cq.body);
+      Alcotest.(check bool) (what ^ ": evaluate") true
+        (Relation.set_equal (Yannakakis.evaluate db q) (Cq_naive.evaluate db q));
+      Alcotest.(check int) (what ^ ": count") (Cq_naive.count db q)
+        (Yannakakis.count db q);
+      Alcotest.(check bool) (what ^ ": is_satisfiable")
+        (Cq_naive.is_satisfiable db q)
+        (Yannakakis.is_satisfiable db q))
+    cases
 
 let qcheck_tests =
   [
@@ -137,6 +174,7 @@ let () =
         [
           Alcotest.test_case "full reducer" `Quick test_full_reducer_consistency;
           Alcotest.test_case "atom relations" `Quick test_atom_relations_selections;
+          Alcotest.test_case "prelude outcomes" `Quick test_prelude_outcomes;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
