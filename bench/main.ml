@@ -2198,6 +2198,98 @@ let order_index_growth () =
      runs between, then rebuilds the rank and text arrays: O(D + k log D)\n\
      against the full build's O(D log D) comparisons of boxed values."
 
+(* Compile cost against atom order: the anchored 6-chain
+   [e(5, X1), e(X1, X2), ..., e(X5, X6)] on the graph of
+   [paradb generate edges -n 2000 --seed 1] (7,994 distinct edges),
+   listed forward, reversed, interleaved (even atoms, then odd) and in
+   every 40th of its 720 orders.  Each order is planned once and compiled
+   once untimed (the base relation's key indexes are then built); the
+   record is the median of 101 timed [Compile.compile] calls, taken
+   round-robin over the orders.  A plan
+   rooted where its tree is rooted reduces from the anchor whatever the
+   order, so the max/min spread across orders should stay near 1. *)
+let compile_atom_order () =
+  header "COMPILE-ATOM-ORDER — compile time of one query over its atom orders";
+  let module Planner = Paradb_planner.Planner in
+  let module Compile = Paradb_eval.Compile in
+  let db = Generators.edge_database (Random.State.make [| 1 |]) ~nodes:2000 ~edges:8000 in
+  let atoms =
+    "e(5, X1)" :: List.init 5 (fun i -> Printf.sprintf "e(X%d, X%d)" (i + 1) (i + 2))
+  in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun a -> List.map (List.cons a) (perms (List.filter (( <> ) a) l)))
+          l
+  in
+  let pick idx = List.map (List.nth atoms) idx in
+  let orders =
+    [
+      ("forward", atoms);
+      ("reverse", List.rev atoms);
+      ("interleaved", pick [ 0; 2; 4; 1; 3; 5 ]);
+    ]
+    @ List.filteri (fun i _ -> i mod 40 = 0 && i > 0)
+        (List.mapi (fun i o -> (Printf.sprintf "perm-%d" i, o)) (perms atoms))
+  in
+  let median samples =
+    List.nth (List.sort compare samples) (List.length samples / 2)
+  in
+  let plans =
+    List.map
+      (fun (label, body) ->
+        let text = Printf.sprintf "ans(X6) :- %s." (String.concat ", " body) in
+        let p = Planner.plan (Parser.parse_cq text) in
+        (label, text, p, Relation.cardinality (Compile.run (Compile.compile p db))))
+      orders
+  in
+  (* Round-robin: run r compiles every order once, so a drifting host
+     slows all orders alike instead of the ones timed last. *)
+  let samples = List.map (fun _ -> ref []) plans in
+  for _ = 1 to 101 do
+    List.iter2
+      (fun (_, _, p, _) acc ->
+        acc := snd (B.time (fun () -> Compile.compile p db)) :: !acc)
+      plans samples
+  done;
+  let timed =
+    List.map2
+      (fun (label, text, _, rows) acc ->
+        let t = median !acc in
+        B.record
+          [
+            ("name", B.J_string "compile-atom-order");
+            ("order", B.J_string label);
+            ("query", B.J_string text);
+            ("n", B.J_int (Database.size db));
+            ("rows", B.J_int rows);
+            ("median_ns", B.J_int (int_of_float (t *. 1e9)));
+          ];
+        (label, text, rows, t))
+      plans samples
+  in
+  let ts = List.map (fun (_, _, _, t) -> t) timed in
+  let lo = List.fold_left min infinity ts and hi = List.fold_left max 0. ts in
+  B.record
+    [
+      ("name", B.J_string "compile-atom-order-summary");
+      ("orders", B.J_int (List.length ts));
+      ("median_ns", B.J_int (int_of_float (median ts *. 1e9)));
+      ("min_ns", B.J_int (int_of_float (lo *. 1e9)));
+      ("max_ns", B.J_int (int_of_float (hi *. 1e9)));
+      ("spread", B.J_float (hi /. lo));
+    ];
+  B.print_table
+    ~header:[ "order"; "query"; "rows"; "compile (median of 101)" ]
+    (List.map
+       (fun (label, text, rows, t) ->
+         [ label; text; string_of_int rows; B.pretty_seconds t ])
+       timed);
+  Printf.printf "\n%d orders: median %s, min %s, max %s, spread max/min %.2f\n"
+    (List.length ts) (B.pretty_seconds (median ts)) (B.pretty_seconds lo)
+    (B.pretty_seconds hi) (hi /. lo)
+
 (* ------------------------------------------------------------------ *)
 (* registry + drivers *)
 
@@ -2229,6 +2321,7 @@ let experiments =
     ("compiled-vs-interpreted", compiled_vs_interpreted);
     ("count-overhead", count_overhead);
     ("order-index-growth", order_index_growth);
+    ("compile-atom-order", compile_atom_order);
     ("server-throughput", server_throughput);
     ("durability-overhead", durability_overhead);
     ("cluster-scaling", cluster_scaling);

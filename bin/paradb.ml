@@ -269,12 +269,12 @@ let run_check query_text dot =
                "comparisons: inconsistent (query is empty on every database)@."
          | Paradb_core.Comparisons.Collapsed q' ->
              Format.printf "comparisons: consistent; collapsed: %a@." Cq.pp q');
-      (match Join_tree.of_cq q with
+      let pplan = Paradb_planner.Planner.plan q in
+      (match pplan.Paradb_planner.Planner.tree with
       | Some tree ->
           Format.printf "%a@." Join_tree.pp tree;
           if dot then print_string (Join_tree.to_dot tree)
       | None -> Format.printf "no join tree (cyclic or empty body)@.");
-      let pplan = Paradb_planner.Planner.plan q in
       Format.printf "plan class: %s, width %d@."
         (Paradb_planner.Planner.classification_name
            pplan.Paradb_planner.Planner.classification)
@@ -579,9 +579,9 @@ let init_durability flag =
       | () -> Ok ()
       | exception Invalid_argument msg -> Error msg)
 
-let run_serve host port workers cache_size trial_domains family seed trace
-    data_dir durability compact_after compact_interval deadline_ms max_line
-    max_rows idle_timeout grace =
+let run_serve host port workers cache_size trial_domains trace data_dir
+    durability compact_after compact_interval deadline_ms max_line max_rows
+    idle_timeout grace =
   if workers < 1 || cache_size < 1 || trial_domains < 1 then begin
     Printf.eprintf "error: --workers, --cache-size and --trial-domains must be positive\n";
     1
@@ -622,11 +622,6 @@ let run_serve host port workers cache_size trial_domains family seed trace
         Printf.eprintf "error: %s\n" msg;
         1
     | Ok () ->
-    let family =
-      match family with
-      | `Sweep -> None
-      | `Random -> Some (family_of `Random ~k:4 ~seed)
-    in
     let limits =
       {
         Guard.deadline_ns = Option.map (fun ms -> ms * 1_000_000) deadline_ms;
@@ -636,7 +631,7 @@ let run_serve host port workers cache_size trial_domains family seed trace
       }
     in
     let shared =
-      Paradb_server.Session.make_shared ?family ~limits ?data_dir
+      Paradb_server.Session.make_shared ~limits ?data_dir
         ~cache_capacity:cache_size ()
     in
     let catalog = shared.Paradb_server.Session.catalog in
@@ -767,9 +762,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man ~exits)
     Term.(
       const run_serve $ host_arg $ port_arg ~default:7411 $ workers_arg
-      $ cache_arg $ trial_domains_arg $ family_arg $ seed_arg $ trace_arg
-      $ data_dir_arg $ durability_arg $ compact_after_arg
-      $ compact_interval_arg $ deadline_arg $ max_line_arg $ max_rows_arg
+      $ cache_arg $ trial_domains_arg $ trace_arg $ data_dir_arg
+      $ durability_arg $ compact_after_arg $ compact_interval_arg $ deadline_arg $ max_line_arg $ max_rows_arg
       $ idle_timeout_arg $ grace_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1300,7 +1294,7 @@ let main_cmd =
   let doc =
     "Parameterized query evaluation (Papadimitriou & Yannakakis, PODS 1997)"
   in
-  Cmd.group (Cmd.info "paradb" ~version:"1.10.0" ~doc ~exits)
+  Cmd.group (Cmd.info "paradb" ~version:"1.20.0" ~doc ~exits)
     [
       eval_cmd; check_cmd; datalog_cmd; generate_cmd; compact_cmd; serve_cmd;
       coordinator_cmd; client_cmd; stats_cmd; fuzz_cmd;

@@ -809,7 +809,7 @@ let rejoin t budget ~scoped ~prepare ~exec (scratch, rewritten, key) =
 
 let exchange_eval t conns budget ~db q =
   rejoin t budget ~scoped:Plan.scoped_key ~prepare:Plan.prepare
-    ~exec:(Plan.evaluate ?family:None)
+    ~exec:Plan.evaluate
     (exchange_scratch t conns budget ~db q)
 
 (* COUNT over the exchange: the same round-1 reducers (semijoin

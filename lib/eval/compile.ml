@@ -5,6 +5,7 @@ module Row_set = Paradb_relational.Row_set
 module Semiring = Paradb_relational.Semiring
 module Code_row = Paradb_relational.Code_row
 module Planner = Paradb_planner.Planner
+module Yannakakis = Paradb_yannakakis.Yannakakis
 module Budget = Paradb_telemetry.Budget
 module Metrics = Paradb_telemetry.Metrics
 module Mutate = Paradb_telemetry.Mutate
@@ -182,23 +183,26 @@ let compile_constraint reg_of order c =
           fun regs -> rank.(regs.(b)) >= from
       | `Const _, `Const _ -> assert false)
 
-(* Materialize every atom and apply the plan's semijoin program (full
-   reduction for acyclic plans).  Count-preserving: materialization's
-   projection to first-occurrence variable positions is injective on the
-   rows matching the selection pattern, and semijoins only drop rows that
-   join with nothing. *)
+(* Materialize every atom and semijoin-reduce them over the plan's join
+   tree (acyclic plans), with {!Yannakakis}' two passes: outward from the
+   root (child ⋉ parent), so a selective root shrinks every relation
+   first, then inward to it (parent ⋉ child).  That leaves each node
+   reduced by its subtree in the pipeline's own rooting, which is all
+   enumeration from the root needs to meet no dead end.  Count-preserving:
+   materialization's projection to first-occurrence variable positions is
+   injective on the rows matching the selection pattern, and semijoins
+   only drop rows that join with nothing. *)
 let reduced_mats ?budget plan db atoms =
   let mats =
     Array.mapi
       (fun i scan -> materialize ?budget db scan atoms.(i))
       plan.Planner.scans
   in
-  List.iter
-    (fun (target, filter) ->
-      Budget.poll budget;
-      mats.(target) <- Relation.semijoin mats.(target) mats.(filter))
-    plan.Planner.reduce;
-  mats
+  match plan.Planner.tree with
+  | None -> mats
+  | Some tree ->
+      Yannakakis.semijoin_bottom_up ?budget tree
+        (Yannakakis.semijoin_top_down ?budget tree mats)
 
 (* Every filter of a step, checked without allocating: a closed
    recursive walk, not [Array.for_all] over a fresh closure. *)
@@ -316,7 +320,7 @@ let build ?budget sink plan db =
     else if q.Cq.body = [] then (0, emit)
     else begin
       let atoms = Array.of_list q.Cq.body in
-      (* Acyclic plans: full semijoin reduction at compile time, so the
+      (* Acyclic plans: semijoin reduction at compile time, so the
          pipeline below enumerates without dead ends (Yannakakis). *)
       let mats = reduced_mats ?budget plan db atoms in
       let order =

@@ -12,6 +12,28 @@ type t = {
 
 let n_nodes t = Array.length t.node_vars
 
+(* The rest of a tree once its links are fixed: the post-order DFS from
+   the root (each node's children in list order, then the node) and the
+   subtree variables. *)
+let make node_vars ~parent ~children root =
+  let order = ref [] in
+  let rec dfs i =
+    List.iter dfs children.(i);
+    order := i :: !order
+  in
+  dfs root;
+  let top_down = Array.of_list !order in
+  let bottom_up = Array.of_list (List.rev !order) in
+  let subtree_vars = Array.make (Array.length node_vars) String_set.empty in
+  Array.iter
+    (fun i ->
+      subtree_vars.(i) <-
+        List.fold_left
+          (fun acc c -> String_set.union acc subtree_vars.(c))
+          node_vars.(i) children.(i))
+    bottom_up;
+  { node_vars; parent; children; root; bottom_up; top_down; subtree_vars }
+
 let of_hypergraph h =
   let n = Hypergraph.n_edges h in
   if n = 0 then None
@@ -26,34 +48,30 @@ let of_hypergraph h =
         Array.iteri
           (fun i p -> if p >= 0 then children.(p) <- i :: children.(p))
           parent;
-        (* Post-order DFS from the root: children before parents. *)
-        let order = ref [] in
-        let rec dfs i =
-          List.iter dfs children.(i);
-          order := i :: !order
-        in
-        dfs root;
-        let top_down = Array.of_list !order in
-        let bottom_up = Array.of_list (List.rev !order) in
-        let subtree_vars = Array.make n String_set.empty in
-        Array.iter
-          (fun i ->
-            subtree_vars.(i) <-
-              List.fold_left
-                (fun acc c -> String_set.union acc subtree_vars.(c))
-                h.Hypergraph.edges.(i) children.(i))
-          bottom_up;
-        Some
-          {
-            node_vars = Array.copy h.Hypergraph.edges;
-            parent;
-            children;
-            root;
-            bottom_up;
-            top_down;
-            subtree_vars;
-          }
+        Some (make (Array.copy h.Hypergraph.edges) ~parent ~children root)
     | _ -> None
+
+(* A node's neighbours are its old children, then its old parent; the
+   walk from [r] makes every neighbour but the one it came from a
+   child. *)
+let reroot t r =
+  if r = t.root then t
+  else begin
+    let n = n_nodes t in
+    let parent = Array.make n (-1) and children = Array.make n [] in
+    let rec visit from i =
+      let p = t.parent.(i) in
+      let nbrs = if p >= 0 then t.children.(i) @ [ p ] else t.children.(i) in
+      children.(i) <- List.filter (fun j -> j <> from) nbrs;
+      List.iter
+        (fun j ->
+          parent.(j) <- i;
+          visit i j)
+        children.(i)
+    in
+    visit (-1) r;
+    make t.node_vars ~parent ~children r
+  end
 
 let of_cq q = of_hypergraph (Hypergraph.of_cq q)
 

@@ -23,6 +23,12 @@ val of_hypergraph : Hypergraph.t -> t option
 (** Join tree of the relational atoms of a query. *)
 val of_cq : Paradb_query.Cq.t -> t option
 
+(** [reroot t r] — the same tree rooted at node [r]: each node's children
+    are its neighbours other than the one towards [r], its old children
+    first, then its old parent.  [t] itself when [r] is already the
+    root. *)
+val reroot : t -> int -> t
+
 val n_nodes : t -> int
 
 (** Check the running-intersection property (used by tests and by

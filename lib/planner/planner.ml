@@ -30,7 +30,6 @@ type t = {
   tree : Join_tree.t option;
   scans : scan array;
   steps : step list;
-  reduce : (int * int) list;
   filters : (int * Constr.t) list;
   ground : Constr.t list;
   barriers : string list option array;
@@ -153,38 +152,27 @@ let local_work constraints scan =
            | cv -> List.for_all (fun v -> SS.mem v vars) cv)
          constraints)
 
-(* Join order.  With a join tree: a preorder rooted at the atom with the
-   most local work (ties keep the GYO root), so a selective local filter
-   runs right after step 0 instead of after every probe.  Any connected
-   preorder keeps the probe key exactly the connector: a variable a node
+(* Root of the join tree: the atom with the most local work (ties keep
+   the GYO root), so a selective local filter runs right after step 0
+   instead of after every probe.  The plan's tree is rooted there, and
+   its [top_down] preorder is the join order: any connected preorder
+   keeps the probe key exactly the connector, since a variable a node
    shares with any earlier node lies, by running intersection, on the
-   tree path between them, which enters the node through its parent in
-   this orientation.  The semijoin program does not depend on the root.
-   Without a tree: greedy — start from the statically most selective
-   atom (most constants and repeated variables), then repeatedly take
-   the atom sharing the most bound variables. *)
-let order_atoms constraints tree scans =
+   tree path between them, which enters the node through its parent. *)
+let root_atom constraints scans t =
+  let work = Array.map (local_work constraints) scans in
+  let root = ref t.Join_tree.root in
+  Array.iteri (fun i w -> if w > work.(!root) then root := i) work;
+  !root
+
+(* Join order.  With a join tree: its [top_down] preorder, from the root
+   [root_atom] picked.  Without one: greedy — start from the statically
+   most selective atom (most constants and repeated variables), then
+   repeatedly take the atom sharing the most bound variables. *)
+let order_atoms tree scans =
   let n = Array.length scans in
   match tree with
-  | Some t ->
-      let work = Array.map (local_work constraints) scans in
-      let root = ref t.Join_tree.root in
-      Array.iteri (fun i w -> if w > work.(!root) then root := i) work;
-      (* Reverse post-order of the tree re-rooted at [root]: every node
-         after its neighbour on the path to the root.  From the GYO root
-         this is exactly [t.top_down]. *)
-      let order = ref [] in
-      let rec visit from i =
-        let nbrs =
-          let p = t.Join_tree.parent.(i) in
-          if p >= 0 then t.Join_tree.children.(i) @ [ p ]
-          else t.Join_tree.children.(i)
-        in
-        List.iter (fun j -> if j <> from then visit i j) nbrs;
-        order := i :: !order
-      in
-      visit (-1) !root;
-      !order
+  | Some t -> Array.to_list t.Join_tree.top_down
   | None ->
       let var_sets = Array.map (fun s -> SS.of_list s.vars) scans in
       let selectivity i =
@@ -238,21 +226,6 @@ let steps_of_order scans order =
       ([], []) order
   in
   (List.rev steps, Array.of_list (List.rev bound_after))
-
-(* Semijoin program: full reducer order — bottom-up child-into-parent,
-   then top-down parent-into-child — as (target, filter) pairs. *)
-let reduce_program tree =
-  match tree with
-  | None -> []
-  | Some t ->
-      let pairs dir =
-        Array.to_list dir
-        |> List.filter_map (fun j ->
-               let u = t.Join_tree.parent.(j) in
-               if u >= 0 then Some (j, u) else None)
-      in
-      List.map (fun (j, u) -> (u, j)) (pairs t.Join_tree.bottom_up)
-      @ pairs t.Join_tree.top_down
 
 (* Dead-variable barriers: after step [i], a bound variable that is not
    in the head and that no later step or filter reads can no longer
@@ -335,7 +308,13 @@ let place_constraints constraints bound_after =
 let plan q =
   let q = Cq.alpha_normalize q in
   let scans = Array.of_list (List.map scan_of_atom q.Cq.body) in
-  let tree = if q.Cq.body = [] then None else Join_tree.of_cq q in
+  let tree =
+    if q.Cq.body = [] then None
+    else
+      Option.map
+        (fun t -> Join_tree.reroot t (root_atom q.Cq.constraints scans t))
+        (Join_tree.of_cq q)
+  in
   let classification, width =
     if q.Cq.body = [] then (Acyclic, 0)
     else if tree <> None then (Acyclic, 1)
@@ -348,8 +327,7 @@ let plan q =
     | Acyclic -> m_acyclic
     | Low_width _ -> m_low_width
     | Cyclic _ -> m_cyclic);
-  let order = order_atoms q.Cq.constraints tree scans in
-  let steps, bound_after = steps_of_order scans order in
+  let steps, bound_after = steps_of_order scans (order_atoms tree scans) in
   let filters, ground = place_constraints q.Cq.constraints bound_after in
   {
     query = q;
@@ -358,7 +336,6 @@ let plan q =
     tree;
     scans;
     steps;
-    reduce = reduce_program tree;
     filters;
     ground;
     barriers = barrier_spec q scans steps filters;
@@ -427,12 +404,14 @@ let explain p =
   line "query: %s" (Cq.to_string p.query);
   line "class: %s" (classification_name p.classification);
   line "width: %d" p.width;
+  (* The tree is rooted at step 0's atom; its reducer is one outward and
+     one inward semijoin per edge. *)
   (match p.tree with
   | Some t ->
-      line "join_tree: %d nodes, root atom %d" (Join_tree.n_nodes t)
-        t.Join_tree.root
+      let n = Join_tree.n_nodes t in
+      line "join_tree: %d nodes, root atom %d" n t.Join_tree.root;
+      if n > 1 then line "semijoin program: %d steps" (2 * (n - 1))
   | None -> line "join_tree: none");
-  if p.reduce <> [] then line "semijoin program: %d steps" (List.length p.reduce);
   let vars = String.concat " " in
   List.iteri
     (fun i step ->

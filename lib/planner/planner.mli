@@ -55,14 +55,16 @@ type t = {
   query : Cq.t;  (** alpha-normalized *)
   classification : classification;
   width : int;  (** 1 for acyclic (0 for an empty body); the estimate otherwise *)
-  tree : Join_tree.t option;  (** present iff acyclic with a nonempty body *)
+  tree : Join_tree.t option;
+      (** present iff acyclic with a nonempty body: the GYO tree rerooted
+          at the atom with the most local work (constants, repeated
+          variables, constraints over its own variables).  The join order,
+          the compiled semijoin reducer and [EXPLAIN] all read this one
+          rooting *)
   scans : scan array;  (** one per body atom, in body order *)
   steps : step list;
-      (** join order: join-tree preorder when acyclic, greedy
-          bound-variable order otherwise *)
-  reduce : (int * int) list;
-      (** Yannakakis semijoin program as (target, filter) atom pairs:
-          bottom-up pass then top-down pass; empty when cyclic *)
+      (** join order: [tree]'s [top_down] preorder when acyclic (step 0
+          scans the root), greedy bound-variable order otherwise *)
   filters : (int * Constr.t) list;
       (** constraint [c] runs immediately after step index [i] — the
           earliest step at which all its variables are bound *)

@@ -4,8 +4,6 @@ module Term = Paradb_query.Term
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
 module Dictionary = Paradb_relational.Dictionary
-module Hypergraph = Paradb_hypergraph.Hypergraph
-module Join_tree = Paradb_hypergraph.Join_tree
 module Engine = Paradb_core.Engine
 module Ineq = Paradb_core.Ineq
 module Planner = Paradb_planner.Planner
@@ -19,12 +17,8 @@ type engine = E_naive | E_yannakakis | E_fpt | E_compiled
 
 type t = {
   query : Cq.t;
-  key : string;
-  requested : engine_kind;
   engine : engine;
-  acyclic : bool;
   neq_k : int;
-  tree : Join_tree.t option;
   pplan : Planner.t;
   exec : Compile.exec option;
   count_exec : Compile.count_exec option;
@@ -89,7 +83,6 @@ let constants q =
 let analyze requested q =
   let nq = Cq.alpha_normalize q in
   let pplan = Planner.plan nq in
-  let acyclic = pplan.Planner.classification = Planner.Acyclic in
   let engine =
     match requested with
     | Naive -> E_naive
@@ -107,12 +100,8 @@ let analyze requested q =
   List.iter (fun v -> ignore (Dictionary.intern Dictionary.global v)) (constants q);
   {
     query = nq;
-    key = cache_key requested q;
-    requested;
     engine;
-    acyclic;
     neq_k;
-    tree = pplan.Planner.tree;
     pplan;
     exec = None;
     count_exec = None;
@@ -142,11 +131,11 @@ let prepare_count ?budget plan db ~generation =
       { plan with count_exec = Some count_exec; generation }
   | _ -> plan
 
-let evaluate ?budget ?family plan db q =
+let evaluate ?budget plan db q =
   match plan.engine with
   | E_naive -> Paradb_eval.Cq_naive.evaluate ?budget db q
   | E_yannakakis -> Paradb_yannakakis.Yannakakis.evaluate ?budget db q
-  | E_fpt -> Engine.evaluate ?budget ?family db q
+  | E_fpt -> Engine.evaluate ?budget db q
   | E_compiled -> (
       match plan.exec with
       | Some exec -> Compile.run ?budget exec

@@ -21,12 +21,8 @@ type engine = E_naive | E_yannakakis | E_fpt | E_compiled
 
 type t = {
   query : Cq.t;  (** the alpha-normalized query the plan was built from *)
-  key : string;  (** {!cache_key} of the query and requested engine *)
-  requested : engine_kind;
   engine : engine;  (** resolved dispatch decision *)
-  acyclic : bool;
   neq_k : int;  (** [|V1|] of the Ineq partition; 0 unless [E_fpt] *)
-  tree : Paradb_hypergraph.Join_tree.t option;
   pplan : Paradb_planner.Planner.t;  (** physical plan and classification *)
   exec : Paradb_eval.Compile.exec option;
       (** compiled pipeline; [Some] only after {!prepare} *)
@@ -89,13 +85,12 @@ val prepare_count :
     alpha-equivalent to [plan.query]; the fresh parse is used directly so
     head attribute names are preserved.  [E_compiled] plans run their
     prepared pipeline (compiling on the fly against [db] when
-    unprepared).  [family], when given, overrides the deterministic sweep
-    family of the fpt engine.  [budget] is threaded into whichever engine
-    runs; expiry raises {!Paradb_telemetry.Budget.Exhausted}.  Raises the
-    engines' exceptions ([Cyclic_query], [Invalid_argument]) unchanged. *)
+    unprepared); the fpt engine runs its deterministic sweep family.
+    [budget] is threaded into whichever engine runs; expiry raises
+    {!Paradb_telemetry.Budget.Exhausted}.  Raises the engines' exceptions
+    ([Cyclic_query], [Invalid_argument]) unchanged. *)
 val evaluate :
-  ?budget:Paradb_telemetry.Budget.t ->
-  ?family:Paradb_core.Hashing.family -> t -> Database.t -> Cq.t -> Relation.t
+  ?budget:Paradb_telemetry.Budget.t -> t -> Database.t -> Cq.t -> Relation.t
 
 (** [count plan db q] — the exact answer count (number of satisfying
     valuations of the body variables, Nat-semiring semantics).

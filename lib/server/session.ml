@@ -20,17 +20,15 @@ type shared = {
   catalog : Catalog.t;
   cache : Plan_cache.t;
   stats : Stats.t;
-  family : Paradb_core.Hashing.family option;
   limits : Guard.limits;
 }
 
-let make_shared ?family ?(limits = Guard.default_limits) ?data_dir
+let make_shared ?(limits = Guard.default_limits) ?data_dir
     ~cache_capacity () =
   {
     catalog = Catalog.create ?data_dir ();
     cache = Plan_cache.create ~capacity:cache_capacity ();
     stats = Stats.create ();
-    family;
     limits;
   }
 
@@ -152,8 +150,7 @@ let run s ~db ~kind q ~key
 
 let evaluated s ~db ~kind q render =
   run s ~db ~kind q ~key:Plan.scoped_key ~prepare:Plan.prepare
-    ~exec:(Plan.evaluate ?family:s.shared.family)
-    render
+    ~exec:Plan.evaluate render
 
 (* The [--max-rows] cap on an answer of [rows] rows: how many lines to
    render, and whether the answer is cut short. *)
@@ -298,12 +295,13 @@ let check query =
         [
           Printf.sprintf "query: %s" (Cq.to_string q);
           Printf.sprintf "size %d vars %d" (Cq.size q) (Cq.num_vars q);
-          Printf.sprintf "acyclic: %b" plan.Plan.acyclic;
+          Printf.sprintf "acyclic: %b"
+            (pplan.Planner.classification = Planner.Acyclic);
           Printf.sprintf "class: %s"
             (Planner.classification_name pplan.Planner.classification);
           Printf.sprintf "width: %d" pplan.Planner.width;
           Printf.sprintf "join_tree: %s"
-            (match plan.Plan.tree with
+            (match pplan.Planner.tree with
             | Some t -> Printf.sprintf "%d nodes" (Join_tree.n_nodes t)
             | None -> "none");
           Printf.sprintf "neq_partition_k: %d" plan.Plan.neq_k;

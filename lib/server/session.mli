@@ -14,8 +14,6 @@ type shared = {
   catalog : Catalog.t;
   cache : Plan_cache.t;
   stats : Stats.t;  (** server-wide *)
-  family : Paradb_core.Hashing.family option;
-      (** fpt-engine hash family override; [None] = deterministic sweep *)
   limits : Guard.limits;
       (** resource governance: per-request deadline, result-row cap (the
           server loop applies the line and idle limits) *)
@@ -26,7 +24,6 @@ type shared = {
     stores under it (see {!Catalog}); existing stores are attached by
     {!Server.start}, or explicitly via {!Catalog.attach}. *)
 val make_shared :
-  ?family:Paradb_core.Hashing.family ->
   ?limits:Guard.limits ->
   ?data_dir:string -> cache_capacity:int -> unit -> shared
 

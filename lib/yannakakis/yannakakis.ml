@@ -80,7 +80,8 @@ let semijoin_bottom_up ?budget tree rels =
   Trace.with_span "yannakakis.semijoin_bottom_up" @@ fun () ->
   (* Mutation hook: skip the first semijoin of the pass, leaving the
      reduction one edge short — [is_satisfiable] then trusts a root that
-     was never filtered against that subtree. *)
+     was never filtered against that subtree.  The compiled pipeline's
+     probes check every join, so there it only leaves rows unreduced. *)
   let skip =
     ref (if Paradb_telemetry.Mutate.enabled "semijoin_off_by_one" then 1 else 0)
   in

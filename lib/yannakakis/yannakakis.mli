@@ -58,7 +58,18 @@ val project_onto :
   Paradb_hypergraph.Hypergraph.String_set.t ->
   Paradb_relational.Relation.t -> Paradb_relational.Relation.t
 
-(** The top-down semijoin pass: each child is reduced by its parent. *)
+(** The bottom-up semijoin pass, children before parents: each parent is
+    reduced by its child ([parent ⋉ child]), so every node ends reduced
+    by its whole subtree.  Relations are indexed by tree node. *)
+val semijoin_bottom_up :
+  ?budget:Paradb_telemetry.Budget.t ->
+  Paradb_hypergraph.Join_tree.t ->
+  Paradb_relational.Relation.t array ->
+  Paradb_relational.Relation.t array
+
+(** The top-down semijoin pass: each child is reduced by its parent
+    ([child ⋉ parent]).  The compiled pipeline runs it first, then
+    {!semijoin_bottom_up}, on its plan's rooting. *)
 val semijoin_top_down :
   ?budget:Paradb_telemetry.Budget.t ->
   Paradb_hypergraph.Join_tree.t ->

@@ -39,15 +39,11 @@ let test_classification () =
     (p.Planner.classification = Planner.Acyclic);
   Alcotest.(check int) "chain width 1" 1 p.Planner.width;
   Alcotest.(check bool) "chain has a join tree" true (p.Planner.tree <> None);
-  Alcotest.(check bool) "chain has a semijoin program" true
-    (p.Planner.reduce <> []);
   let t = plan "ans(X) :- e(X, Y), e(Y, Z), e(Z, X)." in
   Alcotest.(check bool) "triangle low-width" true
     (t.Planner.classification = Planner.Low_width 2);
   Alcotest.(check int) "triangle width 2" 2 t.Planner.width;
   Alcotest.(check bool) "triangle has no tree" true (t.Planner.tree = None);
-  Alcotest.(check bool) "triangle has no semijoin program" true
-    (t.Planner.reduce = []);
   (* 5-clique: 10 binary atoms, every elimination bag is the whole
      vertex set, greedy edge cover needs 3 atoms > threshold 2 *)
   let clique =
@@ -160,6 +156,64 @@ let test_filter_first_root () =
       "shard key: V1 (reducer exchange)";
     ]
     (Planner.explain (plan "ans(X) :- e(X, Y), e(Y, Z), e(Z, W)."))
+
+(* One rooting per plan, whatever the atom order: over all 720 orders of
+   the anchored 6-chain the tree is rooted at the anchor atom [e(5, X1)],
+   step 0 scans it and EXPLAIN names it as the root.  Every 24th order is
+   compiled, and its answers and count equal the first order's, which
+   equal the naive engine's. *)
+let test_root_independent_of_atom_order () =
+  let anchor = "e(5, X1)" in
+  let atoms =
+    anchor :: List.init 5 (fun i -> Printf.sprintf "e(X%d, X%d)" (i + 1) (i + 2))
+  in
+  let rec orders = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun a -> List.map (List.cons a) (orders (List.filter (( <> ) a) l)))
+          l
+  in
+  let orders = orders atoms in
+  Alcotest.(check int) "720 atom orders" 720 (List.length orders);
+  let db =
+    Generators.edge_database (Random.State.make [| 1 |]) ~nodes:40 ~edges:160
+  in
+  let expected = ref None in
+  List.iteri
+    (fun k body ->
+      let text = Printf.sprintf "ans(X1, X6) :- %s." (String.concat ", " body) in
+      let p = plan text in
+      let root =
+        fst (List.find (fun (_, a) -> a = anchor) (List.mapi (fun i a -> (i, a)) body))
+      in
+      (match p.Planner.tree with
+      | Some t ->
+          Alcotest.(check int) (text ^ ": tree root") root t.Planner.Join_tree.root
+      | None -> Alcotest.fail (text ^ ": no join tree"));
+      (match p.Planner.steps with
+      | Planner.Scan { atom } :: _ ->
+          Alcotest.(check int) (text ^ ": step 0") root atom
+      | _ -> Alcotest.fail (text ^ ": plan must open with a scan"));
+      Alcotest.(check bool) (text ^ ": explain root") true
+        (List.mem
+           (Printf.sprintf "join_tree: 6 nodes, root atom %d" root)
+           (Planner.explain p));
+      if k mod 24 = 0 then begin
+        let rows = Test_support.sorted_rows in
+        let got =
+          (rows (Compile.run (Compile.compile p db)), Compile.count db p.Planner.query)
+        in
+        match !expected with
+        | None ->
+            let q = p.Planner.query in
+            Alcotest.(check (pair (list string) int)) (text ^ ": = naive")
+              (rows (Cq_naive.evaluate db q), Cq_naive.count db q) got;
+            Alcotest.(check bool) "the chain has answers" true (fst got <> []);
+            expected := Some got
+        | Some e -> Alcotest.(check (pair (list string) int)) text e got
+      end)
+    orders
 
 (* ------------------------------------------------------------------ *)
 (* Compiled pipeline: hand-picked edge cases *)
@@ -498,6 +552,8 @@ let () =
             test_explain_cut;
           Alcotest.test_case "filter-first join-tree root" `Quick
             test_filter_first_root;
+          Alcotest.test_case "one root for every atom order" `Quick
+            test_root_independent_of_atom_order;
         ] );
       ( "compiled",
         [

@@ -230,7 +230,8 @@ let test_plan_dispatch () =
       (Parser.parse_cq "ans(X) :- e(X, Y), e(Y, Z), X != Z, X != Y.")
   in
   Alcotest.(check bool) "fpt partition k > 0" true (p.Plan.neq_k > 0);
-  Alcotest.(check bool) "join tree cached" true (p.Plan.tree <> None);
+  Alcotest.(check bool) "join tree cached" true
+    (p.Plan.pplan.Paradb_planner.Planner.tree <> None);
   (* every plan carries the planner classification *)
   let cls text = (plan_for text).Plan.pplan.Paradb_planner.Planner.classification in
   Alcotest.(check bool) "chain classified acyclic" true
