@@ -20,6 +20,8 @@ module Hypergraph = Paradb_hypergraph.Hypergraph
 module Join_tree = Paradb_hypergraph.Join_tree
 module Engine = Paradb_core.Engine
 module Hashing = Paradb_core.Hashing
+module Planner = Paradb_planner.Planner
+module Metrics = Paradb_telemetry.Metrics
 module Plan = Paradb_server.Plan
 module Guard = Paradb_server.Guard
 module Fault = Paradb_server.Fault
@@ -65,17 +67,11 @@ let query_arg =
   let doc = "The query, e.g. 'ans(X) :- e(X, Y), X != Y.'" in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
 
-type engine_kind =
-  | E_auto
-  | E_naive
-  | E_yannakakis
-  | E_fpt
-  | E_compiled
-
 let engine_arg =
   let kinds =
-    [ ("auto", E_auto); ("naive", E_naive); ("yannakakis", E_yannakakis);
-      ("fpt", E_fpt); ("compiled", E_compiled) ]
+    List.map
+      (fun k -> (Plan.engine_kind_name k, k))
+      Plan.[ Auto; Naive; Yannakakis; Fpt; Compiled ]
   in
   let doc =
     "Evaluation engine: auto (the compiled planner pipeline), naive \
@@ -83,7 +79,7 @@ let engine_arg =
      Theorem-2 engine for acyclic queries with !=), compiled (the \
      structure-aware plan lowered to fused push-based operators)."
   in
-  Arg.(value & opt (enum kinds) E_auto & info [ "e"; "engine" ] ~doc)
+  Arg.(value & opt (enum kinds) Plan.Auto & info [ "e"; "engine" ] ~doc)
 
 let family_arg =
   let doc =
@@ -97,7 +93,8 @@ let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 
 let stats_arg =
-  Arg.(value & flag & info [ "stats" ] ~doc:"Print work counters.")
+  Arg.(value & flag
+       & info [ "stats" ] ~doc:"Print work counters as '%' lines before the answer.")
 
 let trace_arg =
   let doc =
@@ -130,16 +127,16 @@ let family_of kind ~k ~seed =
       Hashing.Random_trials
         { trials = Hashing.default_trials ~c:3.0 ~k; seed }
 
-(* dispatch is single-sourced in Plan.analyze (the decision the server's
-   plan cache stores); the CLI only translates its argv enum *)
-let plan_kind = function
-  | E_auto -> Plan.Auto
-  | E_naive -> Plan.Naive
-  | E_yannakakis -> Plan.Yannakakis
-  | E_fpt -> Plan.Fpt
-  | E_compiled -> Plan.Compiled
-
-let choose_engine kind q = (Plan.analyze (plan_kind kind) q).Plan.engine
+(* The counters are zeroed before the plan is built, so every nonzero
+   one was moved by this run: planning, compiling and evaluating. *)
+let print_stats plan =
+  let p = plan.Plan.pplan in
+  Printf.printf "%% plan class: %s, width %d\n"
+    (Planner.classification_name p.Planner.classification)
+    p.Planner.width;
+  List.iter
+    (fun (name, v) -> if v <> 0 then Printf.printf "%% %s: %d\n" name v)
+    (Metrics.snapshot ()).Metrics.counters
 
 let run_eval db_path query_text engine family seed count stats trace =
   with_trace trace @@ fun () ->
@@ -149,66 +146,22 @@ let run_eval db_path query_text engine family seed count stats trace =
       1
   | Ok db, Ok q -> (
       try
-        if count then begin
-          let n, engine_name =
-            match choose_engine engine q with
-            | Plan.E_naive ->
-                let s = Paradb_eval.Cq_naive.new_stats () in
-                let n = Paradb_eval.Cq_naive.count ~stats:s db q in
-                if stats then
-                  Printf.printf "%% naive probes: %d\n"
-                    s.Paradb_eval.Cq_naive.probes;
-                (n, "naive")
-            | Plan.E_yannakakis ->
-                (Paradb_yannakakis.Yannakakis.count db q, "yannakakis")
-            | Plan.E_compiled ->
-                let pplan = Paradb_planner.Planner.plan q in
-                if stats then
-                  Printf.printf "%% plan class: %s, width %d\n"
-                    (Paradb_planner.Planner.classification_name
-                       pplan.Paradb_planner.Planner.classification)
-                    pplan.Paradb_planner.Planner.width;
-                ( Paradb_eval.Compile.run_count
-                    (Paradb_eval.Compile.compile_count pplan db),
-                  "compiled" )
-            | Plan.E_fpt -> invalid_arg (Plan.cannot_count Plan.E_fpt)
-          in
-          Printf.printf "%% engine: %s\n" engine_name;
-          Printf.printf "%d\n" n;
-          0
-        end
-        else
-        let result, engine_name =
-          match choose_engine engine q with
-          | Plan.E_naive ->
-              let s = Paradb_eval.Cq_naive.new_stats () in
-              let r = Paradb_eval.Cq_naive.evaluate ~stats:s db q in
-              if stats then
-                Printf.printf "%% naive probes: %d\n" s.Paradb_eval.Cq_naive.probes;
-              (r, "naive")
-          | Plan.E_yannakakis ->
-              (Paradb_yannakakis.Yannakakis.evaluate db q, "yannakakis")
-          | Plan.E_fpt ->
-              let part = Paradb_core.Ineq.partition q in
-              let family = family_of family ~k:part.Paradb_core.Ineq.k ~seed in
-              let s = Engine.new_stats () in
-              let r = Engine.evaluate ~family ~stats:s db q in
-              if stats then
-                Printf.printf "%% fpt colorings: %d tried, %d nonempty\n"
-                  s.Engine.trials s.Engine.successes;
-              (r, "fpt")
-          | Plan.E_compiled ->
-              let pplan = Paradb_planner.Planner.plan q in
-              if stats then
-                Printf.printf "%% plan class: %s, width %d\n"
-                  (Paradb_planner.Planner.classification_name
-                     pplan.Paradb_planner.Planner.classification)
-                  pplan.Paradb_planner.Planner.width;
-              (Paradb_eval.Compile.run (Paradb_eval.Compile.compile pplan db),
-               "compiled")
+        Metrics.reset ();
+        let plan = Plan.analyze engine q in
+        (* run now, print last: the stats lines come before the answer
+           but must read the counters the run moved *)
+        let print_answer =
+          if count then
+            let n = Plan.count plan db q in
+            fun () -> Printf.printf "%d\n" n
+          else
+            let family = family_of family ~k:plan.Plan.neq_k ~seed in
+            let r = Plan.evaluate ~family plan db q in
+            fun () -> Format.printf "%a@." Relation.pp r
         in
-        Printf.printf "%% engine: %s\n" engine_name;
-        Format.printf "%a@." Relation.pp result;
+        if stats then print_stats plan;
+        Printf.printf "%% engine: %s\n" (Plan.engine_name plan.Plan.engine);
+        print_answer ();
         0
       with
       | Paradb_yannakakis.Yannakakis.Cyclic_query | Engine.Cyclic_query ->
@@ -269,25 +222,18 @@ let run_check query_text dot =
                "comparisons: inconsistent (query is empty on every database)@."
          | Paradb_core.Comparisons.Collapsed q' ->
              Format.printf "comparisons: consistent; collapsed: %a@." Cq.pp q');
-      let pplan = Paradb_planner.Planner.plan q in
-      (match pplan.Paradb_planner.Planner.tree with
+      let plan = Plan.analyze Plan.Auto q in
+      let pplan = plan.Plan.pplan in
+      (match pplan.Planner.tree with
       | Some tree ->
           Format.printf "%a@." Join_tree.pp tree;
           if dot then print_string (Join_tree.to_dot tree)
       | None -> Format.printf "no join tree (cyclic or empty body)@.");
       Format.printf "plan class: %s, width %d@."
-        (Paradb_planner.Planner.classification_name
-           pplan.Paradb_planner.Planner.classification)
-        pplan.Paradb_planner.Planner.width;
-      List.iter
-        (Format.printf "  %s@.")
-        (Paradb_planner.Planner.explain pplan);
-      (match choose_engine E_auto q with
-      | Plan.E_naive -> Format.printf "recommended engine: naive@."
-      | Plan.E_yannakakis -> Format.printf "recommended engine: yannakakis@."
-      | Plan.E_fpt -> Format.printf "recommended engine: fpt (Theorem 2)@."
-      | Plan.E_compiled ->
-          Format.printf "recommended engine: compiled (planner pipeline)@.");
+        (Planner.classification_name pplan.Planner.classification)
+        pplan.Planner.width;
+      List.iter (Format.printf "  %s@.") (Planner.explain pplan);
+      Format.printf "recommended engine: %s@." (Plan.engine_name plan.Plan.engine);
       0
 
 let check_cmd =
@@ -486,14 +432,6 @@ let cache_arg =
   let doc = "Plan cache capacity (LRU entries)." in
   Arg.(value & opt int 128 & info [ "cache-size" ] ~docv:"N" ~doc)
 
-let trial_domains_arg =
-  let doc =
-    "Value for \\$(b,PARADB_DOMAINS) (the fpt engine's per-query trial \
-     parallelism) unless it is already set; the default 1 keeps all \
-     parallelism in the worker pool."
-  in
-  Arg.(value & opt int 1 & info [ "trial-domains" ] ~docv:"N" ~doc)
-
 let deadline_arg =
   let doc =
     "Per-request evaluation deadline in milliseconds.  An $(b,EVAL) that \
@@ -529,6 +467,35 @@ let grace_arg =
   in
   Arg.(value & opt float 2.0 & info [ "grace" ] ~docv:"SECONDS" ~doc)
 
+(* The request limits and the shutdown grace, shared by [serve] and
+   [coordinator]: one set of flags, validated in one place. *)
+let limits_term =
+  let make deadline_ms max_line max_rows idle_timeout grace =
+    let bad_opt bad = function Some v -> bad v | None -> false in
+    if
+      bad_opt (fun v -> v <= 0) deadline_ms
+      || max_line < 1
+      || bad_opt (fun v -> v <= 0) max_rows
+      || bad_opt (fun v -> v <= 0.0) idle_timeout
+      || grace < 0.0
+    then
+      Error
+        "--deadline-ms, --max-rows and --idle-timeout must be positive, \
+         --max-line at least 1, --grace non-negative"
+    else
+      Ok
+        ( {
+            Guard.deadline_ns = Option.map (fun ms -> ms * 1_000_000) deadline_ms;
+            max_line;
+            max_rows;
+            idle_timeout;
+          },
+          grace )
+  in
+  Term.(
+    const make $ deadline_arg $ max_line_arg $ max_rows_arg $ idle_timeout_arg
+    $ grace_arg)
+
 let data_dir_arg =
   let doc =
     "Durable catalog root.  Segment stores under $(docv) are attached at \
@@ -561,42 +528,74 @@ let compact_interval_arg =
   let doc = "Seconds between background compaction scans." in
   Arg.(value & opt float 10.0 & info [ "compact-interval" ] ~docv:"SECONDS" ~doc)
 
-(* CLI flag wins over PARADB_DURABILITY; both feed the process-global
-   mode the storage layer reads at every publish. *)
-let init_durability flag =
-  match flag with
+(* Startup shared by [serve] and [coordinator]: the durability mode
+   (the CLI flag wins over PARADB_DURABILITY; the coordinator's hint
+   journal honours it too) and PARADB_FAULTS.  A bad value raises
+   [Invalid_argument]. *)
+let init_process durability =
+  (match durability with
   | Some s -> (
       match Paradb_storage.Durability.of_string s with
-      | Some m ->
-          Paradb_storage.Durability.set m;
-          Ok ()
+      | Some m -> Paradb_storage.Durability.set m
       | None ->
-          Error
-            (Printf.sprintf
-               "--durability: expected full, async or off, got %S" s))
-  | None -> (
-      match Paradb_storage.Durability.init_from_env () with
-      | () -> Ok ()
-      | exception Invalid_argument msg -> Error msg)
+          invalid_arg
+            (Printf.sprintf "--durability: expected full, async or off, got %S"
+               s))
+  | None -> Paradb_storage.Durability.init_from_env ());
+  Fault.init_from_env ()
 
-let run_serve host port workers cache_size trial_domains trace data_dir
-    durability compact_after compact_interval deadline_ms max_line max_rows
-    idle_timeout grace =
-  if workers < 1 || cache_size < 1 || trial_domains < 1 then begin
-    Printf.eprintf "error: --workers, --cache-size and --trial-domains must be positive\n";
-    1
-  end
-  else if
-    (let bad_opt cmp = function Some v -> cmp v | None -> false in
-     bad_opt (fun v -> v <= 0) deadline_ms
-     || max_line < 1
-     || bad_opt (fun v -> v <= 0) max_rows
-     || bad_opt (fun v -> v <= 0.0) idle_timeout
-     || grace < 0.0)
-  then begin
-    Printf.eprintf
-      "error: --deadline-ms, --max-rows and --idle-timeout must be positive, \
-       --max-line at least 1, --grace non-negative\n";
+(* The lifecycle shared by [serve] and [coordinator].  [start limits]
+   opens the listener, prints the startup lines and returns the server
+   with a hook to run after it has stopped.  The process then serves
+   until SIGINT/SIGTERM, whose handler only flips a flag: the main
+   domain polls it and runs the graceful stop itself, since handlers
+   should not join domains. *)
+let run_server limits ~trace ?durability ~host ~port start =
+  match limits with
+  | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
+  | Ok (limits, grace) -> (
+      with_trace trace @@ fun () ->
+      (* installed before [start] prints the startup lines that scripts
+         wait for, so a signal sent right after them is never lost *)
+      let stop_requested = Atomic.make false in
+      List.iter
+        (fun sg ->
+          try
+            Sys.set_signal sg
+              (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
+          with Invalid_argument _ | Sys_error _ -> ())
+        [ Sys.sigint; Sys.sigterm ];
+      match
+        init_process durability;
+        start limits
+      with
+      | exception Unix.Unix_error (e, _, _) ->
+          Printf.eprintf "error: cannot listen on %s:%d: %s\n" host port
+            (Unix.error_message e);
+          1
+      | exception (Segment.Corrupt msg | Sys_error msg) ->
+          Printf.eprintf "error: storage: %s\n" msg;
+          1
+      | exception Invalid_argument msg ->
+          Printf.eprintf "error: %s\n" msg;
+          1
+      | server, after_stop ->
+          if Fault.active () then
+            Printf.printf "paradb: fault injection enabled (PARADB_FAULTS)\n%!";
+          while not (Atomic.get stop_requested) do
+            try Unix.sleepf 0.1 with Unix.Unix_error (EINTR, _, _) -> ()
+          done;
+          Printf.printf "paradb: shutting down (grace %.1fs)\n%!" grace;
+          Server.stop ~grace server;
+          after_stop ();
+          0)
+
+let run_serve host port workers cache_size trace data_dir durability
+    compact_after compact_interval limits =
+  if workers < 1 || cache_size < 1 then begin
+    Printf.eprintf "error: --workers and --cache-size must be positive\n";
     1
   end
   else if compact_after < 0 || compact_interval <= 0.0 then begin
@@ -605,102 +604,46 @@ let run_serve host port workers cache_size trial_domains trace data_dir
        positive\n";
     1
   end
-  else
-    with_trace trace @@ fun () ->
-    begin
+  else begin
+    (* keep all parallelism in the worker pool unless the user asks for
+       trial fan-out too *)
     if Sys.getenv_opt "PARADB_DOMAINS" = None then
-      Unix.putenv "PARADB_DOMAINS" (string_of_int trial_domains);
-    match
-      match init_durability durability with
-      | Error msg -> Error msg
-      | Ok () -> (
-          match Fault.init_from_env () with
-          | exception Invalid_argument msg -> Error msg
-          | () -> Ok ())
-    with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        1
-    | Ok () ->
-    let limits =
-      {
-        Guard.deadline_ns = Option.map (fun ms -> ms * 1_000_000) deadline_ms;
-        max_line;
-        max_rows;
-        idle_timeout;
-      }
-    in
+      Unix.putenv "PARADB_DOMAINS" "1";
+    run_server limits ~trace ?durability ~host ~port @@ fun limits ->
     let shared =
       Paradb_server.Session.make_shared ~limits ?data_dir
         ~cache_capacity:cache_size ()
     in
     let catalog = shared.Paradb_server.Session.catalog in
-    match Server.start ~host ~port ~workers shared with
-    | exception Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "error: cannot listen on %s:%d: %s\n" host port
-          (Unix.error_message e);
-        1
-    | exception Segment.Corrupt msg ->
-        Printf.eprintf "error: storage: %s\n" msg;
-        1
-    | exception Sys_error msg ->
-        Printf.eprintf "error: storage: %s\n" msg;
-        1
-    | server ->
-        (* Stop on SIGINT/SIGTERM.  The handler only flips a flag: the
-           main domain polls it and runs the graceful stop itself, since
-           handlers should not join domains. *)
-        let stop_requested = Atomic.make false in
-        let install sg =
-          try
-            Sys.set_signal sg
-              (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
-          with Invalid_argument _ | Sys_error _ -> ()
-        in
-        install Sys.sigint;
-        install Sys.sigterm;
-        Printf.printf "paradb: listening on %s:%d (%d workers, plan cache %d)\n%!"
-          host (Server.port server) workers cache_size;
-        (if data_dir <> None then
-           List.iter
-             (fun (name, tuples) ->
-               Printf.printf "paradb: attached %s (%d tuples)\n%!" name tuples)
-             (Paradb_server.Catalog.entries catalog));
-        (if Fault.active () then
-           Printf.printf "paradb: fault injection enabled (PARADB_FAULTS)\n%!");
-        let compactor =
-          if compact_after >= 2 && data_dir <> None then begin
-            Printf.printf
-              "paradb: background compaction at %d segments (every %.1fs, \
-               durability %s)\n\
-               %!"
-              compact_after compact_interval
-              (Paradb_storage.Durability.to_string
-                 (Paradb_storage.Durability.mode ()))
-            ;
-            Some
-              (Paradb_server.Compactor.start
-                 ~catalog
-                 ~min_segments:compact_after ~interval:compact_interval)
-          end
-          else None
-        in
-        let rec wait_for_stop () =
-          if Atomic.get stop_requested then begin
-            Printf.printf "paradb: shutting down (grace %.1fs)\n%!" grace;
-            Option.iter Paradb_server.Compactor.stop compactor;
-            Server.stop ~grace server;
-            (* Flush any async-mode fsyncs still queued so a clean
-               shutdown leaves nothing owed to the disk. *)
-            Paradb_storage.Durability.drain ()
-          end
-          else begin
-            (try Unix.sleepf 0.1 with Unix.Unix_error (EINTR, _, _) -> ());
-            wait_for_stop ()
-          end
-        in
-        wait_for_stop ();
-        0
+    let server = Server.start ~host ~port ~workers shared in
+    Printf.printf "paradb: listening on %s:%d (%d workers, plan cache %d)\n%!"
+      host (Server.port server) workers cache_size;
+    if data_dir <> None then
+      List.iter
+        (fun (name, tuples) ->
+          Printf.printf "paradb: attached %s (%d tuples)\n%!" name tuples)
+        (Paradb_server.Catalog.entries catalog);
+    let compactor =
+      if compact_after >= 2 && data_dir <> None then begin
+        Printf.printf
+          "paradb: background compaction at %d segments (every %.1fs, \
+           durability %s)\n\
+           %!"
+          compact_after compact_interval
+          (Paradb_storage.Durability.to_string
+             (Paradb_storage.Durability.mode ()));
+        Some
+          (Paradb_server.Compactor.start ~catalog ~min_segments:compact_after
+             ~interval:compact_interval)
+      end
+      else None
+    in
+    ( server,
+      fun () ->
+        Option.iter Paradb_server.Compactor.stop compactor;
+        (* flush any async-mode fsyncs still queued, so a clean
+           shutdown leaves nothing owed to the disk *)
+        Paradb_storage.Durability.drain () )
   end
 
 let serve_cmd =
@@ -762,9 +705,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man ~exits)
     Term.(
       const run_serve $ host_arg $ port_arg ~default:7411 $ workers_arg
-      $ cache_arg $ trial_domains_arg $ trace_arg $ data_dir_arg
-      $ durability_arg $ compact_after_arg $ compact_interval_arg $ deadline_arg $ max_line_arg $ max_rows_arg
-      $ idle_timeout_arg $ grace_arg)
+      $ cache_arg $ trace_arg $ data_dir_arg $ durability_arg
+      $ compact_after_arg $ compact_interval_arg $ limits_term)
 
 (* ------------------------------------------------------------------ *)
 (* coordinator *)
@@ -827,99 +769,36 @@ let hints_dir_arg =
        & info [ "hints-dir" ] ~docv:"DIR" ~doc)
 
 let run_coordinator host port workers shards replicas vnodes shard_timeout
-    shard_retries max_inflight hints_dir deadline_ms max_line max_rows
-    idle_timeout grace trace =
+    shard_retries max_inflight hints_dir limits trace =
   if workers < 1 then begin
     Printf.eprintf "error: --workers must be positive\n";
     1
   end
   else
-    with_trace trace @@ fun () ->
-    match
-      (* Hint-journal appends honor the same fsync discipline as the
-         store, so PARADB_DURABILITY applies here too. *)
-      match init_durability None with
-      | Error msg -> Error msg
-      | Ok () -> (
-          match Fault.init_from_env () with
-          | exception Invalid_argument msg -> Error msg
-          | () -> Ok ())
-    with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
+    match Client.parse_addrs shards with
+    | Error e ->
+        Printf.eprintf "error: --shards: %s\n" e;
         1
-    | Ok () -> (
-        match Client.parse_addrs shards with
-        | Error e ->
-            Printf.eprintf "error: --shards: %s\n" e;
-            1
-        | Ok addrs -> (
-            let limits =
-              {
-                Guard.deadline_ns =
-                  Option.map (fun ms -> ms * 1_000_000) deadline_ms;
-                max_line;
-                max_rows;
-                idle_timeout;
-              }
-            in
-            let config =
-              {
-                Coordinator.addrs = Array.of_list addrs;
-                replicas;
-                vnodes;
-                timeout = shard_timeout;
-                retries = shard_retries;
-                limits;
-                max_inflight;
-                hints_dir;
-              }
-            in
-            match
-              let coord = Coordinator.create config in
-              Coordinator.serve ~host coord ~port ~workers
-            with
-            | exception Invalid_argument msg ->
-                Printf.eprintf "error: %s\n" msg;
-                1
-            | exception Unix.Unix_error (e, _, _) ->
-                Printf.eprintf "error: cannot listen on %s:%d: %s\n" host port
-                  (Unix.error_message e);
-                1
-            | server ->
-                let stop_requested = Atomic.make false in
-                let install sg =
-                  try
-                    Sys.set_signal sg
-                      (Sys.Signal_handle
-                         (fun _ -> Atomic.set stop_requested true))
-                  with Invalid_argument _ | Sys_error _ -> ()
-                in
-                install Sys.sigint;
-                install Sys.sigterm;
-                Printf.printf
-                  "paradb: coordinating %d shards on %s:%d (%d workers, %d \
-                   replicas)\n\
-                   %!"
-                  (List.length addrs) host (Server.port server) workers
-                  replicas;
-                (if Fault.active () then
-                   Printf.printf
-                     "paradb: fault injection enabled (PARADB_FAULTS)\n%!");
-                let rec wait_for_stop () =
-                  if Atomic.get stop_requested then begin
-                    Printf.printf "paradb: shutting down (grace %.1fs)\n%!"
-                      grace;
-                    Server.stop ~grace server
-                  end
-                  else begin
-                    (try Unix.sleepf 0.1
-                     with Unix.Unix_error (EINTR, _, _) -> ());
-                    wait_for_stop ()
-                  end
-                in
-                wait_for_stop ();
-                0))
+    | Ok addrs ->
+        run_server limits ~trace ~host ~port @@ fun limits ->
+        let coord =
+          Coordinator.create
+            {
+              Coordinator.addrs = Array.of_list addrs;
+              replicas;
+              vnodes;
+              timeout = shard_timeout;
+              retries = shard_retries;
+              limits;
+              max_inflight;
+              hints_dir;
+            }
+        in
+        let server = Coordinator.serve ~host coord ~port ~workers in
+        Printf.printf
+          "paradb: coordinating %d shards on %s:%d (%d workers, %d replicas)\n%!"
+          (List.length addrs) host (Server.port server) workers replicas;
+        (server, ignore)
 
 let coordinator_cmd =
   let doc = "Run a scatter-gather coordinator over shard servers." in
@@ -961,8 +840,7 @@ let coordinator_cmd =
     Term.(
       const run_coordinator $ host_arg $ port_arg ~default:7410 $ workers_arg
       $ shards_list_arg $ replicas_arg $ vnodes_arg $ shard_timeout_arg
-      $ shard_retries_arg $ max_inflight_arg $ hints_dir_arg $ deadline_arg
-      $ max_line_arg $ max_rows_arg $ idle_timeout_arg $ grace_arg
+      $ shard_retries_arg $ max_inflight_arg $ hints_dir_arg $ limits_term
       $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1294,7 +1172,7 @@ let main_cmd =
   let doc =
     "Parameterized query evaluation (Papadimitriou & Yannakakis, PODS 1997)"
   in
-  Cmd.group (Cmd.info "paradb" ~version:"1.20.0" ~doc ~exits)
+  Cmd.group (Cmd.info "paradb" ~version:"1.21.0" ~doc ~exits)
     [
       eval_cmd; check_cmd; datalog_cmd; generate_cmd; compact_cmd; serve_cmd;
       coordinator_cmd; client_cmd; stats_cmd; fuzz_cmd;

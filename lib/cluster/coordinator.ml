@@ -7,7 +7,6 @@ module Semiring = Paradb_relational.Semiring
 module Source = Paradb_query.Source
 module Cq = Paradb_query.Cq
 module Atom = Paradb_query.Atom
-module Term = Paradb_query.Term
 module Constr = Paradb_query.Constr
 module Segment = Paradb_storage.Segment
 module Planner = Paradb_planner.Planner
@@ -696,9 +695,6 @@ let scatter_count t conns budget ~db ~query =
 
 (* --- reducer exchange ------------------------------------------- *)
 
-let first_var a =
-  match a.Atom.args with Term.Var v :: _ -> Some v | _ -> None
-
 (* Every reducer is named [gx]; the exchange aliases each gathered copy
    to [gx<i>], so identical reducers share one key and one gather. *)
 let reducer_head = "gx"
@@ -716,11 +712,11 @@ let reducer_head = "gx"
 let reducer q i =
   let atom = List.nth q.Cq.body i in
   let partners =
-    match first_var atom with
+    match Planner.first_var atom with
     | None -> []
     | Some v ->
         List.filteri
-          (fun j a -> j <> i && first_var a = Some v)
+          (fun j a -> j <> i && Planner.first_var a = Some v)
           q.Cq.body
   in
   let body = atom :: partners in
@@ -809,7 +805,7 @@ let rejoin t budget ~scoped ~prepare ~exec (scratch, rewritten, key) =
 
 let exchange_eval t conns budget ~db q =
   rejoin t budget ~scoped:Plan.scoped_key ~prepare:Plan.prepare
-    ~exec:Plan.evaluate
+    ~exec:(Plan.evaluate ?family:None)
     (exchange_scratch t conns budget ~db q)
 
 (* COUNT over the exchange: the same round-1 reducers (semijoin
@@ -853,7 +849,7 @@ let guarded t ~db ~engine ~query ~scatter ~exchange render =
           | Planner.Copartitioned _ ->
               Metrics.incr m_scatter;
               ("scatter", scatter budget q)
-          | _ ->
+          | Planner.Exchange ->
               Metrics.incr m_exchange;
               ("exchange", exchange budget q)
         in

@@ -1,7 +1,12 @@
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
 module Budget = Paradb_telemetry.Budget
+module Metrics = Paradb_telemetry.Metrics
 open Paradb_query
+
+(* Bumped once per search, by the probes it made, so the hot loop
+   touches only the caller's [stats] record. *)
+let m_probes = Metrics.counter "naive.probes"
 
 type stats = { mutable probes : int }
 
@@ -76,7 +81,10 @@ let iter_bindings ?budget ~stats ~order_atoms db q on_solution =
                       search binding' rest))
           rel
   in
-  search Binding.empty q.Cq.body
+  let start = stats.probes in
+  Fun.protect
+    ~finally:(fun () -> Metrics.incr ~by:(stats.probes - start) m_probes)
+    (fun () -> search Binding.empty q.Cq.body)
 
 let all_bindings ?budget ?stats ?(order_atoms = true) db q =
   let stats = match stats with Some s -> s | None -> new_stats () in

@@ -6,7 +6,8 @@
     the Theorem-2 and Theorem-3 query classes. *)
 
 (** Number of atom-tuple probes made since creation — the work measure
-    used by the scaling benchmarks. *)
+    used by the scaling benchmarks.  Every search also adds its probes
+    to the [naive.probes] telemetry counter, once, when it ends. *)
 type stats = { mutable probes : int }
 
 val new_stats : unit -> stats

@@ -15,9 +15,9 @@ type instance = {
   shape : shape;
 }
 
-(* The classes cycled by case index; [order-mixed] takes every tenth
-   case instead, so every other index keeps the class (and instance) it
-   has in this nine-class cycle. *)
+(* The classes cycled by case index; every tenth case takes the next
+   class of [rotated] instead, so every other index keeps the class (and
+   instance) it has in this nine-class cycle. *)
 let cycled =
   [
     "acyclic";
@@ -31,10 +31,12 @@ let cycled =
     "anchored";
   ]
 
-let classes = cycled @ [ "order-mixed" ]
+let rotated = [ "order-mixed"; "join-tree"; "join-tree-neq" ]
+
+let classes = cycled @ rotated
 
 let label_of index =
-  if index mod 10 = 9 then "order-mixed"
+  if index mod 10 = 9 then List.nth rotated (index / 10 mod List.length rotated)
   else List.nth cycled (index mod List.length cycled)
 
 (* Per-case RNG: independent of every other case, reproducible from
@@ -117,6 +119,75 @@ let anchored_cq rng ~max_atoms ~domain_size =
   let head = List.filter (fun _ -> Random.State.bool rng) (List.rev !vars) in
   Cq.make ~head:(List.map Term.var head) body
 
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+(* [join-tree] and [join-tree-neq]: acyclic by construction and free of
+   constraints, or [!=]-only, so the interpreted Yannakakis and fpt
+   engines take every case.  Each atom after the first hangs off a
+   random earlier atom and shares a nonempty subset of its variables —
+   multi-variable join keys, which [random_tree_cq] (one shared
+   variable per atom) never builds — beside fresh variables, constants
+   and repeats of its own variables.  A shared variable's atoms are
+   then a connected subtree, so the atoms form a join tree. *)
+let join_tree_cq rng ~max_atoms ~domain_size ~neq_tries =
+  let fresh = ref 0 in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let atom parent =
+    let shared =
+      match Option.map Atom.vars parent with
+      | None | Some [] -> []
+      | Some (v :: vs) -> v :: List.filter (fun _ -> Random.State.bool rng) vs
+    in
+    let arity = max (List.length shared) (1 + Random.State.int rng 3) in
+    let own = ref [] in
+    let extra () =
+      match (Random.State.int rng 6, !own) with
+      | 0, _ -> Term.int (Random.State.int rng domain_size)
+      | 1, (_ :: _ as vs) -> Term.var (pick vs)
+      | _ ->
+          let v = Printf.sprintf "V%d" !fresh in
+          incr fresh;
+          own := v :: !own;
+          Term.var v
+    in
+    let args =
+      Array.init arity (fun i ->
+          match List.nth_opt shared i with
+          | Some v -> Term.var v
+          | None -> extra ())
+    in
+    shuffle rng args;
+    Atom.make (Printf.sprintf "r%d" arity) (Array.to_list args)
+  in
+  let rec grow atoms n =
+    if n = 0 then List.rev atoms
+    else
+      let parent = if atoms = [] then None else Some (pick atoms) in
+      grow (atom parent :: atoms) (n - 1)
+  in
+  let atoms = grow [] (1 + Random.State.int rng max_atoms) in
+  let vars = List.sort_uniq compare (List.concat_map Atom.vars atoms) in
+  let term () =
+    if Random.State.bool rng then Term.int (Random.State.int rng domain_size)
+    else Term.var (pick vars)
+  in
+  let constraints =
+    if vars = [] then []
+    else
+      List.init neq_tries (fun _ ->
+          let x = Term.var (pick vars) in
+          Constr.neq x (term ()))
+      |> List.filter (fun c -> c.Constr.lhs <> c.Constr.rhs)
+  in
+  let head = List.filter (fun _ -> Random.State.bool rng) vars in
+  Cq.make ~constraints ~head:(List.map Term.var head) atoms
+
 (* The [order-mixed] value pool: Ints and Strs, some Strs spelled like
    numbers.  Value order puts every Int before every Str. *)
 let order_pool =
@@ -125,14 +196,6 @@ let order_pool =
     (Array.map
        (fun s -> Value.Str s)
        [| "a"; "b"; "ab"; "ba"; "z"; "x1"; "10"; "-3" |])
-
-let shuffle rng a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done
 
 (* [order-mixed]: a tree CQ over a mixed Int/Str domain, dense in [<]
    and [<=] between variables and against constants.  The domain is
@@ -247,6 +310,15 @@ let instance ~seed ~index ~max_vars ~max_tuples =
         (db, Sentence f)
     | "order-mixed" ->
         let db, q = order_mixed_instance rng ~max_atoms ~domain_size ~tuples in
+        (db, Query q)
+    | ("join-tree" | "join-tree-neq") as label ->
+        let neq_tries =
+          if label = "join-tree" then 0 else 1 + Random.State.int rng 2
+        in
+        let q = join_tree_cq rng ~max_atoms ~domain_size ~neq_tries in
+        let db =
+          Generators.tree_cq_database rng ~max_arity:3 ~domain_size ~tuples
+        in
         (db, Query q)
     | "anchored" ->
         let q = anchored_cq rng ~max_atoms ~domain_size in

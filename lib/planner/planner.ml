@@ -347,56 +347,28 @@ let classification_name = function
   | Low_width _ -> "low-width"
   | Cyclic _ -> "cyclic"
 
-type shard_choice = Copartitioned of string | Rekey of string option
+type shard_choice = Copartitioned of string | Exchange
+
+let first_var atom =
+  match atom.Paradb_query.Atom.args with
+  | Paradb_query.Term.Var v :: _ -> Some v
+  | _ -> None
 
 (* Shard-key selection off the plan IR.  Relations are hash-partitioned
    on their first column, so a query whose every atom carries one and
    the same variable in argument position 0 is co-partitioned: any
    satisfying assignment binds that variable to a single value, whose
    rows all live on one shard — a cluster can evaluate such a plan
-   shard-locally and union the answers.  Everything else must go
-   through a reducer exchange; the [Rekey] payload (the variable
-   touching the most atoms, first-occurrence order breaking ties) is
-   the attribute a repartitioning pass would key on. *)
+   shard-locally and union the answers.  Everything else goes through
+   the reducer exchange. *)
 let shard_choice p =
-  let body = p.query.Cq.body in
-  let first_var atom =
-    match atom.Paradb_query.Atom.args with
-    | Paradb_query.Term.Var v :: _ -> Some v
-    | _ -> None
-  in
-  let copartitioned =
-    match body with
-    | [] -> None
-    | a0 :: rest -> (
-        match first_var a0 with
-        | None -> None
-        | Some v ->
-            if List.for_all (fun a -> first_var a = Some v) rest then Some v
-            else None)
-  in
-  match copartitioned with
-  | Some v -> Copartitioned v
-  | None ->
-      let best = Hashtbl.create 8 in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun v ->
-              Hashtbl.replace best v
-                (1 + Option.value ~default:0 (Hashtbl.find_opt best v)))
-            (Paradb_query.Atom.vars a))
-        body;
-      let pick =
-        List.fold_left
-          (fun acc v ->
-            let n = Option.value ~default:0 (Hashtbl.find_opt best v) in
-            match acc with
-            | Some (_, m) when m >= n -> acc
-            | _ -> Some (v, n))
-          None (Cq.vars p.query)
-      in
-      Rekey (Option.map fst pick)
+  match p.query.Cq.body with
+  | a0 :: rest -> (
+      match first_var a0 with
+      | Some v when List.for_all (fun a -> first_var a = Some v) rest ->
+          Copartitioned v
+      | _ -> Exchange)
+  | [] -> Exchange
 
 let explain p =
   let buf = ref [] in
@@ -454,6 +426,5 @@ let explain p =
   List.iter (fun c -> line "ground constraint: %s" (Constr.to_string c)) p.ground;
   (match shard_choice p with
   | Copartitioned v -> line "shard key: %s (copartitioned scatter)" v
-  | Rekey (Some v) -> line "shard key: %s (reducer exchange)" v
-  | Rekey None -> line "shard key: none (reducer exchange)");
+  | Exchange -> line "distribution: reducer exchange");
   List.rev !buf

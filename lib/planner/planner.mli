@@ -92,16 +92,19 @@ val plan : Cq.t -> t
 
 val classification_name : classification -> string
 
+(** [first_var atom] — the variable in [atom]'s argument position 0,
+    if any: the key a first-column hash partition places the atom's
+    tuples by. *)
+val first_var : Paradb_query.Atom.t -> string option
+
 (** How a cluster should distribute this plan, given relations
     hash-partitioned on their first column.  [Copartitioned v]: every
     body atom carries variable [v] in argument position 0, so each
     satisfying assignment is witnessed entirely on the shard owning
     [v]'s value — the plan can run shard-locally (scatter) and the
-    answers unioned.  [Rekey k] requires a reducer exchange; [k] is the
-    variable occurring in the most atoms (first-occurrence order breaks
-    ties; [None] for a variable-free body), the attribute a
-    repartitioning pass would key on. *)
-type shard_choice = Copartitioned of string | Rekey of string option
+    answers unioned.  [Exchange]: anything else, evaluated by gathering
+    per-atom reducer relations and joining them at the coordinator. *)
+type shard_choice = Copartitioned of string | Exchange
 
 val shard_choice : t -> shard_choice
 

@@ -131,11 +131,11 @@ let prepare_count ?budget plan db ~generation =
       { plan with count_exec = Some count_exec; generation }
   | _ -> plan
 
-let evaluate ?budget plan db q =
+let evaluate ?budget ?family plan db q =
   match plan.engine with
   | E_naive -> Paradb_eval.Cq_naive.evaluate ?budget db q
   | E_yannakakis -> Paradb_yannakakis.Yannakakis.evaluate ?budget db q
-  | E_fpt -> Engine.evaluate ?budget db q
+  | E_fpt -> Engine.evaluate ?budget ?family db q
   | E_compiled -> (
       match plan.exec with
       | Some exec -> Compile.run ?budget exec

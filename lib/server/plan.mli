@@ -85,12 +85,15 @@ val prepare_count :
     alpha-equivalent to [plan.query]; the fresh parse is used directly so
     head attribute names are preserved.  [E_compiled] plans run their
     prepared pipeline (compiling on the fly against [db] when
-    unprepared); the fpt engine runs its deterministic sweep family.
-    [budget] is threaded into whichever engine runs; expiry raises
-    {!Paradb_telemetry.Budget.Exhausted}.  Raises the engines' exceptions
-    ([Cyclic_query], [Invalid_argument]) unchanged. *)
+    unprepared); the fpt engine runs [family], by default its
+    deterministic sweep ({!Paradb_core.Engine.evaluate}), and the other
+    engines ignore it.  [budget] is threaded into whichever engine runs;
+    expiry raises {!Paradb_telemetry.Budget.Exhausted}.  Raises the
+    engines' exceptions ([Cyclic_query], [Invalid_argument]) unchanged. *)
 val evaluate :
-  ?budget:Paradb_telemetry.Budget.t -> t -> Database.t -> Cq.t -> Relation.t
+  ?budget:Paradb_telemetry.Budget.t ->
+  ?family:Paradb_core.Hashing.family ->
+  t -> Database.t -> Cq.t -> Relation.t
 
 (** [count plan db q] — the exact answer count (number of satisfying
     valuations of the body variables, Nat-semiring semantics).

@@ -150,7 +150,7 @@ let run s ~db ~kind q ~key
 
 let evaluated s ~db ~kind q render =
   run s ~db ~kind q ~key:Plan.scoped_key ~prepare:Plan.prepare
-    ~exec:Plan.evaluate render
+    ~exec:(Plan.evaluate ?family:None) render
 
 (* The [--max-rows] cap on an answer of [rows] rows: how many lines to
    render, and whether the answer is cut short. *)

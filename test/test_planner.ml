@@ -153,7 +153,7 @@ let test_filter_first_root () =
       "step 2: probe e key=[V1] bind=[V0]";
       "barrier after step 0: live=[V2]";
       "barrier after step 1: live=[V1]";
-      "shard key: V1 (reducer exchange)";
+      "distribution: reducer exchange";
     ]
     (Planner.explain (plan "ans(X) :- e(X, Y), e(Y, Z), e(Z, W)."))
 

@@ -240,6 +240,39 @@ let test_plan_dispatch () =
     (cls "ans(X) :- e(X, Y), e(Y, Z), e(Z, X)."
     = Paradb_planner.Planner.Low_width 2)
 
+(* [Plan.evaluate ?family] reaches the fpt engine: a Monte-Carlo family
+   runs exactly its trial count, where the default sweep runs its own.
+   The naive engine adds its probes to [naive.probes] — the counters
+   [paradb eval --stats] prints. *)
+let test_plan_family_and_counters () =
+  let module Metrics = Paradb_telemetry.Metrics in
+  let module Hashing = Paradb_core.Hashing in
+  let db =
+    match Source.parse_facts "e(1, 2). e(2, 3). e(3, 1). e(3, 4)." with
+    | Ok db -> db
+    | Error e -> Alcotest.fail e
+  in
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let q = Parser.parse_cq "ans(X, Z) :- e(X, Y), e(Y, Z), X != Z." in
+  let fpt = Plan.analyze Plan.Fpt q in
+  let rows ?family () = Plan.sorted_tuples (Plan.evaluate ?family fpt db q) in
+  let sweep = rows () in
+  let before = counter "engine.trials" in
+  let random =
+    rows ~family:(Hashing.Random_trials { trials = 7; seed = 1 }) ()
+  in
+  Alcotest.(check int) "random family runs its trials" 7
+    (counter "engine.trials" - before);
+  Alcotest.(check bool) "random answers are a subset of the sweep's" true
+    (List.for_all (fun r -> List.mem r sweep) random);
+  let naive = Plan.analyze Plan.Naive q in
+  let before = counter "naive.probes" in
+  Alcotest.(check (list string)) "naive agrees with the sweep" sweep
+    (Plan.sorted_tuples (Plan.evaluate naive db q));
+  (* the first atom scans 4 tuples, then each of its 4 bindings scans 4 *)
+  Alcotest.(check int) "naive probes counted" 20
+    (counter "naive.probes" - before)
+
 (* ------------------------------------------------------------------ *)
 (* Session dispatch (no sockets) *)
 
@@ -849,6 +882,8 @@ let () =
           Alcotest.test_case "superseded generations dropped" `Quick
             test_superseded_generations;
           Alcotest.test_case "dispatch decisions" `Quick test_plan_dispatch;
+          Alcotest.test_case "family and counters" `Quick
+            test_plan_family_and_counters;
         ] );
       ( "session",
         [
