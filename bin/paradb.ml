@@ -545,28 +545,22 @@ let init_process durability =
   Fault.init_from_env ()
 
 (* The lifecycle shared by [serve] and [coordinator].  [start limits]
-   opens the listener, prints the startup lines and returns the server
-   with a hook to run after it has stopped.  The process then serves
-   until SIGINT/SIGTERM, whose handler only flips a flag: the main
-   domain polls it and runs the graceful stop itself, since handlers
-   should not join domains. *)
-let run_server limits ~trace ?durability ~host ~port start =
+   opens the listener and returns the server with [announce], which
+   prints the startup lines that scripts wait for, starts any background
+   work and returns the hook to run before [Server.stop]; [after_stop]
+   runs last.  The SIGINT/SIGTERM handlers go in between: a signal
+   during a long attach still ends the process at once, and one sent
+   right after the startup lines is never lost.  The handler only flips
+   a flag: the main domain polls it and runs the graceful stop itself,
+   since handlers should not join domains. *)
+let run_server limits ~trace ?durability ?(after_stop = ignore) ~host ~port
+    start =
   match limits with
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
   | Ok (limits, grace) -> (
       with_trace trace @@ fun () ->
-      (* installed before [start] prints the startup lines that scripts
-         wait for, so a signal sent right after them is never lost *)
-      let stop_requested = Atomic.make false in
-      List.iter
-        (fun sg ->
-          try
-            Sys.set_signal sg
-              (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
-          with Invalid_argument _ | Sys_error _ -> ())
-        [ Sys.sigint; Sys.sigterm ];
       match
         init_process durability;
         start limits
@@ -581,13 +575,23 @@ let run_server limits ~trace ?durability ~host ~port start =
       | exception Invalid_argument msg ->
           Printf.eprintf "error: %s\n" msg;
           1
-      | server, after_stop ->
+      | server, announce ->
+          let stop_requested = Atomic.make false in
+          List.iter
+            (fun sg ->
+              try
+                Sys.set_signal sg
+                  (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
+              with Invalid_argument _ | Sys_error _ -> ())
+            [ Sys.sigint; Sys.sigterm ];
+          let before_stop = announce () in
           if Fault.active () then
             Printf.printf "paradb: fault injection enabled (PARADB_FAULTS)\n%!";
           while not (Atomic.get stop_requested) do
             try Unix.sleepf 0.1 with Unix.Unix_error (EINTR, _, _) -> ()
           done;
           Printf.printf "paradb: shutting down (grace %.1fs)\n%!" grace;
+          before_stop ();
           Server.stop ~grace server;
           after_stop ();
           0)
@@ -609,41 +613,42 @@ let run_serve host port workers cache_size trace data_dir durability
        trial fan-out too *)
     if Sys.getenv_opt "PARADB_DOMAINS" = None then
       Unix.putenv "PARADB_DOMAINS" "1";
-    run_server limits ~trace ?durability ~host ~port @@ fun limits ->
+    (* flush any async-mode fsyncs still queued, so a clean shutdown
+       leaves nothing owed to the disk *)
+    run_server limits ~trace ?durability
+      ~after_stop:Paradb_storage.Durability.drain ~host ~port
+    @@ fun limits ->
     let shared =
       Paradb_server.Session.make_shared ~limits ?data_dir
         ~cache_capacity:cache_size ()
     in
     let catalog = shared.Paradb_server.Session.catalog in
     let server = Server.start ~host ~port ~workers shared in
-    Printf.printf "paradb: listening on %s:%d (%d workers, plan cache %d)\n%!"
-      host (Server.port server) workers cache_size;
-    if data_dir <> None then
-      List.iter
-        (fun (name, tuples) ->
-          Printf.printf "paradb: attached %s (%d tuples)\n%!" name tuples)
-        (Paradb_server.Catalog.entries catalog);
-    let compactor =
-      if compact_after >= 2 && data_dir <> None then begin
-        Printf.printf
-          "paradb: background compaction at %d segments (every %.1fs, \
-           durability %s)\n\
-           %!"
-          compact_after compact_interval
-          (Paradb_storage.Durability.to_string
-             (Paradb_storage.Durability.mode ()));
-        Some
-          (Paradb_server.Compactor.start ~catalog ~min_segments:compact_after
-             ~interval:compact_interval)
-      end
-      else None
-    in
     ( server,
       fun () ->
-        Option.iter Paradb_server.Compactor.stop compactor;
-        (* flush any async-mode fsyncs still queued, so a clean
-           shutdown leaves nothing owed to the disk *)
-        Paradb_storage.Durability.drain () )
+        Printf.printf
+          "paradb: listening on %s:%d (%d workers, plan cache %d)\n%!" host
+          (Server.port server) workers cache_size;
+        if data_dir <> None then
+          List.iter
+            (fun (name, tuples) ->
+              Printf.printf "paradb: attached %s (%d tuples)\n%!" name tuples)
+            (Paradb_server.Catalog.entries catalog);
+        if compact_after >= 2 && data_dir <> None then begin
+          Printf.printf
+            "paradb: background compaction at %d segments (every %.1fs, \
+             durability %s)\n\
+             %!"
+            compact_after compact_interval
+            (Paradb_storage.Durability.to_string
+               (Paradb_storage.Durability.mode ()));
+          let compactor =
+            Paradb_server.Compactor.start ~catalog ~min_segments:compact_after
+              ~interval:compact_interval
+          in
+          fun () -> Paradb_server.Compactor.stop compactor
+        end
+        else ignore )
   end
 
 let serve_cmd =
@@ -795,10 +800,14 @@ let run_coordinator host port workers shards replicas vnodes shard_timeout
             }
         in
         let server = Coordinator.serve ~host coord ~port ~workers in
-        Printf.printf
-          "paradb: coordinating %d shards on %s:%d (%d workers, %d replicas)\n%!"
-          (List.length addrs) host (Server.port server) workers replicas;
-        (server, ignore)
+        ( server,
+          fun () ->
+            Printf.printf
+              "paradb: coordinating %d shards on %s:%d (%d workers, %d \
+               replicas)\n\
+               %!"
+              (List.length addrs) host (Server.port server) workers replicas;
+            ignore )
 
 let coordinator_cmd =
   let doc = "Run a scatter-gather coordinator over shard servers." in

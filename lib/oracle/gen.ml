@@ -15,9 +15,10 @@ type instance = {
   shape : shape;
 }
 
-(* The classes cycled by case index; every tenth case takes the next
-   class of [rotated] instead, so every other index keeps the class (and
-   instance) it has in this nine-class cycle. *)
+(* The classes cycled by case index; [order-mixed] takes every tenth
+   case and the join-tree classes take turns at the case five before
+   it, so every other index keeps the class (and instance) it has in
+   this nine-class cycle. *)
 let cycled =
   [
     "acyclic";
@@ -31,13 +32,15 @@ let cycled =
     "anchored";
   ]
 
-let rotated = [ "order-mixed"; "join-tree"; "join-tree-neq" ]
+let join_trees = [ "join-tree"; "join-tree-neq" ]
 
-let classes = cycled @ rotated
+let classes = cycled @ ("order-mixed" :: join_trees)
 
 let label_of index =
-  if index mod 10 = 9 then List.nth rotated (index / 10 mod List.length rotated)
-  else List.nth cycled (index mod List.length cycled)
+  match index mod 10 with
+  | 9 -> "order-mixed"
+  | 4 -> List.nth join_trees (index / 10 mod 2)
+  | _ -> List.nth cycled (index mod List.length cycled)
 
 (* Per-case RNG: independent of every other case, reproducible from
    (seed, index) alone.  The leading literal keeps the stream disjoint

@@ -466,5 +466,5 @@ let parse_facts s =
             fail "parse_facts: relation %s used with mixed arities" name)
         !rows;
       let schema = List.init arity (Printf.sprintf "a%d") in
-      Database.add (Relation.create ~name ~schema !rows) db)
+      Database.add (Relation.create ~name ~schema (List.rev !rows)) db)
     table Database.empty

@@ -31,7 +31,9 @@ val parse_fo : string -> Fo.t
 
 (** [parse_facts s] — a list of ground facts [r(c, ...).]; builds a
     database (relation schemas get positional attribute names
-    ["a0", "a1", ...]).  ['%' ...] comments run to end of line. *)
+    ["a0", "a1", ...]; each relation keeps its facts in file order, as
+    the streaming loader does).  ['%' ...] comments run to end of
+    line. *)
 val parse_facts : string -> Paradb_relational.Database.t
 
 (** [parse_ground_fact s] — exactly one ground fact [r(c, ...).]; the

@@ -339,6 +339,11 @@ let test_parse_facts () =
   Alcotest.(check int) "relations" 2 (List.length (Database.names db));
   Alcotest.(check int) "e rows" 2
     (Paradb_relational.Relation.cardinality (Database.find db "e"));
+  (* rows keep file order, as the streaming loader's do, so a written
+     fact file (a fuzz case file) reads back row for row *)
+  let text = "e(3, 1).\ne(1, 2).\ne(2, 2).\n" in
+  Alcotest.(check string) "file order" text
+    (Fact_format.to_string (Parser.parse_facts text));
   Alcotest.(check bool) "mixed arity rejected" true
     (try ignore (Parser.parse_facts "e(1). e(1, 2)."); false
      with Parser.Parse_error _ -> true);
