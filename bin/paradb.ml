@@ -736,11 +736,6 @@ let replicas_arg =
   in
   Arg.(value & opt int 1 & info [ "replicas" ] ~docv:"N" ~doc)
 
-let vnodes_arg =
-  let doc = "Virtual nodes per shard on the consistent-hashing ring." in
-  Arg.(value & opt int Paradb_cluster.Ring.default_vnodes
-       & info [ "vnodes" ] ~docv:"N" ~doc)
-
 let shard_timeout_arg =
   let doc =
     "Seconds to wait for each shard sub-request (also bounds shard \
@@ -773,7 +768,7 @@ let hints_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "hints-dir" ] ~docv:"DIR" ~doc)
 
-let run_coordinator host port workers shards replicas vnodes shard_timeout
+let run_coordinator host port workers shards replicas shard_timeout
     shard_retries max_inflight hints_dir limits trace =
   if workers < 1 then begin
     Printf.eprintf "error: --workers must be positive\n";
@@ -791,7 +786,6 @@ let run_coordinator host port workers shards replicas vnodes shard_timeout
             {
               Coordinator.addrs = Array.of_list addrs;
               replicas;
-              vnodes;
               timeout = shard_timeout;
               retries = shard_retries;
               limits;
@@ -848,7 +842,7 @@ let coordinator_cmd =
     (Cmd.info "coordinator" ~doc ~man ~exits)
     Term.(
       const run_coordinator $ host_arg $ port_arg ~default:7410 $ workers_arg
-      $ shards_list_arg $ replicas_arg $ vnodes_arg $ shard_timeout_arg
+      $ shards_list_arg $ replicas_arg $ shard_timeout_arg
       $ shard_retries_arg $ max_inflight_arg $ hints_dir_arg $ limits_term
       $ trace_arg)
 
@@ -1181,7 +1175,7 @@ let main_cmd =
   let doc =
     "Parameterized query evaluation (Papadimitriou & Yannakakis, PODS 1997)"
   in
-  Cmd.group (Cmd.info "paradb" ~version:"1.21.0" ~doc ~exits)
+  Cmd.group (Cmd.info "paradb" ~version:"1.22.0" ~doc ~exits)
     [
       eval_cmd; check_cmd; datalog_cmd; generate_cmd; compact_cmd; serve_cmd;
       coordinator_cmd; client_cmd; stats_cmd; fuzz_cmd;

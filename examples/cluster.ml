@@ -23,7 +23,7 @@ let ok = function
 let () =
   (* 1. Placement is a pure function of the value's bytes: the same
      ring in any process routes the same value to the same shard. *)
-  let ring = Ring.create ~shards:3 () in
+  let ring = Ring.create ~shards:3 in
   List.iter
     (fun v ->
       Format.printf "owner of %s -> shard %d@."

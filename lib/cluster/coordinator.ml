@@ -1,7 +1,6 @@
 module Value = Paradb_relational.Value
 module Tuple = Paradb_relational.Tuple
 module Relation = Paradb_relational.Relation
-module Dictionary = Paradb_relational.Dictionary
 module Database = Paradb_relational.Database
 module Semiring = Paradb_relational.Semiring
 module Source = Paradb_query.Source
@@ -65,7 +64,6 @@ let m_repair_rows = Metrics.counter "cluster.repair.rows"
 type config = {
   addrs : (string * int) array;
   replicas : int;
-  vnodes : int;
   timeout : float option;
   retries : int;
   limits : Guard.limits;
@@ -77,7 +75,6 @@ let default_config addrs =
   {
     addrs = Array.of_list addrs;
     replicas = 1;
-    vnodes = Ring.default_vnodes;
     timeout = Some 30.0;
     retries = 2;
     limits = Guard.default_limits;
@@ -136,9 +133,17 @@ let create config =
   if n < 1 then invalid_arg "Coordinator.create: need at least one shard";
   if config.replicas < 1 || config.replicas > n then
     invalid_arg "Coordinator.create: replicas must be in [1, shards]";
+  (match config.max_inflight with
+  | Some m when m < 1 ->
+      invalid_arg "Coordinator.create: max_inflight must be positive"
+  | _ -> ());
+  (match config.timeout with
+  | Some s when not (s > 0.0) ->
+      invalid_arg "Coordinator.create: timeout must be positive"
+  | _ -> ());
   {
     config;
-    ring = Ring.create ~vnodes:config.vnodes ~shards:n ();
+    ring = Ring.create ~shards:n;
     dbs = Hashtbl.create 8;
     mu = Mutex.create ();
     inflight = Atomic.make 0;
@@ -509,7 +514,7 @@ let union_segments ~name ~arity segs =
     let n = Segment.rows seg in
     Seq.take
       (if drop_last && n > 0 then n - 1 else n)
-      (Segment.rows_seq seg ~dict:Dictionary.global)
+      (Segment.rows_seq seg)
   in
   Relation.of_codes ~name
     ~size_hint:(List.fold_left (fun acc seg -> acc + Segment.rows seg) 0 segs)
@@ -1163,7 +1168,7 @@ let do_stats t =
         [
           Printf.sprintf "cluster.shards %d" (shards t);
           Printf.sprintf "cluster.replicas %d" t.config.replicas;
-          Printf.sprintf "cluster.vnodes %d" t.config.vnodes;
+          Printf.sprintf "cluster.vnodes %d" Ring.default_vnodes;
         ]
         @ (match t.hints with
           | None -> []

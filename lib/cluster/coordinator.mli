@@ -108,7 +108,6 @@
 type config = {
   addrs : (string * int) array;  (** shard servers, index = shard id *)
   replicas : int;  (** copies per slice, in [[1, shards]] *)
-  vnodes : int;  (** ring points per shard *)
   timeout : float option;  (** per-sub-request socket timeout, seconds *)
   retries : int;  (** connect retries per dial *)
   limits : Paradb_server.Guard.limits;
@@ -119,14 +118,15 @@ type config = {
           (missed replica writes are still counted and logged) *)
 }
 
-(** 1 replica, default vnodes, 30s timeout, 2 retries, default Guard
-    limits, no admission cap, no hints dir. *)
+(** 1 replica, 30s timeout, 2 retries, default Guard limits, no
+    admission cap, no hints dir. *)
 val default_config : (string * int) list -> config
 
 type t
 
-(** Raises [Invalid_argument] on zero shards or a replica count outside
-    [[1, shards]]. *)
+(** Raises [Invalid_argument] on zero shards, a replica count outside
+    [[1, shards]], [max_inflight = Some n] with [n < 1], or [timeout =
+    Some s] with [s <= 0]. *)
 val create : config -> t
 
 val shards : t -> int

@@ -29,12 +29,11 @@ type t = {
 
 let default_vnodes = 64
 
-let create ?(vnodes = default_vnodes) ~shards () =
+let create ~shards =
   if shards < 1 then invalid_arg "Ring.create: need at least one shard";
-  if vnodes < 1 then invalid_arg "Ring.create: need at least one vnode";
   let points =
-    Array.init (shards * vnodes) (fun i ->
-        let shard = i / vnodes and v = i mod vnodes in
+    Array.init (shards * default_vnodes) (fun i ->
+        let shard = i / default_vnodes and v = i mod default_vnodes in
         (hash_bytes (Printf.sprintf "vnode:%d:%d" shard v), shard))
   in
   Array.sort compare points;

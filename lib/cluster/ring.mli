@@ -1,6 +1,6 @@
 (** Consistent hashing over [N] shards with virtual nodes.
 
-    Each shard contributes [vnodes] points to the ring (hashes of
+    Each shard contributes {!default_vnodes} points to the ring (hashes of
     ["vnode:<shard>:<i>"]); a value is owned by the shard of the first
     point clockwise from the value's hash.  Virtual nodes smooth the
     load split and keep reassignment local when the shard count
@@ -10,10 +10,13 @@
 
 type t
 
+(** Ring points per shard.  A constant, not a setting: placement is a
+    function of the shard count alone, so a restarted coordinator
+    routes every value to the shard that already holds it. *)
 val default_vnodes : int
 
-(** Raises [Invalid_argument] unless [shards >= 1] and [vnodes >= 1]. *)
-val create : ?vnodes:int -> shards:int -> unit -> t
+(** Raises [Invalid_argument] unless [shards >= 1]. *)
+val create : shards:int -> t
 
 val shards : t -> int
 

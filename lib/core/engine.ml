@@ -165,8 +165,6 @@ let build_task ?budget ?(prereduce = true) db q formula =
            else k);
       }
 
-let task_dict task = Relation.dict task.base_rels.(0)
-
 (* ------------------------------------------------------------------ *)
 (* Per-coloring machinery.
 
@@ -182,18 +180,18 @@ type trial = {
   color_code : int array; (* color -> code of [Value.Int color] *)
 }
 
-let prep_trial task h =
-  let dict = task_dict task in
+let prep_trial h =
   {
     h;
     color_code =
-      Array.init h.Hashing.range (fun c -> Dictionary.intern dict (Value.Int c));
+      Array.init h.Hashing.range (fun c ->
+          Dictionary.intern Dictionary.global (Value.Int c));
   }
 
 (* Color of every dictionary code under [h]; -1 marks values outside [h]'s
    domain (codes that never occur in the base relations). *)
-let color_table task h =
-  let dict = task_dict task in
+let color_table h =
+  let dict = Dictionary.global in
   Array.init (Dictionary.size dict) (fun c ->
       match h.Hashing.apply (Dictionary.value dict c) with
       | color -> color
@@ -260,7 +258,7 @@ let root_filter task trial rel =
       in
       let resolve row = function
         | Term.Var x ->
-            Value.to_int (Relation.decode_value rel row.(List.assoc x var_pos))
+            Value.to_int (Relation.decode_value row.(List.assoc x var_pos))
         | Term.Const c -> trial.h.Hashing.apply c
       in
       let rec holds row = function
@@ -286,7 +284,7 @@ let algorithm1_trial ?stats task trial =
   let observe rel =
     match stats with Some s -> observe s rel | None -> ()
   in
-  let colors = color_table task trial.h in
+  let colors = color_table trial.h in
   let tree = task.tree in
   let n = Join_tree.n_nodes tree in
   let p = Array.init n (prime_relation task trial colors) in
@@ -337,7 +335,7 @@ let algorithm1_trial ?stats task trial =
       p.(root) <- root_filter task trial p.(root);
       if Relation.is_empty p.(root) then None else Some p
 
-let algorithm1 ?stats task h = algorithm1_trial ?stats task (prep_trial task h)
+let algorithm1 ?stats task h = algorithm1_trial ?stats task (prep_trial h)
 
 (* Algorithm 2: top-down semijoin pass, then bottom-up join-and-project
    (a child keeps the parent's Y set and the head variables); returns
@@ -391,7 +389,7 @@ let rec seq_take n acc seq =
    [Some r] on a successful trial; results are folded with [merge] into
    [init].  With [stop_on_hit] the remaining trials are abandoned after
    the first success (one witness settles satisfiability). *)
-let run_trials ?budget ~stats ~stop_on_hit task functions ~init ~merge ~run =
+let run_trials ?budget ~stats ~stop_on_hit functions ~init ~merge ~run =
   (* Instrument every coloring uniformly, sequential or fanned out:
      a span (free when tracing is off) plus global trial counters and a
      per-trial latency histogram. *)
@@ -420,7 +418,7 @@ let run_trials ?budget ~stats ~stop_on_hit task functions ~init ~merge ~run =
        Seq.iter
          (fun h ->
            Budget.poll budget;
-           let trial = prep_trial task h in
+           let trial = prep_trial h in
            stats.trials <- stats.trials + 1;
            match run stats trial with
            | Some r ->
@@ -438,7 +436,7 @@ let run_trials ?budget ~stats ~stop_on_hit task functions ~init ~merge ~run =
       match seq_take chunk_size [] fns with
       | [], _ -> ()
       | batch, rest ->
-          let work = Array.of_list (List.map (prep_trial task) batch) in
+          let work = Array.of_list (List.map prep_trial batch) in
           let next = Atomic.make 0 in
           let found = Atomic.make false in
           let worker () =
@@ -504,7 +502,7 @@ let run_satisfiable ?budget ?prereduce ~family ~stats db q formula =
         Hashing.functions family ~domain ~k:task.separation
       in
       let found =
-        run_trials ?budget ~stats ~stop_on_hit:true task functions ~init:false
+        run_trials ?budget ~stats ~stop_on_hit:true functions ~init:false
           ~merge:(fun _ _ -> true)
           ~run:(fun st trial ->
             match algorithm1_trial ~stats:st task trial with
@@ -543,7 +541,7 @@ let run_evaluate ?budget ?prereduce ~family ~stats db q formula =
       let domain = hash_domain db task in
       let functions = Hashing.functions family ~domain ~k:task.separation in
       answer
-        (run_trials ?budget ~stats ~stop_on_hit:false task functions
+        (run_trials ?budget ~stats ~stop_on_hit:false functions
            ~init:Tuple.Set.empty ~merge:Tuple.Set.union
            ~run:(fun st trial ->
              match algorithm1_trial ~stats:st task trial with

@@ -74,14 +74,6 @@ let tick st =
    unsynchronized. *)
 let materialize ?budget db scan atom =
   let rel = Database.find db scan.Planner.rel in
-  (* Code-level work assumes the shared dictionary; re-encode the odd
-     relation built against a private one. *)
-  let rel =
-    if Relation.dict rel == Dictionary.global then rel
-    else
-      Relation.create ~name:(Relation.name rel)
-        ~schema:(Relation.schema_list rel) (Relation.tuples rel)
-  in
   let vars = scan.Planner.vars in
   let empty () = Relation.of_unique_codes ~name:scan.Planner.rel ~schema:vars [||] in
   if Relation.arity rel <> Atom.arity atom then

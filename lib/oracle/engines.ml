@@ -57,9 +57,9 @@ let cost_of_values i values =
 (* Engine side: [Yannakakis.aggregate] annotates the semijoin-reduced
    atom relations, whose schema is the atom's variables in [Atom.vars]
    order — decode the row back to values and price it. *)
-let tropical_weight i rel row =
+let tropical_weight i _rel row =
   cost_of_values i
-    (Array.to_list (Array.map (Relation.decode_value rel) row))
+    (Array.to_list (Array.map Relation.decode_value row))
 
 (* Reference side: every satisfying binding prices each atom by the
    same variables in the same order, and [min] is hardcoded — a mutant

@@ -21,7 +21,7 @@ val find : 'a t -> Code_row.t -> 'a option
 
 (** [of_relation sr rel] annotates every row of [rel] — with [sr.one], or
     with [weight row] when given (rows are [rel]'s stored code rows; use
-    [Relation.decode_value rel] to look at values). *)
+    [Relation.decode_value] to look at values). *)
 val of_relation :
   'a Semiring.t -> ?weight:(Code_row.t -> 'a) -> Relation.t -> 'a t
 

@@ -6,9 +6,11 @@
     integers: equality is [(=)] on ints, hashing never touches a boxed
     value, and a code row fits in one flat [int array].
 
-    Codes are only comparable between relations sharing the same dictionary;
-    {!global} is the process-wide default and every relation uses it unless
-    built with an explicit dictionary.
+    Codes are only comparable within one dictionary.  {!global} is the
+    process's one dictionary: every relation, segment decode and compiled
+    plan is over it.  {!create} makes a standalone one, for exercising a
+    dictionary itself (its order index at a chosen size); no relation can
+    be built over it.
 
     Concurrency contract: {!intern} is serialized by an internal mutex and
     is safe against concurrent {!intern} calls.  {!value} is safe against
@@ -35,7 +37,7 @@ type t
 
 val create : ?size_hint:int -> unit -> t
 
-(** The process-wide dictionary used by default for every relation. *)
+(** The process-wide dictionary every relation is over. *)
 val global : t
 
 (** Number of codes assigned so far. *)

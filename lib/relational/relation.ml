@@ -1,10 +1,10 @@
 (* Rows are stored dictionary-encoded: each cell is a dense int code from
-   [dict], and the row store is a hash set of flat [int array]s.  All
-   operators work directly on code rows; [Value.t] tuples only appear at
-   the construction/observation boundary.  Per-relation key indexes
-   (key-position vector -> hash index from key to rows) are built lazily
-   and memoized, so repeated joins/semijoins against the same relation pay
-   for the index once. *)
+   the process dictionary [Dictionary.global], and the row store is a
+   hash set of flat [int array]s.  All operators work directly on code
+   rows; [Value.t] tuples only appear at the construction/observation
+   boundary.  Per-relation key indexes (key-position vector -> hash index
+   from key to rows) are built lazily and memoized, so repeated
+   joins/semijoins against the same relation pay for the index once. *)
 
 (* A hash join index: bucket heads + per-row chain links over the dense
    row array of the owning [Row_set].  Probing hashes the probe row's key
@@ -21,7 +21,6 @@ type t = {
   name : string;
   schema : string array;
   index : (string, int) Hashtbl.t; (* attribute -> column *)
-  dict : Dictionary.t;
   rows : Row_set.t;
   key_indexes : key_index Code_row.Table.t; (* positions -> index, lazy *)
   mutable decoded : Tuple.t array option; (* memoized decoded rows *)
@@ -38,14 +37,14 @@ let build_index schema =
     schema;
   index
 
-let make ?(name = "") ~schema_array:schema ~dict rows =
+let make ?(name = "") ~schema_array:schema rows =
   let index = build_index schema in
-  { name; schema; index; dict; rows; key_indexes = Code_row.Table.create 2;
+  { name; schema; index; rows; key_indexes = Code_row.Table.create 2;
     decoded = None; lock = Mutex.create () }
 
-let dict r = r.dict
-let encode_row dict row = Array.map (Dictionary.intern dict) row
-let decode_row dict row = Array.map (Dictionary.value dict) row
+let dict = Dictionary.global
+let encode_row row = Array.map (Dictionary.intern dict) row
+let decode_row row = Array.map (Dictionary.value dict) row
 
 let check_arity name arity row =
   if Array.length row <> arity then
@@ -53,19 +52,19 @@ let check_arity name arity row =
       (Printf.sprintf "Relation %s: row arity %d, schema arity %d" name
          (Array.length row) arity)
 
-let of_seq ?(name = "") ?(dict = Dictionary.global) ~schema rows =
+let of_seq ?(name = "") ~schema rows =
   let schema = Array.of_list schema in
   let arity = Array.length schema in
   let store = Row_set.create 16 in
   Seq.iter
     (fun row ->
       check_arity name arity row;
-      Row_set.add store (encode_row dict row))
+      Row_set.add store (encode_row row))
     rows;
-  make ~name ~schema_array:schema ~dict store
+  make ~name ~schema_array:schema store
 
-let create ?name ?dict ~schema rows = of_seq ?name ?dict ~schema (List.to_seq rows)
-let of_set ?name ?dict ~schema rows = of_seq ?name ?dict ~schema (Tuple.Set.to_seq rows)
+let create ?name ~schema rows = of_seq ?name ~schema (List.to_seq rows)
+let of_set ?name ~schema rows = of_seq ?name ~schema (Tuple.Set.to_seq rows)
 
 let name r = r.name
 let with_name name r = { r with name }
@@ -80,7 +79,7 @@ let mem row r =
   &&
   let encoded =
     try Some (Array.map (fun v ->
-        match Dictionary.code_opt r.dict v with
+        match Dictionary.code_opt dict v with
         | Some c -> c
         | None -> raise Exit) row)
     with Exit -> None
@@ -102,7 +101,7 @@ let decoded_rows r =
               let i = ref 0 in
               Row_set.iter
                 (fun row ->
-                  a.(!i) <- decode_row r.dict row;
+                  a.(!i) <- decode_row row;
                   incr i)
                 r.rows;
               r.decoded <- Some a;
@@ -116,33 +115,18 @@ let tuple_set r = fold Tuple.Set.add r Tuple.Set.empty
 let fold_codes f r init = Row_set.fold f r.rows init
 let iter_codes f r = Row_set.iter f r.rows
 let rows r = Row_set.rows r.rows
-let decode_value r code = Dictionary.value r.dict code
-let code_of_value r v = Dictionary.code_opt r.dict v
+let decode_value code = Dictionary.value dict code
 
 let add row r =
   if Array.length row <> arity r then invalid_arg "Relation.add: arity";
   let rows = Row_set.copy r.rows in
-  Row_set.add rows (encode_row r.dict row);
-  make ~name:r.name ~schema_array:r.schema ~dict:r.dict rows
+  Row_set.add rows (encode_row row);
+  make ~name:r.name ~schema_array:r.schema rows
 
 let position r attr = Hashtbl.find r.index attr
 let positions r attrs = Array.of_list (List.map (position r) attrs)
 let has_attr r attr = Hashtbl.mem r.index attr
 let common_attrs r1 r2 = List.filter (has_attr r2) (schema_list r1)
-
-(* Re-encode [r] into [dict] (identity when the dictionaries coincide,
-   which they do for every relation built without an explicit
-   dictionary). *)
-let recode_into dict r =
-  if r.dict == dict then r
-  else
-    let rows = Row_set.create (cardinality r) in
-    Row_set.iter
-      (fun row ->
-        Row_set.add rows
-          (Array.map (fun c -> Dictionary.intern dict (Dictionary.value r.dict c)) row))
-      r.rows;
-    make ~name:r.name ~schema_array:r.schema ~dict rows
 
 (* The memoized key index for [positions].  Guarded by [r.lock] so
    concurrent domains sharing a relation build it once. *)
@@ -207,7 +191,7 @@ type hash_index = key_index
 
 let hash_index = key_index
 
-let of_codes ?(name = "") ?(dict = Dictionary.global) ?(size_hint = 16) ~schema rows =
+let of_codes ?(name = "") ?(size_hint = 16) ~schema rows =
   let schema = Array.of_list schema in
   let arity = Array.length schema in
   let store = Row_set.create (max 16 size_hint) in
@@ -216,20 +200,20 @@ let of_codes ?(name = "") ?(dict = Dictionary.global) ?(size_hint = 16) ~schema 
       check_arity name arity row;
       Row_set.add store (Array.copy row))
     rows;
-  make ~name ~schema_array:schema ~dict store
+  make ~name ~schema_array:schema store
 
-let of_unique_codes ?(name = "") ?(dict = Dictionary.global) ~schema rows =
+let of_unique_codes ?(name = "") ~schema rows =
   let schema = Array.of_list schema in
   let arity = Array.length schema in
   Array.iter (check_arity name arity) rows;
-  make ~name ~schema_array:schema ~dict
+  make ~name ~schema_array:schema
     (Row_set.of_unique_array rows (Array.length rows))
 
 let project attrs r =
   let pos = positions r attrs in
   let rows = Row_set.create (cardinality r) in
   Row_set.iter (fun row -> Row_set.add rows (Code_row.sub row pos)) r.rows;
-  make ~name:r.name ~schema_array:(Array.of_list attrs) ~dict:r.dict rows
+  make ~name:r.name ~schema_array:(Array.of_list attrs) rows
 
 let rename pairs r =
   let fresh attr =
@@ -249,23 +233,23 @@ let rename_positional new_schema r =
 let select_codes pred r =
   let rows = Row_set.create (cardinality r) in
   Row_set.iter (fun row -> if pred row then Row_set.add rows row) r.rows;
-  make ~name:r.name ~schema_array:r.schema ~dict:r.dict rows
+  make ~name:r.name ~schema_array:r.schema rows
 
-let select pred r = select_codes (fun row -> pred (decode_row r.dict row)) r
+let select pred r = select_codes (fun row -> pred (decode_row row)) r
 
 let restrict r attr pred =
   let i = position r attr in
-  select_codes (fun row -> pred (Dictionary.value r.dict row.(i))) r
+  select_codes (fun row -> pred (Dictionary.value dict row.(i))) r
 
 let extend_codes extra_attrs f r =
   let schema = Array.append r.schema (Array.of_list extra_attrs) in
   let rows = Row_set.create (cardinality r) in
   Row_set.iter (fun row -> Row_set.add rows (Code_row.append row (f row))) r.rows;
-  make ~name:r.name ~schema_array:schema ~dict:r.dict rows
+  make ~name:r.name ~schema_array:schema rows
 
 let extend attr f r =
   extend_codes [ attr ]
-    (fun row -> [| Dictionary.intern r.dict (f (decode_row r.dict row)) |])
+    (fun row -> [| Dictionary.intern dict (f (decode_row row)) |])
     r
 
 (* Hash join.  The probe side is [r1]; the build side [r2] is indexed on
@@ -275,7 +259,6 @@ let extend attr f r =
    fused join-then-select that skips materialising the unfiltered
    result. *)
 let natural_join ?keep r1 r2 =
-  let r2 = recode_into r1.dict r2 in
   let common = common_attrs r1 r2 in
   let extra = List.filter (fun a -> not (has_attr r1 a)) (schema_list r2) in
   let key1 = positions r1 common and key2 = positions r2 common in
@@ -300,14 +283,13 @@ let natural_join ?keep r1 r2 =
     r1.rows;
   make ~name:r1.name
     ~schema_array:(Array.append r1.schema (Array.of_list extra))
-    ~dict:r1.dict rows
+    rows
 
 (* Same result as [natural_join], computed by sorting both sides on the
    common attributes and merging (the [|P| log |P|] implementation the
    paper's accounting assumes).  Code order is not value order, but any
    total order consistent with equality groups correctly. *)
 let sort_merge_join r1 r2 =
-  let r2 = recode_into r1.dict r2 in
   let common = common_attrs r1 r2 in
   let key1 = positions r1 common and key2 = positions r2 common in
   let extra = List.filter (fun a -> not (has_attr r1 a)) (schema_list r2) in
@@ -349,7 +331,7 @@ let sort_merge_join r1 r2 =
   merge left right;
   make ~name:r1.name
     ~schema_array:(Array.append r1.schema (Array.of_list extra))
-    ~dict:r1.dict rows
+    rows
 
 let m_semijoin_probe = Paradb_telemetry.Metrics.counter "relation.semijoin.probe"
 let m_semijoin_scan = Paradb_telemetry.Metrics.counter "relation.semijoin.scan"
@@ -417,7 +399,6 @@ let rows_in_order r1 ids m =
   end
 
 let semijoin r1 r2 =
-  let r2 = recode_into r1.dict r2 in
   let common = common_attrs r1 r2 in
   match common with
   | [] ->
@@ -427,7 +408,7 @@ let semijoin r1 r2 =
          for 0-ary r2 too: a 0-ary relation with the empty tuple counts as
          nonempty. *)
       if is_empty r2 then
-        make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict (Row_set.create 1)
+        make ~name:r1.name ~schema_array:r1.schema (Row_set.create 1)
       else r1
   | _ ->
       (* The kept rows are a subset of a set, collected in r1's order:
@@ -440,7 +421,7 @@ let semijoin r1 r2 =
       let sealed kept k =
         if k = n then r1
         else
-          make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict
+          make ~name:r1.name ~schema_array:r1.schema
             (Row_set.of_unique_array kept k)
       in
       if probe_ratio * cardinality r2 <= n then begin
@@ -465,7 +446,6 @@ let semijoin r1 r2 =
 (* Reorder r2's columns to match r1's schema; fail if attribute sets
    differ. *)
 let align_rows op_name r1 r2 =
-  let r2 = recode_into r1.dict r2 in
   if arity r1 <> arity r2 then invalid_arg (op_name ^ ": schemas differ");
   let pos =
     try positions r2 (schema_list r1)
@@ -479,7 +459,7 @@ let union r1 r2 =
   let rows2 = align_rows "Relation.union" r1 r2 in
   let rows = Row_set.copy r1.rows in
   Row_set.iter (fun row -> Row_set.add rows row) rows2;
-  make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict rows
+  make ~name:r1.name ~schema_array:r1.schema rows
 
 let diff r1 r2 =
   let rows2 = align_rows "Relation.diff" r1 r2 in
@@ -487,7 +467,7 @@ let diff r1 r2 =
   Row_set.iter
     (fun row -> if not (Row_set.mem rows2 row) then Row_set.add rows row)
     r1.rows;
-  make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict rows
+  make ~name:r1.name ~schema_array:r1.schema rows
 
 let inter r1 r2 =
   let rows2 = align_rows "Relation.inter" r1 r2 in
@@ -495,13 +475,12 @@ let inter r1 r2 =
   Row_set.iter
     (fun row -> if Row_set.mem rows2 row then Row_set.add rows row)
     r1.rows;
-  make ~name:r1.name ~schema_array:r1.schema ~dict:r1.dict rows
+  make ~name:r1.name ~schema_array:r1.schema rows
 
 let product r1 r2 =
   (match common_attrs r1 r2 with
   | [] -> ()
   | a :: _ -> invalid_arg ("Relation.product: shared attribute " ^ a));
-  let r2 = recode_into r1.dict r2 in
   let rows = Row_set.create (max (cardinality r1) 16) in
   Row_set.iter
     (fun row1 ->
@@ -511,7 +490,7 @@ let product r1 r2 =
     r1.rows;
   make ~name:r1.name
     ~schema_array:(Array.append r1.schema r2.schema)
-    ~dict:r1.dict rows
+    rows
 
 let set_equal r1 r2 =
   arity r1 = arity r2
@@ -525,7 +504,7 @@ let domain r =
     (fun row -> Array.iter (fun c -> Hashtbl.replace seen c ()) row)
     r.rows;
   Hashtbl.fold
-    (fun c () acc -> Value.Set.add (Dictionary.value r.dict c) acc)
+    (fun c () acc -> Value.Set.add (Dictionary.value dict c) acc)
     seen Value.Set.empty
 
 (* Printing is capped so that accidentally formatting a large relation

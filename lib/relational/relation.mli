@@ -7,29 +7,25 @@
     the Theorem-2 engine to add hashed shadow attributes).
 
     Internally rows are dictionary-encoded (see {!Dictionary}): each cell
-    is a dense int code and the row store is a hash set of flat
-    [int array]s, so membership, joins and semijoins never compare boxed
-    values.  Key indexes (from key-position vectors to hash indexes) are
-    built lazily per relation and memoized, so repeated joins/semijoins
-    against the same relation reuse them.  The [Value.t]-level API below
-    encodes/decodes at the boundary; the [_codes] API exposes the raw code
-    rows for performance-critical callers. *)
+    is a dense int code of {!Dictionary.global}, the one dictionary of the
+    process, and the row store is a hash set of flat [int array]s, so
+    membership, joins and semijoins never compare boxed values.  Key
+    indexes (from key-position vectors to hash indexes) are built lazily
+    per relation and memoized, so repeated joins/semijoins against the
+    same relation reuse them.  The [Value.t]-level API below
+    encodes/decodes at the boundary; the [_codes] API exposes the raw
+    code rows for performance-critical callers. *)
 
 type t
 
 (** [create ~name ~schema rows] builds a relation.  Raises
     [Invalid_argument] if attribute names repeat or a row has the wrong
-    arity.  Duplicate rows are merged (set semantics).  All relations use
-    {!Dictionary.global} unless [dict] is given; binary operators
-    re-encode their right argument when dictionaries differ. *)
-val create :
-  ?name:string -> ?dict:Dictionary.t -> schema:string list -> Tuple.t list -> t
+    arity.  Duplicate rows are merged (set semantics).  Values are
+    interned in {!Dictionary.global}, so the codes of any two relations
+    are comparable and binary operators never re-encode. *)
+val create : ?name:string -> schema:string list -> Tuple.t list -> t
 
-val of_set :
-  ?name:string -> ?dict:Dictionary.t -> schema:string list -> Tuple.Set.t -> t
-
-val of_seq :
-  ?name:string -> ?dict:Dictionary.t -> schema:string list -> Tuple.t Seq.t -> t
+val of_set : ?name:string -> schema:string list -> Tuple.Set.t -> t
 
 val name : t -> string
 val with_name : string -> t -> t
@@ -132,7 +128,6 @@ val domain : t -> Value.Set.t
     Theorem-2 engine's per-coloring loop).  Code rows handed to callbacks
     are the stored arrays: do not mutate them. *)
 
-val dict : t -> Dictionary.t
 val fold_codes : (Code_row.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_codes : (Code_row.t -> unit) -> t -> unit
 
@@ -143,40 +138,37 @@ val iter_codes : (Code_row.t -> unit) -> t -> unit
 val rows : t -> Code_row.t array
 
 (** [select_codes pred r] keeps the rows whose code row satisfies [pred].
-    Code equality coincides with value equality within one dictionary. *)
+    Code equality coincides with value equality: every relation is over
+    {!Dictionary.global}. *)
 val select_codes : (Code_row.t -> bool) -> t -> t
 
 (** [extend_codes attrs f r] appends the code cells computed by [f] under
-    the new attributes [attrs].  The returned cells must be codes of [dict
-    r]. *)
+    the new attributes [attrs].  The returned cells must be codes of
+    {!Dictionary.global}. *)
 val extend_codes : string list -> (Code_row.t -> int array) -> t -> t
 
-(** [decode_value r c] is the value behind code [c] in [r]'s dictionary. *)
-val decode_value : t -> int -> Value.t
-
-val code_of_value : t -> Value.t -> int option
+(** [decode_value c] is the value behind code [c] in
+    {!Dictionary.global}. *)
+val decode_value : int -> Value.t
 
 (** [of_codes ~schema rows] builds a relation directly from code rows.
-    Every cell must already be a code of [dict] (defaults to
-    {!Dictionary.global}); no encoding or validation beyond arity is
-    performed.  Duplicate rows are merged.  The rows are copied into a
-    fresh store, so the sequence may reuse buffers.  [size_hint]
-    presizes the store (bulk loaders pass the known row count to skip
-    growth doublings). *)
+    Every cell must already be a code of {!Dictionary.global}; no
+    encoding or validation beyond arity is performed.  Duplicate rows are
+    merged.  The rows are copied into a fresh store, so the sequence may
+    reuse buffers.  [size_hint] presizes the store (bulk loaders pass the
+    known row count to skip growth doublings). *)
 val of_codes :
-  ?name:string -> ?dict:Dictionary.t -> ?size_hint:int ->
-  schema:string list -> Code_row.t Seq.t -> t
+  ?name:string -> ?size_hint:int -> schema:string list -> Code_row.t Seq.t -> t
 
 (** [of_unique_codes ~schema rows] — the trusted bulk constructor.
     Takes ownership of [rows], whose entries must be pairwise-distinct
-    code rows over [dict]; no dedup hashing happens here, and the row
-    store's probe table is built lazily on first [mem]/[add].  This is
-    the segment store's cold-open path: a mmap'd segment decodes
-    straight into the relation at memory speed, because the writer
-    already guaranteed set semantics. *)
+    code rows over {!Dictionary.global}; no dedup hashing happens here,
+    and the row store's probe table is built lazily on first
+    [mem]/[add].  This is the segment store's cold-open path: a mmap'd
+    segment decodes straight into the relation at memory speed, because
+    the writer already guaranteed set semantics. *)
 val of_unique_codes :
-  ?name:string -> ?dict:Dictionary.t -> schema:string list ->
-  Code_row.t array -> t
+  ?name:string -> schema:string list -> Code_row.t array -> t
 
 (** {2 Probe API}
 
@@ -202,9 +194,9 @@ val probe_next : t -> hash_index -> Code_row.t -> int array -> int -> int
 
 (** [probe_iter r idx probe key f] calls [f row] for every row of [r]
     whose cells at the index's key columns equal, positionally, [probe]'s
-    cells at [key].  [probe] can be any code row over [dict r] — e.g. a
-    register file — and is read, never retained.  Same rows, same order
-    as the cursor. *)
+    cells at [key].  [probe] can be any code row — e.g. a register
+    file — and is read, never retained.  Same rows, same order as the
+    cursor. *)
 val probe_iter : t -> hash_index -> Code_row.t -> int array -> (Code_row.t -> unit) -> unit
 
 (** [probe_mem r idx probe key] — does any row of [r] match? *)

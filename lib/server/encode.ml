@@ -41,7 +41,7 @@ let radix_pass ranks arity count k order dst =
 let lines ?limit ?quote ~left ~right r =
   let arity = Relation.arity r and n = Relation.cardinality r in
   let m = match limit with Some m -> max 0 (min m n) | None -> n in
-  let dict = Relation.dict r and rows = Relation.rows r in
+  let dict = Dictionary.global and rows = Relation.rows r in
   let top = ref (-1) in
   for i = 0 to n - 1 do
     let row = rows.(i) in

@@ -66,7 +66,7 @@ let serialize r emit =
   let schema = Relation.schema_list r in
   let arity = Relation.arity r in
   let n_rows = Relation.cardinality r in
-  let dict = Relation.dict r in
+  let dict = Dictionary.global in
   (* Pass 1: assign local codes in first-seen row order and serialize the
      local dictionary; keep the (shared, immutable) code rows for the
      column pass. *)
@@ -356,10 +356,11 @@ let of_hex ~source h =
         ((hex_value source (2 * i) h.[2 * i] lsl 4)
         lor hex_value source ((2 * i) + 1) h.[(2 * i) + 1]))
 
-(* Local code -> code in [dict]; interning happens once per distinct
-   value, then column translation is an array read per cell. *)
-let translation seg dict =
-  Array.map (Dictionary.intern dict) seg.dict_vals
+(* Local code -> code in the process dictionary; interning happens once
+   per distinct value, then column translation is an array read per
+   cell. *)
+let translation seg =
+  Array.map (Dictionary.intern Dictionary.global) seg.dict_vals
 
 let dict_count seg = Array.length seg.dict_vals
 
@@ -371,8 +372,8 @@ let fill_row seg local2global scratch i =
     Array.unsafe_set scratch c (Array.unsafe_get local2global lc)
   done
 
-let rows_seq seg ~dict =
-  let local2global = translation seg dict in
+let rows_seq seg =
+  let local2global = translation seg in
   let scratch = Array.make seg.arity 0 in
   Seq.init seg.rows (fun i ->
       fill_row seg local2global scratch i;
@@ -389,8 +390,8 @@ let rows_seq seg ~dict =
 let oob seg i c lc =
   corrupt seg.source "row %d column %d: code %d out of range" i c lc
 
-let to_relation ?(dict = Dictionary.global) seg =
-  let l2g = translation seg dict in
+let to_relation seg =
+  let l2g = translation seg in
   let dict_n = Array.length l2g in
   let map = seg.map in
   let n = seg.rows in
@@ -433,4 +434,4 @@ let to_relation ?(dict = Dictionary.global) seg =
         fill_row seg l2g row i;
         Array.unsafe_set rows_a i row
       done);
-  Relation.of_unique_codes ~name:seg.name ~dict ~schema:seg.schema rows_a
+  Relation.of_unique_codes ~name:seg.name ~schema:seg.schema rows_a

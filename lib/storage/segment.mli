@@ -67,15 +67,15 @@ val to_hex : string -> string
     {!Corrupt} naming [source] on an odd length or a non-hex digit. *)
 val of_hex : source:string -> string -> string
 
-(** [to_relation seg] decodes the segment into a relation over [dict]
-    (default {!Paradb_relational.Dictionary.global}): dictionary entries
-    are interned once, then column pages are translated code-for-code —
-    no text parsing, no per-cell boxing. *)
-val to_relation : ?dict:Paradb_relational.Dictionary.t -> t -> Paradb_relational.Relation.t
+(** [to_relation seg] decodes the segment into a relation over the
+    process dictionary {!Paradb_relational.Dictionary.global}: the
+    segment's own dictionary entries are interned there once, then column
+    pages are translated code-for-code — no text parsing, no per-cell
+    boxing. *)
+val to_relation : t -> Paradb_relational.Relation.t
 
-(** [rows_seq seg ~dict] — the rows as code rows over [dict].  Every
-    element is the same scratch buffer, overwritten between elements;
-    consumers must copy what they keep (as {!Relation.of_codes} does). *)
-val rows_seq :
-  t -> dict:Paradb_relational.Dictionary.t ->
-  Paradb_relational.Code_row.t Seq.t
+(** [rows_seq seg] — the rows as code rows over
+    {!Paradb_relational.Dictionary.global}.  Every element is the same
+    scratch buffer, overwritten between elements; consumers must copy
+    what they keep (as {!Relation.of_codes} does). *)
+val rows_seq : t -> Paradb_relational.Code_row.t Seq.t

@@ -1,4 +1,3 @@
-module Dictionary = Paradb_relational.Dictionary
 module Relation = Paradb_relational.Relation
 module Database = Paradb_relational.Database
 
@@ -214,9 +213,9 @@ let open_entry ~dir e =
    takes the trusted bulk-decode path — no dedup, lazy probe table.
    Multi-segment relations may repeat rows across deltas, so they go
    through [of_codes]'s set semantics. *)
-let relation_of_segments ~dict = function
+let relation_of_segments = function
   | [] -> assert false
-  | [ seg ] -> Segment.to_relation ~dict seg
+  | [ seg ] -> Segment.to_relation seg
   | first :: rest as segs ->
       let schema = Segment.schema first in
       List.iter
@@ -231,9 +230,9 @@ let relation_of_segments ~dict = function
         rest;
       let total = List.fold_left (fun acc s -> acc + Segment.rows s) 0 segs in
       let rows =
-        Seq.concat_map (fun seg -> Segment.rows_seq seg ~dict) (List.to_seq segs)
+        Seq.concat_map Segment.rows_seq (List.to_seq segs)
       in
-      Relation.of_codes ~name:(Segment.name first) ~dict ~size_hint:total
+      Relation.of_codes ~name:(Segment.name first) ~size_hint:total
         ~schema rows
 
 (* ------------------------------------------------------------------ *)
@@ -292,7 +291,7 @@ let recover dir =
   | exception Sys_error _ -> ());
   !cleaned
 
-let open_dir ?(dict = Dictionary.global) dir =
+let open_dir dir =
   let (_ : int) = recover dir in
   let es = entries dir in
   let order = ref [] in
@@ -309,7 +308,7 @@ let open_dir ?(dict = Dictionary.global) dir =
   List.fold_left
     (fun db name ->
       let segs = List.rev !(Hashtbl.find tbl name) in
-      Database.add (relation_of_segments ~dict segs) db)
+      Database.add (relation_of_segments segs) db)
     Database.empty (List.rev !order)
 
 (* In-place fold of an existing store: union every relation's delta

@@ -73,12 +73,12 @@ val fold_in_place : dir:string -> int * int * int
 val recover : string -> int
 
 (** [open_dir dir] runs {!recover}, then opens and validates every live
-    segment and builds the database (multi-segment relations are
+    segment and builds the database over the process dictionary
+    {!Paradb_relational.Dictionary.global} (multi-segment relations are
     unioned with set semantics).  Raises {!Segment.Corrupt} on any
     validation failure — including a manifest/segment disagreement on
     name or row count. *)
-val open_dir :
-  ?dict:Paradb_relational.Dictionary.t -> string -> Paradb_relational.Database.t
+val open_dir : string -> Paradb_relational.Database.t
 
 (** [load_database path] — the one entry point front ends use: a
     directory is opened as a segment store, anything else is streamed as

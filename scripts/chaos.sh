@@ -73,13 +73,24 @@ $PARADB eval --db chaos.facts --engine yannakakis \
 diff chaos-server.out chaos-oneshot.out
 
 # Telemetry accounted for the storm: deadlines fired, faults injected,
-# and METRICS still answers with quantiles.
-$PARADB stats --port "$PORT" | tee chaos-stats.out
+# and METRICS still answers with quantiles.  Injected disconnects can
+# drop a stats response too (--retries only covers the connect), so
+# each scrape retries until its output holds the lines checked.
+for i in $(seq 1 5); do
+  $PARADB stats --port "$PORT" > chaos-stats.out || true
+  grep -q '^telemetry.server.deadline_exceeded ' chaos-stats.out \
+    && grep -q '^telemetry.server.faults.injected ' chaos-stats.out && break
+done
+cat chaos-stats.out
 DEADLINES=$(awk '$1 == "telemetry.server.deadline_exceeded" { print $2 }' chaos-stats.out)
 test "${DEADLINES:-0}" -ge 1
 FAULTS=$(awk '$1 == "telemetry.server.faults.injected" { print $2 }' chaos-stats.out)
 test "${FAULTS:-0}" -ge 1
-$PARADB stats --port "$PORT" --json | grep -q '"p99"'
+for i in $(seq 1 5); do
+  $PARADB stats --port "$PORT" --json > chaos-stats.json || true
+  grep -q '"p99"' chaos-stats.json && break
+done
+grep -q '"p99"' chaos-stats.json
 
 # Graceful shutdown on SIGTERM: drain and exit within the grace window.
 kill -TERM $SERVE_PID

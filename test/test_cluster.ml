@@ -33,7 +33,7 @@ let contains hay sub =
 let test_ring_owner_range () =
   List.iter
     (fun shards ->
-      let ring = Ring.create ~shards () in
+      let ring = Ring.create ~shards in
       for i = 0 to 999 do
         let s = Ring.owner_of_value ring (Value.int (i * 7919)) in
         if s < 0 || s >= shards then
@@ -42,8 +42,8 @@ let test_ring_owner_range () =
     [ 1; 2; 3; 5; 8 ]
 
 let test_ring_deterministic () =
-  let a = Ring.create ~shards:4 () in
-  let b = Ring.create ~shards:4 () in
+  let a = Ring.create ~shards:4 in
+  let b = Ring.create ~shards:4 in
   for i = 0 to 999 do
     List.iter
       (fun v ->
@@ -55,7 +55,7 @@ let test_ring_deterministic () =
 
 let test_ring_balance () =
   let shards = 4 in
-  let ring = Ring.create ~shards () in
+  let ring = Ring.create ~shards in
   let counts = Array.make shards 0 in
   let n = 8000 in
   for i = 0 to n - 1 do
@@ -70,7 +70,7 @@ let test_ring_balance () =
     counts
 
 let test_ring_replica_placement () =
-  let ring = Ring.create ~shards:3 () in
+  let ring = Ring.create ~shards:3 in
   Alcotest.(check int) "rank 0 is the shard itself" 1
     (Ring.replica_shard ring ~shard:1 ~rank:0);
   Alcotest.(check int) "rank 1 is the successor" 2
@@ -90,8 +90,7 @@ let test_ring_validation () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  rejects (fun () -> Ring.create ~shards:0 ());
-  rejects (fun () -> Ring.create ~vnodes:0 ~shards:2 ())
+  rejects (fun () -> Ring.create ~shards:0)
 
 (* ------------------------------------------------------------------ *)
 (* Partition: the satellite property — for every arity and key
@@ -132,7 +131,7 @@ let qcheck_partition_roundtrip =
     (fun (arity, key, shards, rows) ->
       let schema = List.init arity (fun i -> Printf.sprintf "c%d" i) in
       let r = Relation.create ~name:"r" ~schema rows in
-      let ring = Ring.create ~shards () in
+      let ring = Ring.create ~shards in
       let slices = Partition.split_relation ring ~key r in
       if Array.length slices <> shards then
         Test.fail_reportf "expected %d slices, got %d" shards
@@ -177,7 +176,7 @@ let test_partition_split_keeps_all_relations () =
          (Relation.create ~name:"lonely" ~schema:[ "a" ]
             [ Tuple.of_ints [ 7 ] ])
   in
-  let ring = Ring.create ~shards:3 () in
+  let ring = Ring.create ~shards:3 in
   let slices = Partition.split ring db in
   Array.iter
     (fun slice ->
@@ -482,15 +481,66 @@ let test_cluster_stats () =
       has "db.g 7";
       has "db.g.relations 2"
 
+(* With [max_inflight = Some 1], an EVAL arriving while another is in
+   flight answers [ERR admission-limited].  Each shard serves one
+   session at a time and [a]'s pooled shard connections hold them, so
+   once [b]'s EVAL is admitted it waits on the shards until [a]
+   disconnects: [a] re-asks until it finds [b]'s EVAL in flight. *)
 let test_cluster_admission_limit () =
-  with_cluster ~shards:2 ~tweak:(fun c -> { c with max_inflight = Some 0 })
-  @@ fun ~shard_servers:_ ~client ->
-  load_facts client;
-  match eval_on client "ans(X, Y) :- e(X, Y)." with
-  | Ok _ -> Alcotest.fail "expected admission rejection"
-  | Error e ->
+  with_servers 2 @@ fun shards ->
+  let coord =
+    Coordinator.create
+      {
+        (Coordinator.default_config
+           (Array.to_list
+              (Array.map (fun s -> ("127.0.0.1", Server.port s)) shards)))
+        with
+        max_inflight = Some 1;
+      }
+  in
+  let eval = "EVAL g auto ans(X, Y) :- e(X, Y)." in
+  let limited = function
+    | Some (Protocol.Err e), _ -> contains e "admission-limited"
+    | _ -> false
+  in
+  let a = Coordinator.handler coord () in
+  let b = ref None in
+  let rejected =
+    Fun.protect ~finally:a.Server.on_close @@ fun () ->
+    List.iter
+      (fun line ->
+        match a.Server.on_line line with
+        | Some (Protocol.Ok_ _), _ -> ()
+        | _ -> Alcotest.failf "%s failed" line)
+      facts;
+    b :=
+      Some
+        (Domain.spawn (fun () ->
+             let h = Coordinator.handler coord () in
+             Fun.protect ~finally:h.Server.on_close @@ fun () ->
+             let rec admitted () =
+               let r = h.Server.on_line eval in
+               if limited r then (Unix.sleepf 0.001; admitted ()) else r
+             in
+             admitted ()));
+    let rec probe n =
+      match a.Server.on_line eval with
+      | r when limited r -> r
+      | Some (Protocol.Ok_ _), _ when n > 0 ->
+          Unix.sleepf 0.01;
+          probe (n - 1)
+      | _ -> Alcotest.fail "no EVAL was ever found in flight"
+    in
+    probe 1000
+  in
+  (match rejected with
+  | Some (Protocol.Err e), _ ->
       Alcotest.(check bool) ("admission error: " ^ e) true
-        (contains e "admission-limited")
+        (contains e "(max 1)")
+  | _ -> assert false);
+  match Domain.join (Option.get !b) with
+  | Some (Protocol.Ok_ _), _ -> ()
+  | _ -> Alcotest.fail "the EVAL held in flight failed"
 
 let test_cluster_failover () =
   let m_failover = Metrics.counter "cluster.failover" in
@@ -570,7 +620,7 @@ let test_cluster_count_overflow () =
   (* 18 leaves over 10 targets: 10^18 per centre, 2 centres on one
      shard and 3 on the other — each shard's count fits, the sum
      (5 * 10^18 > max_int) does not *)
-  let ring = Ring.create ~shards:2 () in
+  let ring = Ring.create ~shards:2 in
   let centres shard n =
     List.filteri
       (fun i _ -> i < n)
@@ -740,7 +790,7 @@ let test_cluster_shard_loss_without_replica () =
 (* Smallest non-negative int whose first-column placement is [shard],
    under the same ring parameters the coordinator uses. *)
 let value_on_shard ~shards ~shard =
-  let ring = Ring.create ~shards () in
+  let ring = Ring.create ~shards in
   let rec go i =
     if i > 10_000 then Alcotest.fail "no value maps to the shard"
     else if Ring.owner_of_value ring (Value.int i) = shard then i
@@ -1373,7 +1423,7 @@ let test_restarted_shard_reships () =
   let server = Server.start ~port:port1 ~workers:1 revived in
   Fun.protect ~finally:(fun () -> try Server.stop server with _ -> ())
   @@ fun () ->
-  let ring = Ring.create ~shards:2 () in
+  let ring = Ring.create ~shards:2 in
   let on_shard0 =
     List.filter_map
       (fun l ->
@@ -1435,7 +1485,22 @@ let test_coordinator_validation () =
   rejects
     { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with replicas = 2 };
   rejects
-    { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with replicas = 0 }
+    { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with replicas = 0 };
+  rejects
+    { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with
+      max_inflight = Some 0 };
+  rejects
+    { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with
+      max_inflight = Some (-3) };
+  rejects
+    { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with
+      timeout = Some 0.0 };
+  rejects
+    { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with
+      timeout = Some (-1.0) };
+  rejects
+    { (Coordinator.default_config [ ("127.0.0.1", 1) ]) with
+      timeout = Some Float.nan }
 
 let () =
   Alcotest.run "cluster"

@@ -147,7 +147,7 @@ let ref_semijoin_rows r s =
   let common = Relation.common_attrs r s in
   let pr = Relation.positions r common and ps = Relation.positions s common in
   let keys = List.map (fun t -> Tuple.sub t ps) (Relation.tuples s) in
-  let decode row = Array.map (Relation.decode_value r) row in
+  let decode row = Array.map Relation.decode_value row in
   List.filter
     (fun row ->
       let k = Tuple.sub (decode row) pr in

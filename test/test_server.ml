@@ -742,51 +742,66 @@ let tricky_value rng =
   | 7 -> Value.Str "-3"
   | _ -> Value.Str (String.make 1 (Char.chr (97 + Random.State.int rng 3)))
 
-let random_answer rng =
-  let arity = Random.State.int rng 5 in
+(* The encoder radix-sorts an answer of at least D/8 cells, D the
+   number of codes its order index covers, and compare-sorts a smaller
+   one.  A [big] answer is sized from the process dictionary's current
+   size to land on the radix side whatever it interns; otherwise it
+   holds at most 24 rows, the compare side once D has grown past 8x its
+   cells. *)
+let sized_answer rng ~arity ~big =
   let rows =
-    List.init (Random.State.int rng 25) (fun _ ->
-        Array.init arity (fun _ -> tricky_value rng))
+    if big && arity > 0 then
+      (Dictionary.size Dictionary.global / (7 * arity))
+      + 1 + Random.State.int rng 8
+    else Random.State.int rng 25
   in
-  (* now and then a private dictionary, whose codes mean other values *)
-  let dict =
-    if Random.State.int rng 4 = 0 then Some (Dictionary.create ()) else None
-  in
-  Relation.create ?dict ~name:"ans"
+  Relation.create ~name:"ans"
     ~schema:(List.init arity (Printf.sprintf "a%d"))
-    rows
+    (List.init rows (fun _ -> Array.init arity (fun _ -> tricky_value rng)))
+
+(* Which sort each encoded answer took, read back from the order index
+   the encoder used: both must be reached. *)
+let radix_sorted = ref 0
+let compare_sorted = ref 0
+
+let count_side r =
+  let o = Dictionary.order Dictionary.global ~covering:0 in
+  let cells = Relation.cardinality r * Relation.arity r in
+  incr (if 8 * cells >= o.Dictionary.covered then radix_sorted else compare_sorted)
+
+let random_answer rng =
+  sized_answer rng ~arity:(Random.State.int rng 5)
+    ~big:(Random.State.int rng 4 = 0)
 
 (* The encoder across dictionary growth: an answer encoded, then values
    interned between its own (so every rank after the first insertion
    point moves), then the same answer and one over the new codes
-   encoded again.  A private dictionary pre-grown by [pad] unused values
-   puts the answer on either side of the radix/compare-sort threshold
-   (cells >= D/8). *)
+   encoded again. *)
 let grown_answers_match rng =
-  let dict = Dictionary.create () in
-  let pad = Random.State.int rng 600 in
-  for i = 1 to pad do
-    ignore (Dictionary.intern dict (Value.Str (Printf.sprintf "pad%d" i)))
-  done;
   let answer () =
-    let arity = 1 + Random.State.int rng 3 in
-    Relation.create ~dict ~name:"ans"
-      ~schema:(List.init arity (Printf.sprintf "a%d"))
-      (List.init (Random.State.int rng 25) (fun _ ->
-           Array.init arity (fun _ -> tricky_value rng)))
+    sized_answer rng ~arity:(1 + Random.State.int rng 3)
+      ~big:(Random.State.bool rng)
   in
   let matches r =
     let limit = Random.State.int rng (Relation.cardinality r + 3) - 1 in
-    Plan.sorted_tuples r = Test_support.sorted_rows r
-    && Plan.sorted_tuples ~limit r = take limit (Test_support.sorted_rows r)
-    && Session.fact_lines r = Test_support.sorted_fact_lines r
+    let ok =
+      Plan.sorted_tuples r = Test_support.sorted_rows r
+      && Plan.sorted_tuples ~limit r = take limit (Test_support.sorted_rows r)
+      && Session.fact_lines r = Test_support.sorted_fact_lines r
+    in
+    count_side r;
+    ok
   in
   let before = answer () in
   let first = matches before in
   for _ = 1 to Random.State.int rng 40 do
-    ignore (Dictionary.intern dict (tricky_value rng))
+    ignore (Dictionary.intern Dictionary.global (tricky_value rng))
   done;
   first && matches before && matches (answer ())
+
+let test_both_sorts_reached () =
+  Alcotest.(check bool) "radix side reached" true (!radix_sorted > 0);
+  Alcotest.(check bool) "compare side reached" true (!compare_sorted > 0)
 
 let encoder_tests =
   [
@@ -796,10 +811,14 @@ let encoder_tests =
         let limit = Random.State.int rng (Relation.cardinality r + 3) - 1 in
         let tuples = Test_support.sorted_rows r in
         let facts = Test_support.sorted_fact_lines r in
-        Plan.sorted_tuples r = tuples
-        && Plan.sorted_tuples ~limit r = take limit tuples
-        && Session.fact_lines r = facts
-        && Session.fact_lines ~limit r = take limit facts);
+        let ok =
+          Plan.sorted_tuples r = tuples
+          && Plan.sorted_tuples ~limit r = take limit tuples
+          && Session.fact_lines r = facts
+          && Session.fact_lines ~limit r = take limit facts
+        in
+        count_side r;
+        ok);
     Qgen.seeded_property ~name:"encoder = reference across dictionary growth"
       ~count:200 grown_answers_match;
   ]
@@ -903,7 +922,11 @@ let () =
           `Quick test_answers_match_reference
         :: Alcotest.test_case "max-rows renders a prefix" `Quick
              test_max_rows_prefix
-        :: List.map QCheck_alcotest.to_alcotest encoder_tests );
+        :: List.map QCheck_alcotest.to_alcotest encoder_tests
+        @ [
+            Alcotest.test_case "properties reach both sort paths" `Quick
+              test_both_sorts_reached;
+          ] );
       ( "concurrency",
         [
           Alcotest.test_case "8 parallel connections, bit-identical answers"
