@@ -779,6 +779,20 @@ let run_coordinator host port workers shards replicas shard_timeout
     | Error e ->
         Printf.eprintf "error: --shards: %s\n" e;
         1
+    | Ok addrs when replicas < 1 || replicas > List.length addrs ->
+        Printf.eprintf
+          "error: --replicas must be between 1 and the number of --shards \
+           (%d)\n"
+          (List.length addrs);
+        1
+    | Ok _ when Option.fold ~none:false ~some:(fun m -> m < 1) max_inflight ->
+        Printf.eprintf "error: --max-inflight must be positive\n";
+        1
+    | Ok _
+      when Option.fold ~none:false ~some:(fun s -> not (s > 0.0)) shard_timeout
+      ->
+        Printf.eprintf "error: --shard-timeout must be positive\n";
+        1
     | Ok addrs ->
         run_server limits ~trace ~host ~port @@ fun limits ->
         let coord =
@@ -1175,7 +1189,7 @@ let main_cmd =
   let doc =
     "Parameterized query evaluation (Papadimitriou & Yannakakis, PODS 1997)"
   in
-  Cmd.group (Cmd.info "paradb" ~version:"1.22.0" ~doc ~exits)
+  Cmd.group (Cmd.info "paradb" ~version:"1.23.0" ~doc ~exits)
     [
       eval_cmd; check_cmd; datalog_cmd; generate_cmd; compact_cmd; serve_cmd;
       coordinator_cmd; client_cmd; stats_cmd; fuzz_cmd;

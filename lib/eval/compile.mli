@@ -57,12 +57,20 @@ val evaluate :
 
 type count_exec
 
+(** [compile_count plan db] compiles one counting pipeline per term of
+    {!Paradb_planner.Planner.count_terms}[ plan]: the plan itself, or
+    the [!=]-free quotients whose signed counts sum to its count. *)
 val compile_count :
   ?budget:Paradb_telemetry.Budget.t ->
   Paradb_planner.Planner.t -> Paradb_relational.Database.t -> count_exec
 
-(** [run_count cexec] executes the counting pipeline.  Safe to call
-    concurrently from several domains: all per-run state is local. *)
+(** [run_count cexec] runs every term's pipeline and returns the signed
+    sum of their counts.  Each count, product and sum is
+    overflow-checked: an intermediate past the int range raises
+    {!Paradb_relational.Semiring.Count_overflow} even when the final
+    count would fit.  Safe to call concurrently from several domains: a
+    run takes the memo stores an earlier run left only when no other
+    run holds them. *)
 val run_count : ?budget:Paradb_telemetry.Budget.t -> count_exec -> int
 
 (** [count db q] = plan, compile, run — one-shot counting. *)

@@ -5,6 +5,7 @@ module Constr = Paradb_query.Constr
 module Hypergraph = Paradb_hypergraph.Hypergraph
 module Join_tree = Paradb_hypergraph.Join_tree
 module Metrics = Paradb_telemetry.Metrics
+module Mutate = Paradb_telemetry.Mutate
 module SS = Hypergraph.String_set
 
 type classification = Acyclic | Low_width of int | Cyclic of int
@@ -305,7 +306,10 @@ let place_constraints constraints bound_after =
     constraints;
   (List.rev !placed, List.rev !ground)
 
-let plan q =
+(* Planning proper, without the classification counter: [plan] counts
+   the queries it is asked to plan, not the quotients [count_terms]
+   derives from them. *)
+let build q =
   let q = Cq.alpha_normalize q in
   let scans = Array.of_list (List.map scan_of_atom q.Cq.body) in
   let tree =
@@ -322,11 +326,6 @@ let plan q =
       let w = width_estimate q in
       if w <= low_width_threshold then (Low_width w, w) else (Cyclic w, w)
   in
-  Metrics.incr
-    (match classification with
-    | Acyclic -> m_acyclic
-    | Low_width _ -> m_low_width
-    | Cyclic _ -> m_cyclic);
   let steps, bound_after = steps_of_order scans (order_atoms tree scans) in
   let filters, ground = place_constraints q.Cq.constraints bound_after in
   {
@@ -341,6 +340,141 @@ let plan q =
     barriers = barrier_spec q scans steps filters;
     cut = witness_cut q bound_after;
   }
+
+let plan q =
+  let p = build q in
+  Metrics.incr
+    (match p.classification with
+    | Acyclic -> m_acyclic
+    | Low_width _ -> m_low_width
+    | Cyclic _ -> m_cyclic);
+  p
+
+(* Exact counting under variable–variable [!=] by inclusion–exclusion.
+   Each such atom keeps both of its endpoints live to the step that
+   checks it, so a query whose [!=] atoms span the body has no barrier
+   and its count walks every valuation.  With E the distinct [x != y]
+   pairs,
+
+     #(Q ∧ ⋀_E x≠y) = Σ_{S ⊆ E} (−1)^|S| #(Q ∧ ⋀_S x=y)
+
+   and [Q ∧ ⋀_S x=y] is the quotient of [Q] by the partition of
+   variables S's components induce: each block merged to one variable,
+   duplicate atoms and constraints dropped.  The quotients are
+   [!=]-free, so they keep the barriers; a partition's coefficient is
+   the signed sum over the subsets inducing it (the Möbius value of
+   the partition lattice for a complete [!=] graph), and alpha-equivalent
+   quotients share one term.  The rewrite is taken only when it pays:
+   dropping E must add barriers, 2^|E| subsets stay small, and no
+   quotient may be wider than the query (merging can close a cycle). *)
+let neq_cap = 6
+
+let n_barriers p =
+  Array.fold_left (fun n b -> if b = None then n else n + 1) 0 p.barriers
+
+let neq_edge c =
+  match (c.Constr.op, c.Constr.lhs, c.Constr.rhs) with
+  | Constr.Neq, Term.Var x, Term.Var y when x <> y -> Some (min x y, max x y)
+  | _ -> None
+
+(* The quotient of [q] (with E already dropped) merging each variable
+   to its block's representative. *)
+let quotient q rep =
+  let q = Cq.rename rep q in
+  let dedup = Paradb_relational.Listx.dedup in
+  Cq.make ~name:q.Cq.name ~head:q.Cq.head
+    ~constraints:(dedup q.Cq.constraints) (dedup q.Cq.body)
+
+(* (coefficient, representative map) per partition of the variables E
+   touches, in first-reached subset order.  Union-find links every root
+   to the smaller one, so a block's root is its first variable and the
+   root array names the partition. *)
+let partitions edges =
+  let vs =
+    Array.of_list
+      (SS.elements
+         (List.fold_left (fun s (x, y) -> SS.add x (SS.add y s)) SS.empty edges))
+  in
+  let index = Hashtbl.create 8 in
+  Array.iteri (fun i x -> Hashtbl.add index x i) vs;
+  let edges =
+    Array.of_list
+      (List.map (fun (x, y) -> (Hashtbl.find index x, Hashtbl.find index y)) edges)
+  in
+  let coef = Hashtbl.create 16 and order = ref [] in
+  for mask = 0 to (1 lsl Array.length edges) - 1 do
+    let parent = Array.init (Array.length vs) Fun.id in
+    let rec find i = if parent.(i) = i then i else find parent.(i) in
+    let sign = ref 1 in
+    Array.iteri
+      (fun j (a, b) ->
+        if mask land (1 lsl j) <> 0 then begin
+          sign := - !sign;
+          let ra = find a and rb = find b in
+          parent.(max ra rb) <- min ra rb
+        end)
+      edges;
+    let blocks = Array.init (Array.length vs) find in
+    match Hashtbl.find_opt coef blocks with
+    | Some c -> Hashtbl.replace coef blocks (c + !sign)
+    | None ->
+        Hashtbl.add coef blocks !sign;
+        order := blocks :: !order
+  done;
+  List.rev_map
+    (fun blocks ->
+      let rep x =
+        match Hashtbl.find_opt index x with Some i -> vs.(blocks.(i)) | None -> x
+      in
+      (Hashtbl.find coef blocks, rep))
+    !order
+
+let neq_edges q =
+  Paradb_relational.Listx.dedup (List.filter_map neq_edge q.Cq.constraints)
+
+let count_terms p =
+  let q = p.query in
+  let edges = neq_edges q in
+  if edges = [] || List.length edges > neq_cap then [ (1, p) ]
+  else
+    let rest =
+      Cq.make ~name:q.Cq.name ~head:q.Cq.head
+        ~constraints:(List.filter (fun c -> neq_edge c = None) q.Cq.constraints)
+        q.Cq.body
+    in
+    if n_barriers (build rest) <= n_barriers p then [ (1, p) ]
+    else
+      (* group alpha-equivalent quotients, first-reached order; drop
+         the zero terms *)
+      let groups = Hashtbl.create 8 and order = ref [] in
+      List.iter
+        (fun (c, rep) ->
+          let qq = quotient rest rep in
+          let key = Cq.cache_key qq in
+          match Hashtbl.find_opt groups key with
+          | Some (c', _) -> Hashtbl.replace groups key (c' + c, qq)
+          | None ->
+              Hashtbl.add groups key (c, qq);
+              order := key :: !order)
+        (partitions edges);
+      let terms =
+        List.filter_map
+          (fun key ->
+            let c, qq = Hashtbl.find groups key in
+            if c = 0 then None else Some (c, build qq))
+          (List.rev !order)
+      in
+      if
+        List.for_all
+          (fun (_, t) -> t.classification = Acyclic || t.width <= p.width)
+          terms
+      then
+        (* Mutation hook: flip the sign of the last term's coefficient. *)
+        match List.rev terms with
+        | (c, t) :: rest when Mutate.enabled "neq_quotient_sign" ->
+            List.rev ((-c, t) :: rest)
+        | _ -> terms
+      else [ (1, p) ]
 
 let classification_name = function
   | Acyclic -> "acyclic"
@@ -427,4 +561,13 @@ let explain p =
   (match shard_choice p with
   | Copartitioned v -> line "shard key: %s (copartitioned scatter)" v
   | Exchange -> line "distribution: reducer exchange");
+  (match count_terms p with
+  | [ (1, t) ] when t == p -> ()
+  | terms ->
+      line "count expansion: %d terms by inclusion-exclusion over %d != atoms"
+        (List.length terms)
+        (List.length (neq_edges p.query));
+      List.iter
+        (fun (c, t) -> line "count term %+d: %s" c (Cq.to_string t.query))
+        terms);
   List.rev !buf

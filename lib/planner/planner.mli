@@ -108,6 +108,29 @@ type shard_choice = Copartitioned of string | Exchange
 
 val shard_choice : t -> shard_choice
 
+(** {2 Counting by inclusion–exclusion} *)
+
+(** The most distinct variable–variable [!=] atoms {!count_terms}
+    expands: 6, i.e. at most 64 edge subsets. *)
+val neq_cap : int
+
+(** [count_terms p] — the plans whose signed counts sum to [p]'s count
+    (satisfying valuations of the body variables).  [[(1, p)]] unless
+    all of these hold for the distinct variable–variable [!=] atoms E of
+    [p.query]: dropping E gives the plan more dead-variable barriers,
+    [|E| <= ]{!neq_cap}, and every quotient is acyclic or no wider than
+    [p].  Then each term is the plan of a quotient of [p.query] by a
+    partition of E's variables (blocks merged, duplicate atoms and
+    constraints dropped, E dropped, every other constraint kept), with
+    coefficient Σ(−1)^|S| over the subsets S ⊆ E whose components
+    induce the partition; alpha-equivalent quotients share one term and
+    zero terms are dropped.  The first term is always E dropped, with
+    coefficient 1.  A function, not a plan field, so EVAL planning never
+    pays for it. *)
+val count_terms : t -> (int * t) list
+
 (** Human-readable plan rendering, one line per element — the payload of
-    the server's [EXPLAIN] verb. *)
+    the server's [EXPLAIN] verb.  A plan {!count_terms} expands ends with
+    a [count expansion:] line and one [count term <coefficient>:] line
+    per quotient. *)
 val explain : t -> string list

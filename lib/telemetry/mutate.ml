@@ -28,6 +28,8 @@ let known =
      "compiled < and <= compare raw dictionary codes instead of value-order ranks");
     ("unchecked_add",
      "the compiled count sink's sums wrap on overflow instead of raising");
+    ("neq_quotient_sign",
+     "the != inclusion-exclusion flips the sign of its last quotient's coefficient");
   ]
 
 let known_names = List.map fst known

@@ -299,6 +299,12 @@ let test_mutant_order_raw_codes () =
   check_mutant_caught ~mutant:"order_raw_codes"
     ~engines:[ "compiled"; "count-compiled" ] ()
 
+(* A flipped inclusion–exclusion sign only shows on the cases whose
+   count the var-var != rewrite expands, about one in forty. *)
+let test_mutant_neq_quotient_sign () =
+  check_mutant_caught ~cases:200 ~mutant:"neq_quotient_sign"
+    ~engines:[ "count-compiled" ] ()
+
 let test_unknown_mutant_rejected () =
   with_mutation "not_a_mutant" @@ fun () ->
   Alcotest.(check bool) "raises" true
@@ -355,6 +361,8 @@ let () =
             test_mutant_semijoin_probe_first_only;
           Alcotest.test_case "order raw codes" `Quick
             test_mutant_order_raw_codes;
+          Alcotest.test_case "neq quotient sign" `Quick
+            test_mutant_neq_quotient_sign;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

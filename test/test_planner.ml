@@ -239,6 +239,21 @@ let test_compiled_edge_cases () =
   same "ans(X) :- e(X, Y), e(Y, Z), e(Z, X)." triangle_db;
   (* constants in the head *)
   same "ans(X, 7) :- e(X, 2)." triangle_db;
+  (* expanded counts run twice, the second run on the memo stores the
+     first left *)
+  List.iter
+    (fun text ->
+      let p = plan text in
+      Alcotest.(check bool) (text ^ " expands") true
+        (List.length (Planner.count_terms p) > 1);
+      let exec = Compile.compile_count p triangle_db in
+      let want = Cq_naive.count triangle_db p.Planner.query in
+      Alcotest.(check (list int)) (text ^ " count") [ want; want ]
+        [ Compile.run_count exec; Compile.run_count exec ])
+    [
+      "ans(X) :- e(X, Y), e(X, Z), e(X, W), Y != Z, Y != W, Z != W.";
+      "ans() :- e(X, Y), e(X, Z), Y != Z.";
+    ];
   (* boolean (empty head) and empty body, built directly *)
   let boolean = Cq.make ~name:"q" ~head:[] [ Atom.make "e" [ Term.var "X"; Term.var "Y" ] ] in
   Alcotest.(check (list string)) "boolean head"
@@ -397,6 +412,39 @@ let projected_cq rng =
   in
   Cq.make ~name:"ans" ~constraints ~head (first :: more)
 
+(* A star or a path of 2-4 edges with a var-var != graph over its
+   variables: complete on 2-4 of them, or random, up to the cap. *)
+let neq_graph_cq rng =
+  let k = 2 + Random.State.int rng 3 in
+  let star = Random.State.bool rng in
+  let var i = Term.var (Printf.sprintf "X%d" i) in
+  let body =
+    List.init k (fun i ->
+        Atom.make "e" [ var (if star then 0 else i); var (i + 1) ])
+  in
+  let pick n = List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id) in
+  let pairs vs =
+    List.concat_map
+      (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) vs)
+      vs
+  in
+  let edges =
+    if Random.State.bool rng then
+      let m = 2 + Random.State.int rng (min 3 k) in
+      let shuffled =
+        List.map snd
+          (List.sort compare
+             (List.init (k + 1) (fun i -> (Random.State.bits rng, i))))
+      in
+      pairs (List.filteri (fun i _ -> i < m) shuffled)
+    else List.filter (fun _ -> Random.State.bool rng) (pairs (List.init (k + 1) Fun.id))
+  in
+  let edges = List.filteri (fun i _ -> i < Planner.neq_cap) edges in
+  Cq.make ~name:"ans"
+    ~constraints:(List.map (fun (a, b) -> Constr.neq (var a) (var b)) edges)
+    ~head:(List.map var (pick (k + 1)))
+    body
+
 let qcheck_tests =
   [
     Qgen.seeded_property
@@ -434,6 +482,15 @@ let qcheck_tests =
             ~domain_size:4
         in
         rows (Compile.evaluate db q) = rows (Yannakakis.evaluate db q));
+    Qgen.seeded_property
+      ~name:"expanded count = naive on stars and paths with != graphs"
+      ~count:300 (fun rng ->
+        let db =
+          Generators.edge_database rng ~nodes:5
+            ~edges:(4 + Random.State.int rng 12)
+        in
+        let q = neq_graph_cq rng in
+        Compile.count db q = Cq_naive.count db q);
     Qgen.seeded_property ~name:"compiled = naive on random cyclic CQs"
       ~count:80 (fun rng ->
         let db =
@@ -507,16 +564,121 @@ let test_count_allocation () =
   let bound = 2048. +. (16. *. float_of_int (2 * nodes)) in
   if words > bound then
     Alcotest.failf "3-chain count allocated %.0f words (bound %.0f)" words bound;
-  (* The all-!= star has no barrier: counting allocates a constant. *)
+  (* The all-!= star has no barrier of its own; counting expands it into
+     three !=-free quotients whose three barriers (two in the 3-star, one
+     in the 2-star) memoize per centre node. *)
   let star = plan "ans(X) :- e(X, Y), e(X, Z), e(X, W), Y != Z, Y != W, Z != W." in
   Alcotest.(check bool) "star has no barrier" true
     (Array.for_all Option.is_none star.Planner.barriers);
+  Alcotest.(check int) "star counts by three terms" 3
+    (List.length (Planner.count_terms star));
   let exec = Compile.compile_count star db in
   ignore (Compile.run_count exec);
   let words, n = minor_words (fun () -> Compile.run_count exec) in
-  Alcotest.(check bool) "star counts thousands of valuations" true (n > 1000);
-  if words > 2048. then
-    Alcotest.failf "star count allocated %.0f words for %d valuations" words n
+  Alcotest.(check int) "star count = naive" (Cq_naive.count db star.Planner.query) n;
+  let bound = 2048. +. (16. *. float_of_int (3 * nodes)) in
+  if words > bound then
+    Alcotest.failf "star count allocated %.0f words (bound %.0f)" words bound;
+  (* The quotients' runs hand their memo stores on, and each refills
+     them in place: a warm expanded count allocates a constant, under
+     one word per memo key (~400 per set here). *)
+  let big = Generators.edge_database rng ~nodes:400 ~edges:2400 in
+  let exec = Compile.compile_count star big in
+  ignore (Compile.run_count exec);
+  let words, n = minor_words (fun () -> Compile.run_count exec) in
+  Alcotest.(check int) "400-node star count = naive"
+    (Cq_naive.count big star.Planner.query) n;
+  if words > 256. then
+    Alcotest.failf "warm 400-node star count allocated %.0f words" words
+
+(* ------------------------------------------------------------------ *)
+(* Counting by inclusion–exclusion over variable–variable != *)
+
+(* [ans(X) :- e(X, Y0), ..., e(X, Yk-1)] with every [Yi != Yj]. *)
+let star_neq k =
+  let leaf i = Printf.sprintf "Y%d" i in
+  let pairs =
+    List.concat
+      (List.init k (fun i ->
+           List.init (k - 1 - i) (fun j ->
+               Printf.sprintf "%s != %s" (leaf i) (leaf (i + 1 + j)))))
+  in
+  Printf.sprintf "ans(X) :- %s, %s."
+    (String.concat ", " (List.init k (fun i -> Printf.sprintf "e(X, %s)" (leaf i))))
+    (String.concat ", " pairs)
+
+(* The complete != graph on k leaves: grouped by quotient, the
+   coefficients are the signed Stirling numbers of the first kind, the
+   Möbius values of the partition lattice summed per block count —
+   d(d-1)(d-2) = d^3 - 3d^2 + 2d for k = 3. *)
+let test_count_terms_mobius () =
+  let db = edge [ (1, 2); (1, 3); (1, 4); (1, 5); (2, 3); (2, 4); (2, 5); (3, 3) ] in
+  List.iter
+    (fun (k, want) ->
+      let p = plan (star_neq k) in
+      let terms = Planner.count_terms p in
+      Alcotest.(check (list int))
+        (Printf.sprintf "k = %d coefficients" k) want (List.map fst terms);
+      Alcotest.(check (list int))
+        (Printf.sprintf "k = %d quotient sizes" k)
+        (List.init k (fun i -> k - i))
+        (List.map (fun (_, t) -> List.length t.Planner.query.Cq.body) terms);
+      Alcotest.(check bool) (Printf.sprintf "k = %d terms are !=-free" k) true
+        (List.for_all (fun (_, t) -> t.Planner.query.Cq.constraints = []) terms);
+      Alcotest.(check int)
+        (Printf.sprintf "k = %d count = naive" k)
+        (Cq_naive.count db p.Planner.query) (Compile.count db p.Planner.query))
+    [ (3, [ 1; -3; 2 ]); (4, [ 1; -6; 11; -6 ]) ];
+  (* Where the rule does not fire, the plan is its own single term. *)
+  List.iter
+    (fun (why, text) ->
+      let p = plan text in
+      match Planner.count_terms p with
+      | [ (1, t) ] when t == p -> ()
+      | terms -> Alcotest.failf "%s: %d terms" why (List.length terms))
+    [
+      ("no barrier gained", "ans(X, Z) :- e(X, Y), e(Y, Z), X != Z.");
+      ("quotient closes a cycle", "ans(X) :- e(X, Y), e(Y, Z), e(Z, W), X != W.");
+      ("var-constant != only", "ans(X) :- e(X, Y), e(X, Z), Y != 3, Z != 3.");
+      ("over the cap", star_neq 5);
+    ];
+  (* Constraints other than E survive the substitution. *)
+  let p = plan "ans(X) :- e(X, Y), e(X, Z), Y != Z, Y != 3, Z < 5." in
+  Alcotest.(check (list string)) "other constraints kept"
+    [ "ans(V0) :- e(V0, V1), e(V0, V2), V1 != 3, V2 < 5";
+      "ans(V0) :- e(V0, V1), V1 != 3, V1 < 5" ]
+    (List.map (fun (_, t) -> Cq.to_string t.Planner.query) (Planner.count_terms p))
+
+(* One compiled count shared by several domains: each run takes the
+   memo stores an earlier run left, or fresh ones when another run holds
+   them, so every run counts alike. *)
+let test_count_shared_across_domains () =
+  let rng = Random.State.make [| 11 |] in
+  let db = Generators.edge_database rng ~nodes:40 ~edges:300 in
+  let p = plan (star_neq 3) in
+  let want = Cq_naive.count db p.Planner.query in
+  let exec = Compile.compile_count p db in
+  let counts =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () -> List.init 30 (fun _ -> Compile.run_count exec)))
+    |> List.concat_map Domain.join
+  in
+  Alcotest.(check (list int)) "90 runs = naive" (List.init 90 (fun _ -> want)) counts
+
+(* A 4-leaf star over one node with 46,341 out-edges: d^4 > max_int, so
+   the 4-star quotient's count overflows although the answer
+   d(d-1)(d-2)(d-3) fits.  The memoized quotients get there in O(d); the
+   unexpanded plan would walk ~4.6e18 valuations. *)
+let test_count_overflow () =
+  let d = 46_341 in
+  let db = edge (List.init d (fun i -> (0, i + 1))) in
+  let q = (plan (star_neq 4)).Planner.query in
+  let t0 = Unix.gettimeofday () in
+  (match Compile.count db q with
+  | n -> Alcotest.failf "answered %d" n
+  | exception Paradb_relational.Semiring.Count_overflow -> ());
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 1.0 then Alcotest.failf "count-overflow took %.2f s" dt
 
 (* Output-sensitive compile: once the base's column indexes exist, an
    anchored query's semijoins probe them with the few rows its selection
@@ -571,6 +733,12 @@ let () =
             test_count_allocation;
           Alcotest.test_case "anchored compile allocates per reached row"
             `Quick test_anchored_compile_allocation;
+          Alcotest.test_case "count terms: Möbius coefficients" `Quick
+            test_count_terms_mobius;
+          Alcotest.test_case "expanded count overflows loudly and fast" `Quick
+            test_count_overflow;
+          Alcotest.test_case "count exec shared across domains" `Quick
+            test_count_shared_across_domains;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
