@@ -42,10 +42,6 @@ type t = {
   consts : int array;  (** head constants, loaded after the variables *)
   nkeys : int;
   pipeline : state -> unit;
-  keep : bool;
-      (** Nat: runs hand their memo stores on through [spare]; set for
-          the quotient terms of an expanded count *)
-  spare : (Row_set.t array * int array array) option Atomic.t;
 }
 
 type exec = t
@@ -255,7 +251,7 @@ let barrier ~checked sink k pos next =
       fun st ->
         let keys = st.keys.(k) in
         let n = Row_set.cardinal keys in
-        let id = Row_set.add_sub_owned keys st.regs pos in
+        let id = Row_set.add_sub keys st.regs pos in
         if id < n then st.acc <- add ~checked st.acc st.counts.(k).(id)
         else begin
           let saved = st.acc in
@@ -447,16 +443,7 @@ let build ?budget sink plan db =
       (!nkeys, if witness_only && cut < 0 then at_cut pipeline else pipeline)
     end
   in
-  {
-    name = q.Cq.name;
-    head_schema;
-    nvars;
-    consts;
-    nkeys;
-    pipeline;
-    keep = false;
-    spare = Atomic.make None;
-  }
+  { name = q.Cq.name; head_schema; nvars; consts; nkeys; pipeline }
 
 let compile ?budget plan db =
   let exec = build ?budget Bool plan db in
@@ -465,49 +452,15 @@ let compile ?budget plan db =
 
 let compile_count ?budget plan db =
   let terms = Planner.count_terms plan in
-  let expanded = List.length terms > 1 in
-  if expanded then Metrics.incr ~by:(List.length terms) m_count_terms;
+  if List.length terms > 1 then Metrics.incr ~by:(List.length terms) m_count_terms;
   List.map
     (fun (c, p) ->
       let exec = build ?budget Nat p db in
       Metrics.incr m_count_pipelines;
-      (c, { exec with keep = expanded }))
+      (c, exec))
     terms
 
-(* The Nat sink never touches [out]: an empty sealed set stands in. *)
-let no_out = Row_set.of_unique_array [||] 0
-
-let fresh_stores exec =
-  (Array.init exec.nkeys (fun _ -> Row_set.create 64), Array.make exec.nkeys [||])
-
-(* The quotients of an expanded count have memos the plan they replace
-   did not; with fresh stores on every run, their key sets, count arrays
-   and probe tables are new major-heap blocks each time, and a busy
-   server's peak RSS grows with that churn.  So a quotient's run takes
-   the stores an earlier run left, when no other run holds them, and
-   refills the key arrays in place ([Row_set.add_sub_owned]: the memo
-   never lets a key out).  A finished run leaves its stores emptied,
-   only while they hold at most [spare_max] keys, so a cached plan
-   keeps at most that much memo capacity alive.  Other count plans keep
-   nothing between runs, as before.  A stale count needs no clearing,
-   since a key's count is stored before any visit reads it. *)
-let spare_max = 8192
-
-let take_stores exec =
-  match Atomic.exchange exec.spare None with
-  | Some stores -> stores
-  | None -> fresh_stores exec
-
-let leave_stores exec st =
-  if
-    exec.keep
-    && Array.fold_left (fun n s -> n + Row_set.cardinal s) 0 st.keys <= spare_max
-  then begin
-    Array.iter Row_set.clear st.keys;
-    Atomic.set exec.spare (Some (st.keys, st.counts))
-  end
-
-let start ?budget exec ~out (keys, counts) =
+let start ?budget exec ~out =
   Budget.poll budget;
   let nconsts = Array.length exec.consts in
   let st =
@@ -516,8 +469,8 @@ let start ?budget exec ~out (keys, counts) =
       ticks = 0;
       budget;
       out;
-      keys;
-      counts;
+      keys = Array.init exec.nkeys (fun _ -> Row_set.create 64);
+      counts = Array.make exec.nkeys [||];
       acc = 0;
     }
   in
@@ -526,7 +479,7 @@ let start ?budget exec ~out (keys, counts) =
   st
 
 let run ?budget exec =
-  let st = start ?budget exec ~out:(Row_set.create 64) (fresh_stores exec) in
+  let st = start ?budget exec ~out:(Row_set.create 64) in
   (* The output set's rows are distinct and owned by this run: seal
      them as the result instead of copying and rehashing each one. *)
   Relation.of_unique_codes ~name:exec.name ~schema:exec.head_schema
@@ -534,18 +487,18 @@ let run ?budget exec =
 
 let evaluate ?budget db q = run ?budget (compile ?budget (Planner.plan q) db)
 
+(* The Nat sink never touches [out]: an empty sealed set stands in. *)
+let no_out = Row_set.of_unique_array [||] 0
+
 (* The signed sum of the terms' counts, overflow-checked: a term whose
    own count or scaled count leaves the int range fails the whole count,
    even where the final sum would fit. *)
-let rec sum_terms budget acc = function
-  | [] -> acc
-  | (c, exec) :: rest ->
-      let st = start ?budget exec ~out:no_out (take_stores exec) in
-      leave_stores exec st;
-      let n = st.acc in
-      sum_terms budget (Semiring.checked_add acc (Semiring.checked_mul c n)) rest
-
-let run_count ?budget cexec = sum_terms budget 0 cexec
+let run_count ?budget cexec =
+  List.fold_left
+    (fun acc (c, exec) ->
+      let n = (start ?budget exec ~out:no_out).acc in
+      Semiring.checked_add acc (Semiring.checked_mul c n))
+    0 cexec
 
 let count ?budget db q =
   run_count ?budget (compile_count ?budget (Planner.plan q) db)

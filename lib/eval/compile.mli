@@ -68,9 +68,8 @@ val compile_count :
     sum of their counts.  Each count, product and sum is
     overflow-checked: an intermediate past the int range raises
     {!Paradb_relational.Semiring.Count_overflow} even when the final
-    count would fit.  Safe to call concurrently from several domains: a
-    run takes the memo stores an earlier run left only when no other
-    run holds them. *)
+    count would fit.  Safe to call concurrently from several domains:
+    all per-run state is local. *)
 val run_count : ?budget:Paradb_telemetry.Budget.t -> count_exec -> int
 
 (** [count db q] = plan, compile, run — one-shot counting. *)

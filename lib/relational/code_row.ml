@@ -33,8 +33,15 @@ let compare (a : t) (b : t) =
     if !i = la then 0 else Int.compare a.(!i) b.(!i)
   end
 
+(* A loop, not [Array.map]: the closure would cost every memo key and
+   every output row an extra allocation. *)
 let sub (row : t) (positions : int array) =
-  Array.map (fun i -> row.(i)) positions
+  let n = Array.length positions in
+  let r = Array.make n 0 in
+  for i = 0 to n - 1 do
+    r.(i) <- row.(positions.(i))
+  done;
+  r
 
 (* Hash and equality of the sub-row at [positions] without materialising
    it — the allocation-free primitives behind key indexes. *)

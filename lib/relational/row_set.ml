@@ -134,33 +134,16 @@ let find_sub s row pos =
   ensure_table s;
   s.table.(slot s key_matches row pos (Code_row.hash_sub row pos))
 
-(* [reuse]: the set owns its rows, so a new key may overwrite the row
-   array a [clear] left in its slot instead of allocating one. *)
-let add_key ~reuse s row pos =
+let add_sub s row pos =
   ensure_table s;
   let h = Code_row.hash_sub row pos in
   let j = slot s key_matches row pos h in
   let id = s.table.(j) in
   if id >= 0 then id
   else begin
-    let n = Array.length pos in
-    let key =
-      if reuse && s.size < Array.length s.rows && Array.length s.rows.(s.size) = n
-      then begin
-        let k = s.rows.(s.size) in
-        for i = 0 to n - 1 do
-          k.(i) <- row.(pos.(i))
-        done;
-        k
-      end
-      else Code_row.sub row pos
-    in
-    insert s j h key;
+    insert s j h (Code_row.sub row pos);
     s.size - 1
   end
-
-let add_sub s row pos = add_key ~reuse:false s row pos
-let add_sub_owned s row pos = add_key ~reuse:true s row pos
 
 let to_array s = Array.sub s.rows 0 s.size
 
@@ -184,12 +167,6 @@ let copy s =
     table = Array.copy s.table;
     mask = s.mask;
   }
-
-let clear s =
-  if s.size > 0 then begin
-    Array.fill s.table 0 (Array.length s.table) (-1);
-    s.size <- 0
-  end
 
 let equal a b =
   cardinal a = cardinal b

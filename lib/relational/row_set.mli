@@ -43,13 +43,6 @@ val mem : t -> Code_row.t -> bool
     key is copied out of [row]. *)
 val add_sub : t -> Code_row.t -> int array -> int
 
-(** [add_sub_owned] is {!add_sub} for a set that never lets its rows
-    out (no {!get}, {!rows}, {!to_array}, {!iter} or {!fold} whose rows
-    are kept): an inserted key overwrites the row a {!clear} left in its
-    slot, when the widths match, instead of allocating.  A warm memo
-    refilled after [clear] then allocates nothing. *)
-val add_sub_owned : t -> Code_row.t -> int array -> int
-
 (** [find_sub s row pos] is the insertion-order id ({!get}) of the key
     [Code_row.sub row pos], or [-1] if it is absent.  Allocates nothing
     once the probe table exists. *)
@@ -65,11 +58,6 @@ val to_array : t -> Code_row.t array
 val iter : (Code_row.t -> unit) -> t -> unit
 val fold : (Code_row.t -> 'a -> 'a) -> t -> 'a -> 'a
 val copy : t -> t
-
-(** [clear s] empties [s] and keeps its capacity: the next fills reuse
-    its arrays instead of growing new ones.  The old rows stay in their
-    slots, for {!add_sub_owned} to overwrite. *)
-val clear : t -> unit
 
 (** [equal a b] — same rows. *)
 val equal : t -> t -> bool

@@ -358,9 +358,7 @@ let random_positions rng ~arity =
 
 (* [add_sub]/[find_sub] against [add (sub row pos)]/[mem] on the same
    insert stream.  Starting from a small or sealed set, a few hundred
-   inserts cross several [resize_table]s.  An unsealed set may instead
-   take [add_sub_owned] and now and then a [clear] (the reference starts
-   over), so refills overwrite the rows the clear left. *)
+   inserts cross several [resize_table]s. *)
 let sub_keys_agree rng =
   let arity = Random.State.int rng 4 in
   let pos = random_positions rng ~arity in
@@ -377,15 +375,9 @@ let sub_keys_agree rng =
     if seal then Row_set.of_unique_array (Array.copy sealed) (Array.length sealed)
     else Row_set.create 1
   in
-  let reference = ref (make ()) and subject = make () in
-  let owned = (not seal) && Random.State.bool rng in
+  let reference = make () and subject = make () in
   let ok = ref true in
   for _ = 1 to Random.State.int rng 300 do
-    if owned && Random.State.int rng 40 = 0 then begin
-      Row_set.clear subject;
-      reference := Row_set.create 1
-    end;
-    let reference = !reference in
     let row = random_code_row rng ~len:arity () in
     let key = Code_row.sub row pos in
     let id = Row_set.find_sub subject row pos in
@@ -395,15 +387,12 @@ let sub_keys_agree rng =
       ok := false;
     if Random.State.int rng 4 > 0 then begin
       let n = Row_set.cardinal subject in
-      let id' =
-        (if owned then Row_set.add_sub_owned else Row_set.add_sub) subject row pos
-      in
+      let id' = Row_set.add_sub subject row pos in
       Row_set.add reference key;
       if (id' = n) = was then ok := false;
       if was && id' <> id then ok := false
     end
   done;
-  let reference = !reference in
   !ok
   && Row_set.cardinal subject = Row_set.cardinal reference
   && List.for_all
