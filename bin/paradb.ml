@@ -224,11 +224,20 @@ let run_check query_text dot =
              Format.printf "comparisons: consistent; collapsed: %a@." Cq.pp q');
       let plan = Plan.analyze Plan.Auto q in
       let pplan = plan.Plan.pplan in
-      (match pplan.Planner.tree with
-      | Some tree ->
-          Format.printf "%a@." Join_tree.pp tree;
-          if dot then print_string (Join_tree.to_dot tree)
-      | None -> Format.printf "no join tree (cyclic or empty body)@.");
+      (match
+         List.filter_map
+           (fun p -> p.Planner.tree)
+           (Planner.connected_plans pplan)
+       with
+      | [] -> Format.printf "no join tree (cyclic or empty body)@."
+      | trees ->
+          (* a join forest prints one tree per acyclic component, its
+             nodes numbered within the component *)
+          List.iter
+            (fun tree ->
+              Format.printf "%a@." Join_tree.pp tree;
+              if dot then print_string (Join_tree.to_dot tree))
+            trees);
       Format.printf "plan class: %s, width %d@."
         (Planner.classification_name pplan.Planner.classification)
         pplan.Planner.width;
@@ -1189,7 +1198,7 @@ let main_cmd =
   let doc =
     "Parameterized query evaluation (Papadimitriou & Yannakakis, PODS 1997)"
   in
-  Cmd.group (Cmd.info "paradb" ~version:"1.23.0" ~doc ~exits)
+  Cmd.group (Cmd.info "paradb" ~version:"1.24.0" ~doc ~exits)
     [
       eval_cmd; check_cmd; datalog_cmd; generate_cmd; compact_cmd; serve_cmd;
       coordinator_cmd; client_cmd; stats_cmd; fuzz_cmd;

@@ -44,11 +44,22 @@ type t = {
   pipeline : state -> unit;
 }
 
-type exec = t
+(* A join forest's pipelines ({!Planner.t.components}): the head-free
+   components [decided] up front, and the emitting [parts].  One part's
+   rows are the answer; several are combined by [layout], which names
+   for each head position its (part, column), or (-1, code) for a head
+   constant.  A connected plan is one part. *)
+type exec = {
+  name : string;
+  head_schema : string list;
+  decided : t list;
+  parts : t array;
+  layout : (int * int) array;
+}
 
-(* One counting pipeline per {!Planner.count_terms} term, with its
-   coefficient. *)
-type count_exec = (int * t) list
+(* Per {!Planner.count_terms} term: its coefficient and one counting
+   pipeline per connected component, whose counts multiply. *)
+type count_exec = (int * t list) list
 
 (* Same order of magnitude as the interpreters' probe stride: cheap
    enough to leave on, frequent enough that expiry surfaces fast. *)
@@ -446,18 +457,74 @@ let build ?budget sink plan db =
   { name = q.Cq.name; head_schema; nvars; consts; nkeys; pipeline }
 
 let compile ?budget plan db =
-  let exec = build ?budget Bool plan db in
+  let pipe p = build ?budget Bool p db in
+  let q = plan.Planner.query in
+  let decided, emitting =
+    match plan.Planner.components with
+    | [] -> ([], [ plan ])
+    | cs ->
+        let decided, emitting =
+          List.partition (fun c -> c.Planner.decided) cs
+        in
+        let plans = List.map (fun c -> c.Planner.plan) in
+        (plans decided, plans emitting)
+  in
+  let parts = Array.of_list (List.map pipe emitting) in
+  let layout =
+    if Array.length parts = 1 then [||]
+    else begin
+      (* several parts' heads are their own distinct variables *)
+      let column = Hashtbl.create 8 in
+      List.iteri
+        (fun k p ->
+          List.iteri
+            (fun j x -> Hashtbl.replace column x (k, j))
+            (Cq.head_vars p.Planner.query))
+        emitting;
+      Array.of_list
+        (List.map
+           (function
+             | Term.Var x -> Hashtbl.find column x
+             | Term.Const v -> (-1, Dictionary.intern Dictionary.global v))
+           q.Cq.head)
+    end
+  in
   Metrics.incr m_pipelines;
-  exec
+  {
+    name = q.Cq.name;
+    head_schema = List.mapi (fun i _ -> Printf.sprintf "a%d" i) q.Cq.head;
+    decided = List.map pipe decided;
+    parts;
+    layout;
+  }
 
 let compile_count ?budget plan db =
   let terms = Planner.count_terms plan in
   if List.length terms > 1 then Metrics.incr ~by:(List.length terms) m_count_terms;
+  let pipe p =
+    Metrics.incr m_count_pipelines;
+    build ?budget Nat p db
+  in
+  (* Mutation hook: a nonempty head-free component of a forest counts
+     once, as if COUNT took its Boolean answer. *)
+  let headfree_bool = Mutate.enabled "forest_count_headfree_bool" in
+  let component c =
+    let exec = pipe c.Planner.plan in
+    if headfree_bool && Cq.head_vars c.Planner.plan.Planner.query = [] then
+      {
+        exec with
+        pipeline =
+          (fun st ->
+            exec.pipeline st;
+            st.acc <- min st.acc 1);
+      }
+    else exec
+  in
   List.map
     (fun (c, p) ->
-      let exec = build ?budget Nat p db in
-      Metrics.incr m_count_pipelines;
-      (c, exec))
+      match p.Planner.components with
+      | [] -> (c, [ pipe p ])
+      | cs -> (c, List.map component cs))
     terms
 
 let start ?budget exec ~out =
@@ -478,25 +545,71 @@ let start ?budget exec ~out =
   exec.pipeline st;
   st
 
+(* One pipeline's answer rows, distinct and owned by this run. *)
+let rows_of ?budget t =
+  Row_set.to_array (start ?budget t ~out:(Row_set.create 64)).out
+
+(* A head-free pipeline stops at its first witness (cut -1): one row or
+   none. *)
+let has_witness ?budget t =
+  Row_set.cardinal (start ?budget t ~out:(Row_set.create 1)).out > 0
+
+(* The answer of several emitting components: every combination of one
+   row per part, laid out in head order.  The parts' heads are distinct
+   variables of disjoint components, each placed at least once, so
+   distinct combinations give distinct rows. *)
+let combine ?budget layout rows =
+  let m = Array.length rows in
+  let pick = Array.make m 0 in
+  let out = ref [] and n = ref 0 in
+  let cell (k, c) = if k < 0 then c else rows.(k).(pick.(k)).(c) in
+  let rec go k =
+    if k = m then begin
+      incr n;
+      if !n land (budget_stride - 1) = 0 then Budget.poll budget;
+      out := Array.map cell layout :: !out
+    end
+    else
+      for i = 0 to Array.length rows.(k) - 1 do
+        pick.(k) <- i;
+        go (k + 1)
+      done
+  in
+  go 0;
+  Array.of_list (List.rev !out)
+
 let run ?budget exec =
-  let st = start ?budget exec ~out:(Row_set.create 64) in
-  (* The output set's rows are distinct and owned by this run: seal
-     them as the result instead of copying and rehashing each one. *)
-  Relation.of_unique_codes ~name:exec.name ~schema:exec.head_schema
-    (Row_set.to_array st.out)
+  let rows =
+    if not (List.for_all (has_witness ?budget) exec.decided) then [||]
+    else
+      match exec.parts with
+      | [| t |] -> rows_of ?budget t
+      | parts -> combine ?budget exec.layout (Array.map (rows_of ?budget) parts)
+  in
+  (* The rows are distinct and owned by this run: seal them as the
+     result instead of copying and rehashing each one. *)
+  Relation.of_unique_codes ~name:exec.name ~schema:exec.head_schema rows
 
 let evaluate ?budget db q = run ?budget (compile ?budget (Planner.plan q) db)
 
 (* The Nat sink never touches [out]: an empty sealed set stands in. *)
 let no_out = Row_set.of_unique_array [||] 0
 
-(* The signed sum of the terms' counts, overflow-checked: a term whose
-   own count or scaled count leaves the int range fails the whole count,
-   even where the final sum would fit. *)
+(* The signed sum of the terms' counts, each the product of its
+   components' counts, overflow-checked: a count, product or scaled
+   count that leaves the int range fails the whole count, even where
+   the final sum would fit.  A component counting 0 settles its term,
+   and the components after it do not run. *)
 let run_count ?budget cexec =
   List.fold_left
-    (fun acc (c, exec) ->
-      let n = (start ?budget exec ~out:no_out).acc in
+    (fun acc (c, execs) ->
+      let n =
+        List.fold_left
+          (fun n exec ->
+            if n = 0 then 0
+            else Semiring.checked_mul n (start ?budget exec ~out:no_out).acc)
+          1 execs
+      in
       Semiring.checked_add acc (Semiring.checked_mul c n))
     0 cexec
 

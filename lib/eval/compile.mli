@@ -15,7 +15,15 @@
     output row or a new barrier/memo key — the warm-path contract the
     server's plan cache relies on.  Past the plan's first-witness cut
     ({!Paradb_planner.Planner.t.cut}) the Bool pipeline stops at the
-    first witness of each head row.
+    first witness of each head row; a Boolean query stops at its first
+    witness.
+
+    A join forest ({!Paradb_planner.Planner.t.components}) compiles one
+    pipeline per component, each reduced over its own tree.  EVAL runs
+    the head-free components first, each stopping at its first witness,
+    and answers empty if one has none; then the components that carry
+    the head run, and several are combined into head order.  COUNT is
+    the product of every component's count.
 
     The compiled value is bound to the snapshot it was compiled against;
     the server keys its cache on the catalog generation so a stale
@@ -57,15 +65,17 @@ val evaluate :
 
 type count_exec
 
-(** [compile_count plan db] compiles one counting pipeline per term of
-    {!Paradb_planner.Planner.count_terms}[ plan]: the plan itself, or
-    the [!=]-free quotients whose signed counts sum to its count. *)
+(** [compile_count plan db] compiles counting pipelines per term of
+    {!Paradb_planner.Planner.count_terms}[ plan] (the plan itself, or
+    the [!=]-free quotients whose signed counts sum to its count): one
+    per connected component of the term, head-free ones included. *)
 val compile_count :
   ?budget:Paradb_telemetry.Budget.t ->
   Paradb_planner.Planner.t -> Paradb_relational.Database.t -> count_exec
 
-(** [run_count cexec] runs every term's pipeline and returns the signed
-    sum of their counts.  Each count, product and sum is
+(** [run_count cexec] runs every term's pipelines and returns the
+    signed sum of the terms' counts, each the product of its
+    components' counts.  Each count, product and sum is
     overflow-checked: an intermediate past the int range raises
     {!Paradb_relational.Semiring.Count_overflow} even when the final
     count would fit.  Safe to call concurrently from several domains:

@@ -16,9 +16,10 @@ type instance = {
 }
 
 (* The classes cycled by case index; [order-mixed] takes every tenth
-   case and the join-tree classes take turns at the case five before
-   it, so every other index keeps the class (and instance) it has in
-   this nine-class cycle. *)
+   case, the join-tree classes take turns at the case five before it,
+   and [disconnected] takes every twentieth case (index 12 mod 20), so
+   every other index keeps the class (and instance) it has in this
+   nine-class cycle. *)
 let cycled =
   [
     "acyclic";
@@ -34,12 +35,13 @@ let cycled =
 
 let join_trees = [ "join-tree"; "join-tree-neq" ]
 
-let classes = cycled @ ("order-mixed" :: join_trees)
+let classes = cycled @ ("order-mixed" :: join_trees) @ [ "disconnected" ]
 
 let label_of index =
   match index mod 10 with
   | 9 -> "order-mixed"
   | 4 -> List.nth join_trees (index / 10 mod 2)
+  | 2 when index mod 20 = 12 -> "disconnected"
   | _ -> List.nth cycled (index mod List.length cycled)
 
 (* Per-case RNG: independent of every other case, reproducible from
@@ -121,6 +123,68 @@ let anchored_cq rng ~max_atoms ~domain_size =
   let body = List.init (1 + Random.State.int rng max_atoms) atom in
   let head = List.filter (fun _ -> Random.State.bool rng) (List.rev !vars) in
   Cq.make ~head:(List.map Term.var head) body
+
+(* [disconnected]: two or three variable-disjoint components, so the
+   compiled path plans a join forest.  Each component is one atom or two
+   joined on a variable, over variables of its own; half are anchored
+   by a constant in argument 0, one in six by a constant absent from
+   the data, which leaves that component empty.  The body keeps to
+   [max_atoms] atoms and [max_vars] variables (a constant fills a place
+   past it), so the brute-force references stay cheap.  The head takes
+   variables from one component, from several, or from none, and now
+   and then a constant or a repeated variable. *)
+let disconnected_cq rng ~max_atoms ~max_vars ~domain_size =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let nvars = ref 0 and natoms = ref 0 in
+  let term k () =
+    if !nvars >= max_vars then Term.int (Random.State.int rng domain_size)
+    else begin
+      incr nvars;
+      Term.var (Printf.sprintf "C%dV%d" k (!nvars - 1))
+    end
+  in
+  let atom first k =
+    incr natoms;
+    let arity = 1 + Random.State.int rng 3 in
+    Atom.make (Printf.sprintf "r%d" arity)
+      (first :: List.init (arity - 1) (fun _ -> term k ()))
+  in
+  let component k =
+    let first =
+      match Random.State.int rng 6 with
+      | 0 -> Term.int (domain_size + 1)
+      | 1 | 2 -> Term.int (Random.State.int rng domain_size)
+      | _ -> term k ()
+    in
+    let a0 = atom first k in
+    match Atom.vars a0 with
+    | _ :: _ as vs when !natoms < max_atoms && Random.State.bool rng ->
+        [ a0; atom (Term.var (pick vs)) k ]
+    | _ -> [ a0 ]
+  in
+  let components = List.init (2 + Random.State.int rng 2) component in
+  let vars = List.map (List.concat_map Atom.vars) components in
+  let some_of vs = List.filter (fun _ -> Random.State.bool rng) vs in
+  let head =
+    match Random.State.int rng 3 with
+    | 0 -> (
+        (* one component's variables *)
+        match List.filter (( <> ) []) vars with
+        | [] -> []
+        | vss -> (
+            let vs = pick vss in
+            match some_of vs with [] -> [ pick vs ] | h -> h))
+    | 1 -> List.concat_map some_of vars
+    | _ -> []
+  in
+  let head = List.map Term.var head in
+  let head =
+    match (head, Random.State.int rng 4) with
+    | x :: _, 0 -> head @ [ x ]
+    | _, 1 -> Term.int (Random.State.int rng domain_size) :: head
+    | _ -> head
+  in
+  Cq.make ~head (List.concat components)
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do
@@ -319,6 +383,14 @@ let instance ~seed ~index ~max_vars ~max_tuples =
           if label = "join-tree" then 0 else 1 + Random.State.int rng 2
         in
         let q = join_tree_cq rng ~max_atoms ~domain_size ~neq_tries in
+        let db =
+          Generators.tree_cq_database rng ~max_arity:3 ~domain_size ~tuples
+        in
+        (db, Query q)
+    | "disconnected" ->
+        let q =
+          disconnected_cq rng ~max_atoms ~max_vars:(min 6 max_vars) ~domain_size
+        in
         let db =
           Generators.tree_cq_database rng ~max_arity:3 ~domain_size ~tuples
         in

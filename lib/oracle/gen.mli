@@ -3,8 +3,9 @@
 
     Case classes follow the case index deterministically (every tenth
     case is [order-mixed], the case five before it alternates between
-    [join-tree] and [join-tree-neq], the others cycle through the rest)
-    so every run of [n] cases covers the same mix: acyclic CQs (bare,
+    [join-tree] and [join-tree-neq], every twentieth case (index 12 mod
+    20) is [disconnected], the others cycle through the rest) so every
+    run of [n] cases covers the same mix: acyclic CQs (bare,
     with [<>], with comparisons, mixed), far-apart-[<>] chain queries
     (I1-rich, the Theorem-2 core), cyclic CQs, closed positive FO
     sentences, Boolean [<>] queries, anchored CQs (constants in argument
@@ -15,7 +16,10 @@
     dictionary), and join-tree CQs (acyclic with multi-variable join
     keys, constraint-free for [join-tree] and [!=]-only for
     [join-tree-neq], so the interpreted Yannakakis and fpt engines take
-    every one). *)
+    every one), and [disconnected] CQs (two or three variable-disjoint
+    components, some anchored by constants, one sometimes empty on the
+    instance, the head in one component, several or none: the compiled
+    join forest). *)
 
 type shape = Query of Paradb_query.Cq.t | Sentence of Paradb_query.Fo.t
 

@@ -35,7 +35,10 @@ type t = {
   ground : Constr.t list;
   barriers : string list option array;
   cut : int;
+  components : component list;
 }
+
+and component = { atoms : int list; plan : t; decided : bool }
 
 let m_acyclic = Metrics.counter "planner.class.acyclic"
 let m_low_width = Metrics.counter "planner.class.low_width"
@@ -274,16 +277,18 @@ let barrier_spec q scans steps filters =
     step_arr
 
 (* First-witness cut: the first step after which every head variable is
-   bound (0 when the head has none, and for an empty body).  Past it a
-   valuation can only confirm the head row already in the registers, so
-   the Bool pipeline stops at the first witness. *)
+   bound (0 for an empty body).  Past it a valuation can only confirm
+   the head row already in the registers, so the Bool pipeline stops at
+   the first witness.  A head without variables has one possible row
+   before any step runs: the cut is -1 and the whole pipeline stops at
+   its first witness. *)
 let witness_cut q bound_after =
   let head = SS.of_list (Cq.head_vars q) in
   let last = Array.length bound_after - 1 in
   let rec find i =
     if i >= last || SS.subset head bound_after.(i) then i else find (i + 1)
   in
-  find 0
+  if SS.is_empty head && last >= 0 then -1 else find 0
 
 let place_constraints constraints bound_after =
   let n = Array.length bound_after in
@@ -306,11 +311,8 @@ let place_constraints constraints bound_after =
     constraints;
   (List.rev !placed, List.rev !ground)
 
-(* Planning proper, without the classification counter: [plan] counts
-   the queries it is asked to plan, not the quotients [count_terms]
-   derives from them. *)
-let build q =
-  let q = Cq.alpha_normalize q in
+(* One connected body (or an empty one), already alpha-normalized. *)
+let connected q =
   let scans = Array.of_list (List.map scan_of_atom q.Cq.body) in
   let tree =
     if q.Cq.body = [] then None
@@ -339,7 +341,130 @@ let build q =
     ground;
     barriers = barrier_spec q scans steps filters;
     cut = witness_cut q bound_after;
+    components = [];
   }
+
+(* The variable-connected components of the body, as ascending lists of
+   atom positions in order of their first atom.  Two atoms are linked by
+   a shared variable, or by a constraint over variables of both; an atom
+   without variables is a component of its own.  Union-find links every
+   root to the smaller one, so a component's root is its first atom. *)
+let components_of q =
+  let atoms = Array.of_list q.Cq.body in
+  let n = Array.length atoms in
+  let parent = Array.init n Fun.id in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let union i j =
+    let ri = find i and rj = find j in
+    parent.(max ri rj) <- min ri rj
+  in
+  let home = Hashtbl.create 16 in
+  Array.iteri
+    (fun i a ->
+      List.iter
+        (fun x ->
+          match Hashtbl.find_opt home x with
+          | Some j -> union i j
+          | None -> Hashtbl.add home x i)
+        (Atom.vars a))
+    atoms;
+  List.iter
+    (fun c ->
+      match Constr.vars c with
+      | x :: rest ->
+          let i = Hashtbl.find home x in
+          List.iter (fun y -> union i (Hashtbl.find home y)) rest
+      | [] -> ())
+    q.Cq.constraints;
+  let root = Array.init n find in
+  List.filter_map
+    (fun r ->
+      if root.(r) = r then
+        Some (List.filter (fun i -> root.(i) = r) (List.init n Fun.id))
+      else None)
+    (List.init n Fun.id)
+
+(* A join forest: each component planned on its own, as a sub-query of
+   [q] under the same variable names.  The components that carry head
+   variables emit the answer; with none, the first one does.  A sole
+   emitting component takes [q]'s head as written, so its rows are the
+   answer; several take their own head variables, and the compiler
+   combines their rows.  The other components are head-free Boolean
+   sub-queries (cut -1), which EVAL decides up front.  The ground
+   constraints ride with the first emitting component. *)
+let forest q groups =
+  let body = Array.of_list q.Cq.body in
+  let head = Cq.head_vars q in
+  let groups =
+    List.map
+      (fun atoms ->
+        let vars =
+          SS.of_list (List.concat_map (fun i -> Atom.vars body.(i)) atoms)
+        in
+        (atoms, vars, List.filter (fun x -> SS.mem x vars) head))
+      groups
+  in
+  let emitting =
+    match List.filter (fun (_, _, h) -> h <> []) groups with
+    | [] -> [ List.hd groups ]
+    | carrying -> carrying
+  in
+  let components =
+    List.map
+      (fun ((atoms, vars, h) as g) ->
+        let emits = List.memq g emitting in
+        let head =
+          if not emits then []
+          else if List.length emitting = 1 then q.Cq.head
+          else List.map Term.var h
+        in
+        let constraints =
+          List.filter
+            (fun c ->
+              match Constr.vars c with
+              | x :: _ -> SS.mem x vars
+              | [] -> g == List.hd emitting)
+            q.Cq.constraints
+        in
+        let sub =
+          Cq.make ~name:q.Cq.name ~head ~constraints
+            (List.map (fun i -> body.(i)) atoms)
+        in
+        { atoms; plan = connected sub; decided = not emits })
+      groups
+  in
+  let plans = List.map (fun c -> c.plan) components in
+  let width = List.fold_left (fun w p -> max w p.width) 1 plans in
+  let classification =
+    if List.for_all (fun p -> p.classification = Acyclic) plans then Acyclic
+    else if width <= low_width_threshold then Low_width width
+    else Cyclic width
+  in
+  {
+    query = q;
+    classification;
+    width;
+    tree = None;
+    scans = Array.map scan_of_atom body;
+    steps = [];
+    filters = [];
+    ground = [];
+    barriers = [||];
+    cut = 0;
+    components;
+  }
+
+(* Planning proper, without the classification counter: [plan] counts
+   the queries it is asked to plan, not the quotients [count_terms]
+   derives from them. *)
+let build q =
+  let q = Cq.alpha_normalize q in
+  match components_of q with
+  | [] | [ _ ] -> connected q
+  | groups -> forest q groups
+
+let connected_plans p =
+  match p.components with [] -> [ p ] | cs -> List.map (fun c -> c.plan) cs
 
 let plan q =
   let p = build q in
@@ -370,7 +495,10 @@ let plan q =
 let neq_cap = 6
 
 let n_barriers p =
-  Array.fold_left (fun n b -> if b = None then n else n + 1) 0 p.barriers
+  List.fold_left
+    (fun n p ->
+      Array.fold_left (fun n b -> if b = None then n else n + 1) n p.barriers)
+    0 (connected_plans p)
 
 let neq_edge c =
   match (c.Constr.op, c.Constr.lhs, c.Constr.rhs) with
@@ -504,18 +632,16 @@ let shard_choice p =
       | _ -> Exchange)
   | [] -> Exchange
 
-let explain p =
-  let buf = ref [] in
-  let line fmt = Format.kasprintf (fun s -> buf := s :: !buf) fmt in
-  line "query: %s" (Cq.to_string p.query);
-  line "class: %s" (classification_name p.classification);
-  line "width: %d" p.width;
+(* The lines of one connected plan, atoms named by [atom] (their body
+   position in the query EXPLAIN prints). *)
+let explain_connected emit atom p =
+  let line fmt = Format.kasprintf emit fmt in
   (* The tree is rooted at step 0's atom; its reducer is one outward and
      one inward semijoin per edge. *)
   (match p.tree with
   | Some t ->
       let n = Join_tree.n_nodes t in
-      line "join_tree: %d nodes, root atom %d" n t.Join_tree.root;
+      line "join_tree: %d nodes, root atom %d" n (atom t.Join_tree.root);
       if n > 1 then line "semijoin program: %d steps" (2 * (n - 1))
   | None -> line "join_tree: none");
   let vars = String.concat " " in
@@ -534,7 +660,7 @@ let explain p =
   Array.iteri
     (fun i s ->
       if s.selections <> [] || s.equalities <> [] then
-        line "atom %d (%s): %s" i s.rel
+        line "atom %d (%s): %s" (atom i) s.rel
           (String.concat ", "
              (List.map
                 (fun (pos, v) ->
@@ -554,10 +680,38 @@ let explain p =
       | None -> ())
     p.barriers;
   let last = List.length p.steps - 1 in
-  if p.cut < last then
+  if p.cut < 0 then
+    line "cut before step 0: the pipeline stops at the first witness"
+  else if p.cut < last then
     line "cut after step %d: steps %d..%d stop at the first witness" p.cut
       (p.cut + 1) last;
-  List.iter (fun c -> line "ground constraint: %s" (Constr.to_string c)) p.ground;
+  List.iter
+    (fun c -> line "ground constraint: %s" (Constr.to_string c))
+    p.ground
+
+let explain p =
+  let buf = ref [] in
+  let emit s = buf := s :: !buf in
+  let line fmt = Format.kasprintf emit fmt in
+  line "query: %s" (Cq.to_string p.query);
+  line "class: %s" (classification_name p.classification);
+  line "width: %d" p.width;
+  (match p.components with
+  | [] -> explain_connected emit Fun.id p
+  | cs ->
+      line "join forest: %d components" (List.length cs);
+      List.iteri
+        (fun k c ->
+          line "component %d: atoms [%s], %s" k
+            (String.concat " " (List.map string_of_int c.atoms))
+            (if c.decided then "head-free, decided up front"
+             else
+               match Cq.head_vars c.plan.query with
+               | [] -> "head-free, emits the head"
+               | hv -> Printf.sprintf "head [%s]" (String.concat " " hv));
+          let atoms = Array.of_list c.atoms in
+          explain_connected (fun s -> emit ("  " ^ s)) (Array.get atoms) c.plan)
+        cs);
   (match shard_choice p with
   | Copartitioned v -> line "shard key: %s (copartitioned scatter)" v
   | Exchange -> line "distribution: reducer exchange");

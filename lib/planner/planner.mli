@@ -56,11 +56,11 @@ type t = {
   classification : classification;
   width : int;  (** 1 for acyclic (0 for an empty body); the estimate otherwise *)
   tree : Join_tree.t option;
-      (** present iff acyclic with a nonempty body: the GYO tree rerooted
-          at the atom with the most local work (constants, repeated
-          variables, constraints over its own variables).  The join order,
-          the compiled semijoin reducer and [EXPLAIN] all read this one
-          rooting *)
+      (** present iff acyclic with a connected nonempty body: the GYO
+          tree rerooted at the atom with the most local work (constants,
+          repeated variables, constraints over its own variables).  The
+          join order, the compiled semijoin reducer and [EXPLAIN] all
+          read this one rooting *)
   scans : scan array;  (** one per body atom, in body order *)
   steps : step list;
       (** join order: [tree]'s [top_down] preorder when acyclic (step 0
@@ -78,12 +78,43 @@ type t = {
           downstream count under counting semantics *)
   cut : int;
       (** first-witness cut: the first step index after which every head
-          variable is bound (0 for a head without variables and for an
-          empty body).  The steps after it decide only whether the head
-          row already bound has a witness, so the Bool pipeline runs them
-          as an existence check and emits the row once; counting ignores
-          the cut.  Sound beside the barriers because the head variables
-          are live at every barrier *)
+          variable is bound (0 for an empty body).  The steps after it
+          decide only whether the head row already bound has a witness,
+          so the Bool pipeline runs them as an existence check and emits
+          the row once; counting ignores the cut.  Sound beside the
+          barriers because the head variables are live at every barrier.
+          A head without variables over a nonempty body has its one row
+          before step 0: the cut is [-1], and the whole pipeline stops at
+          its first witness *)
+  components : component list;
+      (** [[]] for a connected body (or an empty one), which the fields
+          above describe.  Otherwise the join forest: one entry per
+          connected component of the variable hypergraph (atoms sharing
+          a variable, or linked by a constraint; a variable-free atom is
+          its own component), in order of first atom.  A forest's
+          [tree], [steps], [filters], [ground] and [barriers] are empty
+          and its [cut] is 0: each component's plan carries its own *)
+}
+
+(** One component of a join forest. *)
+and component = {
+  atoms : int list;
+      (** the component's atoms: ascending body positions in [query] *)
+  plan : t;
+      (** the component planned on its own, rooted at its own atom with
+          the most local work: a connected sub-query of [query] over the
+          same variable names (its own atom indexes are positions in
+          [atoms]).  The components that carry head variables emit the
+          answer (with none, the first component does).  A sole emitting
+          component's head is [query]'s head as written, so its rows are
+          the answer; several emitting components each take their own
+          head variables and EVAL combines their rows into head order.
+          The first emitting component also takes the ground
+          constraints *)
+  decided : bool;
+      (** head-free and not emitting: a Boolean sub-query (cut [-1])
+          that EVAL decides up front — the answer is empty unless it has
+          a witness *)
 }
 
 (** [plan q] classifies and orders [q] (alpha-normalizing it first) and
@@ -108,6 +139,10 @@ type shard_choice = Copartitioned of string | Exchange
 
 val shard_choice : t -> shard_choice
 
+(** [connected_plans p] — the connected plans that make up [p]: [[p]]
+    itself, or its components' plans. *)
+val connected_plans : t -> t list
+
 (** {2 Counting by inclusion–exclusion} *)
 
 (** The most distinct variable–variable [!=] atoms {!count_terms}
@@ -130,7 +165,12 @@ val neq_cap : int
 val count_terms : t -> (int * t) list
 
 (** Human-readable plan rendering, one line per element — the payload of
-    the server's [EXPLAIN] verb.  A plan {!count_terms} expands ends with
-    a [count expansion:] line and one [count term <coefficient>:] line
-    per quotient. *)
+    the server's [EXPLAIN] verb.  A join forest prints
+    [join forest: N components], then per component a
+    [component K: atoms [...], ...] line (its head variables, or
+    [head-free, decided up front]) and that component's tree, steps,
+    filters, barriers and cut indented by two spaces, atoms numbered by
+    body position.  A plan {!count_terms} expands ends with a
+    [count expansion:] line and one [count term <coefficient>:] line per
+    quotient. *)
 val explain : t -> string list

@@ -301,9 +301,11 @@ let check query =
             (Planner.classification_name pplan.Planner.classification);
           Printf.sprintf "width: %d" pplan.Planner.width;
           Printf.sprintf "join_tree: %s"
-            (match pplan.Planner.tree with
-            | Some t -> Printf.sprintf "%d nodes" (Join_tree.n_nodes t)
-            | None -> "none");
+            (match (pplan.Planner.components, pplan.Planner.tree) with
+            | [], Some t -> Printf.sprintf "%d nodes" (Join_tree.n_nodes t)
+            | [], None -> "none"
+            | cs, _ ->
+                Printf.sprintf "forest of %d components" (List.length cs));
           Printf.sprintf "neq_partition_k: %d" plan.Plan.neq_k;
           Printf.sprintf "recommended_engine: %s"
             (Plan.engine_name plan.Plan.engine);
@@ -321,7 +323,10 @@ let explain query =
         (Printf.sprintf "plan class=%s width=%d steps=%d"
            (Planner.classification_name pplan.Planner.classification)
            pplan.Planner.width
-           (List.length pplan.Planner.steps))
+           (List.fold_left
+              (fun n p -> n + List.length p.Planner.steps)
+              0
+              (Planner.connected_plans pplan)))
 
 let do_stats s =
   let cache = Plan_cache.counters s.shared.cache in

@@ -30,6 +30,8 @@ let known =
      "the compiled count sink's sums wrap on overflow instead of raising");
     ("neq_quotient_sign",
      "the != inclusion-exclusion flips the sign of its last quotient's coefficient");
+    ("forest_count_headfree_bool",
+     "COUNT of a join forest takes a nonempty head-free component as 1");
   ]
 
 let known_names = List.map fst known

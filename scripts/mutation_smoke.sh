@@ -30,7 +30,7 @@ for mutant in semijoin_off_by_one drop_neq color_count probe_key_swap \
               sum_instead_of_max count_dedup_drop materialize_drop_eq \
               ship_drop_row exists_cut_early barrier_key_prefix \
               ship_stale_snapshot semijoin_probe_first_only order_raw_codes \
-              neq_quotient_sign; do
+              neq_quotient_sign forest_count_headfree_bool; do
   set +e
   out=$(PARADB_MUTATE=$mutant "$PARADB" fuzz --seed "$SEED" --cases "$CASES")
   status=$?

@@ -288,6 +288,12 @@ let test_mutant_ship_stale_snapshot () =
 
 (* Keeping one row per probed key drops the other rows of [r] that
    share it: any engine's reduced relation loses answers. *)
+(* A head-free component of a join forest counted as 1 drops the factor
+   of its valuations from the product. *)
+let test_mutant_forest_count_headfree_bool () =
+  check_mutant_caught ~mutant:"forest_count_headfree_bool"
+    ~engines:[ "count-compiled" ] ()
+
 let test_mutant_semijoin_probe_first_only () =
   check_mutant_caught ~mutant:"semijoin_probe_first_only"
     ~engines:[ "compiled"; "yannakakis" ] ()
@@ -363,6 +369,8 @@ let () =
             test_mutant_order_raw_codes;
           Alcotest.test_case "neq quotient sign" `Quick
             test_mutant_neq_quotient_sign;
+          Alcotest.test_case "forest count head-free bool" `Quick
+            test_mutant_forest_count_headfree_bool;
           Alcotest.test_case "unknown mutant" `Quick
             test_unknown_mutant_rejected;
         ] );

@@ -89,8 +89,9 @@ let test_plan_shape () =
   Alcotest.(check bool) "explain: probe step" true (has "probe e")
 
 (* First-witness cut: EXPLAIN names the step after which every head
-   variable is bound, only when steps follow it; a Boolean head cuts at
-   step 0, a head bound only by the last step has no cut line. *)
+   variable is bound, only when steps follow it; a Boolean head cuts
+   before step 0 (the whole pipeline stops at its first witness), a head
+   bound only by the last step has no cut line. *)
 let test_explain_cut () =
   let cut_line p =
     List.find_opt
@@ -114,8 +115,11 @@ let test_explain_cut () =
          [ Atom.make "e" [ Term.var "X"; Term.var "Y" ];
            Atom.make "e" [ Term.var "Y"; Term.var "Z" ] ])
   in
-  Alcotest.(check int) "boolean head cuts at step 0" 0 boolean.Planner.cut;
-  Alcotest.(check bool) "boolean: cut line" true (cut_line boolean <> None);
+  Alcotest.(check int) "boolean head cuts the whole pipeline" (-1)
+    boolean.Planner.cut;
+  Alcotest.(check bool) "boolean: whole-pipeline cut line" true
+    (List.mem "cut before step 0: the pipeline stops at the first witness"
+       (Planner.explain boolean));
   let full = plan "ans(X, Z) :- e(X, Y), e(Y, Z)." in
   Alcotest.(check int) "full head binds at the last step" 1 full.Planner.cut;
   Alcotest.(check (option string)) "no cut line without a suffix" None
@@ -370,6 +374,15 @@ let test_budget_cancellation () =
        (Compile.evaluate ~budget:tiny big
           (Parser.parse_cq "ans(X, W) :- e(X, Y), e(Y, Z), e(Z, W)."));
      Alcotest.fail "expired deadline should raise in the pipeline"
+   with Budget.Exhausted _ -> ());
+  (* a forest's combining step polls too: two head components of 1,000
+     rows each combine into 10^6 rows, far past a 2 ms deadline *)
+  let path = edge (List.init 1000 (fun i -> (i, i + 1))) in
+  let forest = Compile.compile (plan "ans(X, Y) :- e(X, A), e(Y, B).") path in
+  let short = Budget.start ~deadline_ns:2_000_000 in
+  (try
+     ignore (Compile.run ~budget:short forest);
+     Alcotest.fail "expired deadline should raise while combining"
    with Budget.Exhausted _ -> ());
   (* and an untouched generous budget changes nothing *)
   let roomy = Budget.start ~deadline_ns:(30 * 1_000_000_000) in
@@ -710,6 +723,136 @@ let test_anchored_compile_allocation () =
                     (bound 65536)" (Relation.cardinality e) bytes
 
 (* ------------------------------------------------------------------ *)
+(* Join forest: one plan per variable-connected component *)
+
+(* The anchored star of three components: a head component hanging off
+   [e(1833, X1)], a second head component [e(1833, X2)], and a head-free
+   one rooted at [e(1833, X3)].  No step probes with an empty key, every
+   component is rooted at its anchor, and the head-free one is decided
+   up front with the whole-pipeline cut.  A connected body keeps its one
+   plan. *)
+let test_join_forest () =
+  let p =
+    plan
+      "ans(X1, X2) :- e(1833, X1), e(1833, X2), e(1833, X3), e(X4, X3), \
+       e(X5, X1), e(X3, X6)."
+  in
+  Alcotest.(check (list (list int))) "components by first atom"
+    [ [ 0; 4 ]; [ 1 ]; [ 2; 3; 5 ] ]
+    (List.map (fun c -> c.Planner.atoms) p.Planner.components);
+  Alcotest.(check (list bool)) "the head-free component is decided"
+    [ false; false; true ]
+    (List.map (fun c -> c.Planner.decided) p.Planner.components);
+  Alcotest.(check bool) "forest is acyclic" true
+    (p.Planner.classification = Planner.Acyclic);
+  List.iter
+    (fun c ->
+      let cp = c.Planner.plan in
+      (match cp.Planner.steps with
+      | Planner.Scan { atom } :: rest ->
+          Alcotest.(check int) "rooted at the anchor" 1
+            (List.length cp.Planner.scans.(atom).Planner.selections);
+          List.iter
+            (function
+              | Planner.Probe { key = []; _ }
+              | Planner.Exists { key = []; _ } ->
+                  Alcotest.fail "a step probes with an empty key"
+              | _ -> ())
+            rest
+      | _ -> Alcotest.fail "component plan starts with a scan");
+      if c.Planner.decided then
+        Alcotest.(check int) "decided component cuts before step 0" (-1)
+          cp.Planner.cut)
+    p.Planner.components;
+  let lines = Planner.explain p in
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("explain: " ^ l) true (List.mem l lines))
+    [
+      "join forest: 3 components";
+      "component 0: atoms [0 4], head [V0]";
+      "component 1: atoms [1], head [V1]";
+      "component 2: atoms [2 3 5], head-free, decided up front";
+      "  join_tree: 3 nodes, root atom 2";
+      "  cut before step 0: the pipeline stops at the first witness";
+    ];
+  (* a constraint across two components joins them *)
+  let linked = plan "ans(X) :- e(1, X), e(2, Y), X < Y." in
+  Alcotest.(check int) "a constraint links its components" 0
+    (List.length linked.Planner.components);
+  let chain = plan "ans(X) :- e(X, Y), e(Y, Z)." in
+  Alcotest.(check int) "connected body: no components" 0
+    (List.length chain.Planner.components);
+  Alcotest.(check bool) "connected body keeps its tree" true
+    (chain.Planner.tree <> None)
+
+(* A forest's EVAL and COUNT against the naive interpreter: the head in
+   one component, in several, in none; head constants and repeated head
+   variables; a variable-free atom; a component empty on the instance;
+   a constraint kept inside its component. *)
+let test_forest_naive () =
+  let db = edge [ (1, 2); (2, 3); (3, 1); (2, 2); (4, 5); (5, 6) ] in
+  List.iter
+    (fun text ->
+      let q = Parser.parse_cq text in
+      Alcotest.(check bool) (text ^ " is a forest") true
+        ((Planner.plan q).Planner.components <> []);
+      same text db;
+      Alcotest.(check int) (text ^ " count") (Cq_naive.count db q)
+        (Compile.count db q))
+    [
+      "ans(X) :- e(1, X), e(4, Y).";
+      "ans(X, Y) :- e(1, X), e(4, Y), e(Y, Z).";
+      "ans(Y, X, Y) :- e(X, 3), e(Y, Z), e(Z, W).";
+      "ans(7, X, 7) :- e(X, 2), e(5, Y).";
+      "ans(7, X, Y) :- e(X, 2), e(4, Y).";
+      "ans() :- e(1, X), e(Y, Z), e(Z, W).";
+      "ans(X) :- e(X, Y), e(9, Z).";
+      "ans(X) :- e(X, Y), e(1, 2).";
+      "ans(X) :- e(X, Y), e(3, 2).";
+      "ans(X, Z) :- e(X, Y), Y != X, e(Z, W), e(W, Z).";
+    ]
+
+(* Boolean queries stop at the first witness: the 6-cycle's whole
+   pipeline is cut, so a run that meets the cycle among its first root
+   rows does not walk the 3,000-edge path after it.  Scanning every root
+   row (a cut at step 0) keys a barrier per path edge: past 10,000
+   words. *)
+let test_boolean_first_witness () =
+  let cycle = List.init 6 (fun i -> (i, (i + 1) mod 6)) in
+  let path = List.init 3000 (fun i -> (100 + i, 101 + i)) in
+  let db = edge (cycle @ path) in
+  let p =
+    plan "ans() :- e(A, B), e(B, C), e(C, D), e(D, E), e(E, F), e(F, A)."
+  in
+  Alcotest.(check int) "whole-pipeline cut" (-1) p.Planner.cut;
+  let exec = Compile.compile p db in
+  ignore (Compile.run exec);
+  let words, out = minor_words (fun () -> Compile.run exec) in
+  Alcotest.(check int) "the 6-cycle exists" 1 (Relation.cardinality out);
+  if words > 2048. then
+    Alcotest.failf "Boolean 6-cycle run allocated %.0f words (bound 2048)" words
+
+(* COUNT of a forest multiplies its components' counts with overflow
+   checks: two 6-edge paths on the complete 40-node digraph count
+   40^7 each, and their product leaves the int range. *)
+let test_forest_count_overflow () =
+  let db =
+    edge (List.concat (List.init 40 (fun i -> List.init 40 (fun j -> (i, j)))))
+  in
+  let path v =
+    String.concat ", "
+      (List.init 6 (fun i -> Printf.sprintf "e(%s%d, %s%d)" v i v (i + 1)))
+  in
+  let one = Printf.sprintf "ans() :- %s." (path "X") in
+  let two = Printf.sprintf "ans() :- %s, %s." (path "X") (path "Y") in
+  Alcotest.(check int) "one component counts 40^7" 163_840_000_000
+    (Compile.count db (Parser.parse_cq one));
+  match Compile.count db (Parser.parse_cq two) with
+  | n -> Alcotest.failf "answered %d" n
+  | exception Paradb_relational.Semiring.Count_overflow -> ()
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "planner"
@@ -724,6 +867,8 @@ let () =
             test_filter_first_root;
           Alcotest.test_case "one root for every atom order" `Quick
             test_root_independent_of_atom_order;
+          Alcotest.test_case "join forest: one plan per component" `Quick
+            test_join_forest;
         ] );
       ( "compiled",
         [
@@ -747,6 +892,11 @@ let () =
             test_count_overflow;
           Alcotest.test_case "count exec shared across domains" `Quick
             test_count_shared_across_domains;
+          Alcotest.test_case "join forest = naive" `Quick test_forest_naive;
+          Alcotest.test_case "boolean query stops at its first witness" `Quick
+            test_boolean_first_witness;
+          Alcotest.test_case "forest count overflows loudly" `Quick
+            test_forest_count_overflow;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
