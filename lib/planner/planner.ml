@@ -345,44 +345,51 @@ let connected q =
   }
 
 (* The variable-connected components of the body, as ascending lists of
-   atom positions in order of their first atom.  Two atoms are linked by
-   a shared variable, or by a constraint over variables of both; an atom
-   without variables is a component of its own.  Union-find links every
-   root to the smaller one, so a component's root is its first atom. *)
+   atom positions in order of their first atom, or [[]] when the body
+   is connected (or empty): planning runs this on every query, so the
+   connected case allocates no lists.  Two atoms are linked by a shared
+   variable, or by a constraint over variables of both; an atom without
+   variables is a component of its own.  Union-find links every root to
+   the smaller one, so a component's root is its first atom. *)
 let components_of q =
-  let atoms = Array.of_list q.Cq.body in
-  let n = Array.length atoms in
+  let n = List.length q.Cq.body in
   let parent = Array.init n Fun.id in
   let rec find i = if parent.(i) = i then i else find parent.(i) in
   let union i j =
     let ri = find i and rj = find j in
     parent.(max ri rj) <- min ri rj
   in
-  let home = Hashtbl.create 16 in
-  Array.iteri
+  (* each variable's first atom; bodies are small, so a list will do *)
+  let home = ref [] in
+  List.iteri
     (fun i a ->
       List.iter
-        (fun x ->
-          match Hashtbl.find_opt home x with
-          | Some j -> union i j
-          | None -> Hashtbl.add home x i)
-        (Atom.vars a))
-    atoms;
+        (function
+          | Term.Var x -> (
+              match List.assoc_opt x !home with
+              | Some j -> union i j
+              | None -> home := (x, i) :: !home)
+          | Term.Const _ -> ())
+        a.Atom.args)
+    q.Cq.body;
   List.iter
     (fun c ->
       match Constr.vars c with
       | x :: rest ->
-          let i = Hashtbl.find home x in
-          List.iter (fun y -> union i (Hashtbl.find home y)) rest
+          let i = List.assoc x !home in
+          List.iter (fun y -> union i (List.assoc y !home)) rest
       | [] -> ())
     q.Cq.constraints;
-  let root = Array.init n find in
-  List.filter_map
-    (fun r ->
-      if root.(r) = r then
-        Some (List.filter (fun i -> root.(i) = r) (List.init n Fun.id))
-      else None)
-    (List.init n Fun.id)
+  let rec connected i = i >= n || (find i = 0 && connected (i + 1)) in
+  if connected 0 then []
+  else
+    let root = Array.init n find in
+    List.filter_map
+      (fun r ->
+        if root.(r) = r then
+          Some (List.filter (fun i -> root.(i) = r) (List.init n Fun.id))
+        else None)
+      (List.init n Fun.id)
 
 (* A join forest: each component planned on its own, as a sub-query of
    [q] under the same variable names.  The components that carry head
@@ -433,6 +440,11 @@ let forest q groups =
         { atoms; plan = connected sub; decided = not emits })
       groups
   in
+  (* the forest's scans are its components' *)
+  let scans = Array.make (Array.length body) (List.hd components).plan.scans.(0) in
+  List.iter
+    (fun c -> List.iteri (fun k i -> scans.(i) <- c.plan.scans.(k)) c.atoms)
+    components;
   let plans = List.map (fun c -> c.plan) components in
   let width = List.fold_left (fun w p -> max w p.width) 1 plans in
   let classification =
@@ -445,7 +457,7 @@ let forest q groups =
     classification;
     width;
     tree = None;
-    scans = Array.map scan_of_atom body;
+    scans;
     steps = [];
     filters = [];
     ground = [];
@@ -459,9 +471,7 @@ let forest q groups =
    derives from them. *)
 let build q =
   let q = Cq.alpha_normalize q in
-  match components_of q with
-  | [] | [ _ ] -> connected q
-  | groups -> forest q groups
+  match components_of q with [] -> connected q | groups -> forest q groups
 
 let connected_plans p =
   match p.components with [] -> [ p ] | cs -> List.map (fun c -> c.plan) cs
