@@ -128,9 +128,10 @@ let anchored_cq rng ~max_atoms ~domain_size =
    compiled path plans a join forest.  Each component is one atom or two
    joined on a variable, over variables of its own; half are anchored
    by a constant in argument 0, one in six by a constant absent from
-   the data, which leaves that component empty.  The body keeps to
-   [max_atoms] atoms and [max_vars] variables (a constant fills a place
-   past it), so the brute-force references stay cheap.  The head takes
+   the data, which leaves that component empty.  A component takes a
+   second atom only while the body has fewer than [max_atoms], and the
+   body keeps to [max_vars] variables (a constant fills a place past
+   it), so the brute-force references stay cheap.  The head takes
    variables from one component, from several, or from none, and now
    and then a constant or a repeated variable. *)
 let disconnected_cq rng ~max_atoms ~max_vars ~domain_size =

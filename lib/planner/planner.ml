@@ -441,7 +441,9 @@ let forest q groups =
       groups
   in
   (* the forest's scans are its components' *)
-  let scans = Array.make (Array.length body) (List.hd components).plan.scans.(0) in
+  let scans =
+    Array.make (Array.length body) (List.hd components).plan.scans.(0)
+  in
   List.iter
     (fun c -> List.iteri (fun k i -> scans.(i) <- c.plan.scans.(k)) c.atoms)
     components;
