@@ -2,16 +2,17 @@
 
    The paper's "evaluation" is its classification table (Theorem 1),
    Figure 1's partial order, the Theorem-2 algorithm, Theorem 3, and the
-   Section-4/5 remarks.  Each experiment below regenerates the observable
-   counterpart of one such artifact: workload generator, parameter sweep,
-   baseline, and a printed table (rows recorded in EXPERIMENTS.md).
+   Section-4/5 remarks.  Each paper experiment below regenerates the
+   observable counterpart of one such artifact: workload generator,
+   parameter sweep, baseline, and a printed table (rows recorded in
+   EXPERIMENTS.md).  The ablations follow, then the kernel and storage
+   experiments recorded in BENCH_kernel.json.  The served path (wire,
+   plan cache, encode, cluster) is measured by bench/e2e, not here.
 
    Usage:
      dune exec bench/main.exe               # all experiment tables
      dune exec bench/main.exe -- --only t2-scaling-n
      dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- --bechamel # Bechamel micro-benchmarks
-                                            # (one Test.make per table/figure)
 *)
 
 module Relation = Paradb_relational.Relation
@@ -1180,291 +1181,6 @@ let ablation_prereduce () =
      the coloring loop shrinks every trial's intermediate relations."
 
 (* ------------------------------------------------------------------ *)
-(* E-SERVER: the resident server — plan-cache effect and concurrent
-   throughput *)
-
-let server_throughput () =
-  header
-    "E-SERVER — paradb serve: plan-cache effect and concurrent throughput";
-  let module Server = Paradb_server.Server in
-  let module Session = Paradb_server.Session in
-  let module Client = Paradb_server.Client in
-  let module Protocol = Paradb_server.Protocol in
-  (* the pool is the parallelism; keep the engine's own trial fan-out off *)
-  Unix.putenv "PARADB_DOMAINS" "1";
-  let db = Generators.edge_database (rng 14) ~nodes:60 ~edges:120 in
-  let path = Filename.temp_file "paradb_bench" ".facts" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Fact_format.to_string db));
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let server =
-    Server.start ~port:0 ~workers:4 (Session.make_shared ~cache_capacity:128 ())
-  in
-  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-  let port = Server.port server in
-  let expect c line =
-    match Client.request_line c line with
-    | Protocol.Ok_ _ -> ()
-    | Protocol.Err e -> failwith ("server-throughput: " ^ e)
-  in
-  Client.with_connection ~port (fun c ->
-      expect c (Printf.sprintf "LOAD g %s" path));
-  (* A long acyclic chain: evaluation on a small database is cheap, so
-     the cold/warm gap isolates what the cache skips — acyclicity test,
-     join-tree construction, inequality partition, interning.  The salt
-     constant forces a fresh cache key without changing the query's
-     structure, engine dispatch, or cost. *)
-  let chain ~salt len =
-    let x i = Printf.sprintf "X%d" i in
-    let atoms =
-      List.init len (fun i -> Printf.sprintf "e(%s, %s)" (x i) (x (i + 1)))
-    in
-    let salt = Printf.sprintf "%s != %d" (x 0) (1_000_000 + salt) in
-    Printf.sprintf "ans(%s, %s) :- %s." (x 0) (x len)
-      (String.concat ", " (atoms @ [ salt ]))
-  in
-  let time_eval c q =
-    let t0 = Unix.gettimeofday () in
-    expect c (Printf.sprintf "EVAL g auto %s" q);
-    Unix.gettimeofday () -. t0
-  in
-  let median samples =
-    let a = List.sort compare samples in
-    List.nth a (List.length a / 2)
-  in
-  let len = 24 and samples = 40 in
-  (* A second server with governance on but unexercised: generous limits
-     on every axis, so its delta against the ungoverned warm median is
-     pure bookkeeping — budget allocation per request, strided deadline
-     polls in the engines, the bounded request reader, and the row-cap
-     cardinality check.  Warm samples are interleaved request-by-request
-     across the two servers so both see the same heap and cache state;
-     back-to-back blocks drift by far more than the effect measured. *)
-  let gov_limits =
-    let module Guard = Paradb_server.Guard in
-    {
-      Guard.deadline_ns = Some 60_000_000_000;
-      max_line = Guard.default_limits.Guard.max_line;
-      max_rows = Some 1_000_000;
-      idle_timeout = Some 300.0;
-    }
-  in
-  let gov =
-    Server.start ~port:0 ~workers:4
-      (Session.make_shared ~limits:gov_limits ~cache_capacity:128 ())
-  in
-  Fun.protect ~finally:(fun () -> Server.stop gov) @@ fun () ->
-  let cold_warm =
-    Client.with_connection ~port:(Server.port gov) (fun cg ->
-        expect cg (Printf.sprintf "LOAD g %s" path);
-        Client.with_connection ~port (fun c ->
-            (* distinct salts keep the structure (and cost) fixed while
-               forcing a fresh cache key per issue: every one is a miss *)
-            let cold =
-              List.init samples (fun s -> time_eval c (chain ~salt:s len))
-            in
-            (* one fixed query, re-issued: a hit every time after the
-               first *)
-            let q = chain ~salt:samples len in
-            ignore (time_eval c q);
-            let warm = List.init samples (fun _ -> time_eval c q) in
-            (* The salted chain runs the randomized trial driver, whose
-               stochastic trial count swamps a percent-level comparison;
-               the governance delta is measured on a deterministic
-               Yannakakis chain instead, where the only difference
-               between the two servers is the bookkeeping itself. *)
-            let det =
-              let x i = Printf.sprintf "X%d" i in
-              let atoms =
-                List.init len (fun i ->
-                    Printf.sprintf "e(%s, %s)" (x i) (x (i + 1)))
-              in
-              Printf.sprintf "ans(%s, %s) :- %s." (x 0) (x len)
-                (String.concat ", " atoms)
-            in
-            ignore (time_eval c det);
-            ignore (time_eval cg det);
-            (* alternating the order inside each pair cancels the
-               single-core ordering bias (GC debt from the first request
-               is paid during the second) *)
-            let pairs =
-              List.init (5 * samples) (fun i ->
-                  if i mod 2 = 0 then
-                    let w = time_eval c det in
-                    let g = time_eval cg det in
-                    (w, g)
-                  else
-                    let g = time_eval cg det in
-                    let w = time_eval c det in
-                    (w, g))
-            in
-            ( median cold,
-              median warm,
-              median (List.map fst pairs),
-              median (List.map snd pairs),
-              median (List.map (fun (w, g) -> g /. w) pairs) )))
-  in
-  let cold, warm, governance_baseline, governed_warm, pair_ratio =
-    cold_warm
-  in
-  (* the per-pair ratio is robust to drift across the run; the medians of
-     each column are reported alongside for absolute scale *)
-  let governance_overhead = pair_ratio -. 1.0 in
-  (* A third server that persists its catalog.  --data-dir must not
-     touch the warm path: EVAL reads the same immutable in-memory
-     snapshot, and segments are consulted only at LOAD, FACT, and
-     attach time.  Also timed: a cold restart whose startup re-attaches
-     the segment store the LOAD below wrote. *)
-  let dd_dir = Filename.temp_file "paradb_bench" ".data" in
-  Sys.remove dd_dir;
-  Unix.mkdir dd_dir 0o755;
-  Fun.protect ~finally:(fun () -> remove_tree dd_dir) @@ fun () ->
-  let det_q =
-    let x i = Printf.sprintf "X%d" i in
-    let atoms =
-      List.init len (fun i -> Printf.sprintf "e(%s, %s)" (x i) (x (i + 1)))
-    in
-    Printf.sprintf "ans(%s, %s) :- %s." (x 0) (x len)
-      (String.concat ", " atoms)
-  in
-  let datadir_warm, datadir_ratio =
-    let dd =
-      Server.start ~port:0 ~workers:4
-        (Session.make_shared ~data_dir:dd_dir ~cache_capacity:128 ())
-    in
-    Fun.protect ~finally:(fun () -> Server.stop dd) @@ fun () ->
-    Client.with_connection ~port:(Server.port dd) (fun cd ->
-        expect cd (Printf.sprintf "LOAD g %s" path);
-        (* interleaved pairs against the plain server, as in the
-           governance comparison: back-to-back blocks drift by more
-           than any real warm-path difference *)
-        Client.with_connection ~port (fun c ->
-            ignore (time_eval cd det_q);
-            ignore (time_eval c det_q);
-            let pairs =
-              List.init (5 * samples) (fun i ->
-                  if i mod 2 = 0 then
-                    let w = time_eval c det_q in
-                    let d = time_eval cd det_q in
-                    (w, d)
-                  else
-                    let d = time_eval cd det_q in
-                    let w = time_eval c det_q in
-                    (w, d))
-            in
-            ( median (List.map snd pairs),
-              median (List.map (fun (w, d) -> d /. w) pairs) )))
-  in
-  let attach_s =
-    let t0 = Unix.gettimeofday () in
-    let dd =
-      Server.start ~port:0 ~workers:4
-        (Session.make_shared ~data_dir:dd_dir ~cache_capacity:128 ())
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    Server.stop dd;
-    dt
-  in
-  (* concurrent throughput over a warm cache *)
-  let clients = 4 and requests = 200 in
-  let mixed =
-    [
-      chain ~salt:(samples + 1) 3;
-      "ans(X, Y) :- e(X, Z), e(Z, Y), X != Y.";
-      "ans(X, Y) :- e(X, Y), X < Y.";
-      "ans(X) :- e(X, X).";
-    ]
-  in
-  let t0 = Unix.gettimeofday () in
-  let domains =
-    List.init clients (fun id ->
-        Domain.spawn (fun () ->
-            Client.with_connection ~port (fun c ->
-                for r = 0 to requests - 1 do
-                  let q = List.nth mixed ((r + id) mod List.length mixed) in
-                  expect c (Printf.sprintf "EVAL g auto %s" q)
-                done)))
-  in
-  List.iter Domain.join domains;
-  let wall = Unix.gettimeofday () -. t0 in
-  let qps = float_of_int (clients * requests) /. wall in
-  let hits, misses =
-    Client.with_connection ~port (fun c ->
-        match Client.request_line c "STATS" with
-        | Protocol.Err e -> failwith e
-        | Protocol.Ok_ { payload; _ } ->
-            let get name =
-              List.find_map
-                (fun l ->
-                  match String.split_on_char ' ' l with
-                  | [ k; v ] when k = name -> int_of_string_opt v
-                  | _ -> None)
-                payload
-              |> Option.value ~default:0
-            in
-            (get "server.cache_hits", get "server.cache_misses"))
-  in
-  let hit_ratio = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  B.record
-    [
-      ("name", B.J_string "server-throughput");
-      ("n", B.J_int (Database.size db));
-      ("q", B.J_int len);
-      ("v", B.J_int (len + 1));
-      ("median_ns", B.J_int (int_of_float (warm *. 1e9)));
-      ("rows", B.J_int (clients * requests));
-      ("cold_ns", B.J_int (int_of_float (cold *. 1e9)));
-      ("qps", B.J_float qps);
-      ("cache_hit_ratio", B.J_float hit_ratio);
-      ("cache_faster", B.J_bool (warm < cold));
-      ( "governance_baseline_ns",
-        B.J_int (int_of_float (governance_baseline *. 1e9)) );
-      ("governed_warm_ns", B.J_int (int_of_float (governed_warm *. 1e9)));
-      ("governance_overhead", B.J_float governance_overhead);
-      ("datadir_warm_ns", B.J_int (int_of_float (datadir_warm *. 1e9)));
-      ("datadir_overhead", B.J_float (datadir_ratio -. 1.0));
-      ("attach_ns", B.J_int (int_of_float (attach_s *. 1e9)));
-    ];
-  B.print_table
-    ~header:[ "metric"; "value" ]
-    [
-      [ Printf.sprintf "cold EVAL latency (median of %d)" samples;
-        B.pretty_seconds cold ];
-      [ Printf.sprintf "warm EVAL latency (median of %d)" samples;
-        B.pretty_seconds warm ];
-      [ "cache speedup"; B.ratio_string warm cold ];
-      [ Printf.sprintf "throughput (%d clients x %d reqs)" clients requests;
-        Printf.sprintf "%.0f queries/s" qps ];
-      [ "cache hits / misses"; Printf.sprintf "%d / %d" hits misses ];
-      [ "cache hit ratio"; Printf.sprintf "%.3f" hit_ratio ];
-      [ Printf.sprintf "ungoverned warm EVAL, deterministic (median of %d)"
-          (5 * samples);
-        B.pretty_seconds governance_baseline ];
-      [ Printf.sprintf "governed warm EVAL, deterministic (median of %d)"
-          (5 * samples);
-        B.pretty_seconds governed_warm ];
-      [ "governance overhead (warm path)";
-        Printf.sprintf "%+.2f%%" (governance_overhead *. 100.0) ];
-      [ Printf.sprintf "--data-dir warm EVAL, deterministic (median of %d)"
-          (5 * samples);
-        B.pretty_seconds datadir_warm ];
-      [ "--data-dir overhead (warm path)";
-        Printf.sprintf "%+.2f%%" ((datadir_ratio -. 1.0) *. 100.0) ];
-      [ "restart + segment attach (startup wall)";
-        B.pretty_seconds attach_s ];
-    ];
-  print_endline
-    "\nA hit skips the per-query analysis (acyclicity test, join tree,\n\
-     inequality partition): repeat queries sit strictly below cold ones,\n\
-     and the four workers drive one shared, mutex-protected cache.\n\
-     With deadlines, row caps, and idle timeouts all armed but never\n\
-     tripped, the warm path pays only strided budget polls and the\n\
-     bounded reader.  A --data-dir catalog persists every LOAD and FACT\n\
-     as checksummed segments but leaves the warm path untouched: EVAL\n\
-     reads the same immutable in-memory snapshot either way, and a\n\
-     restart re-attaches the store by mmap before accepting clients."
-
-(* ------------------------------------------------------------------ *)
 (* E-DURABILITY: the fsync discipline on the durable write path, and
    recovery-on-open over planted crash debris *)
 
@@ -1933,186 +1649,6 @@ let cold_load () =
      no tokenization, no per-value boxing, rows presized exactly."
 
 (* ------------------------------------------------------------------ *)
-(* E-CLUSTER: scatter-gather throughput vs shard count *)
-
-(* Each shard is a real [paradb serve] subprocess with its own OCaml
-   runtime — as deployed, and so shard-side evaluation never shares a
-   minor-GC synchronization domain with its peers or the coordinator.
-   The ephemeral port is scraped from the shard's startup line. *)
-let paradb_binary () =
-  let sibling =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/paradb.exe"
-  in
-  if Sys.file_exists sibling then sibling
-  else
-    let from_root = "_build/default/bin/paradb.exe" in
-    if Sys.file_exists from_root then from_root
-    else failwith "cluster-scaling: build bin/paradb.exe first"
-
-let spawn_paradb args =
-  let bin = paradb_binary () in
-  let log = Filename.temp_file "paradb_bench_proc" ".log" in
-  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  let pid =
-    Unix.create_process bin (Array.of_list (bin :: args)) Unix.stdin fd fd
-  in
-  Unix.close fd;
-  let port_of text =
-    (* "paradb: listening on 127.0.0.1:PORT (...)" *)
-    match String.index_opt text ':' with
-    | None -> None
-    | Some _ ->
-        let marker = "127.0.0.1:" in
-        let rec find i =
-          if i + String.length marker > String.length text then None
-          else if String.sub text i (String.length marker) = marker then
-            let start = i + String.length marker in
-            let stop = ref start in
-            while
-              !stop < String.length text
-              && text.[!stop] >= '0'
-              && text.[!stop] <= '9'
-            do
-              incr stop
-            done;
-            if !stop > start then
-              int_of_string_opt (String.sub text start (!stop - start))
-            else None
-          else find (i + 1)
-        in
-        find 0
-  in
-  let rec wait_port tries =
-    if tries = 0 then failwith "cluster-scaling: subprocess did not come up";
-    match port_of (In_channel.with_open_text log In_channel.input_all) with
-    | Some port -> port
-    | None ->
-        Unix.sleepf 0.05;
-        wait_port (tries - 1)
-  in
-  let port = wait_port 200 in
-  (pid, port, log)
-
-let cluster_scaling () =
-  header
-    "E-CLUSTER — coordinator scatter-gather: warm EVAL throughput vs shard \
-     count (shards are separate processes)";
-  let module Client = Paradb_server.Client in
-  let module Protocol = Paradb_server.Protocol in
-  Unix.putenv "PARADB_DOMAINS" "1";
-  let db = Generators.edge_database (rng 31) ~nodes:400 ~edges:1600 in
-  let path = Filename.temp_file "paradb_bench_cluster" ".facts" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Fact_format.to_string db));
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let expect c line =
-    match Client.request_line c line with
-    | Protocol.Ok_ { payload; _ } -> payload
-    | Protocol.Err e -> failwith ("cluster-scaling: " ^ e)
-  in
-  (* Warm co-partitioned star join: every atom starts with X, so the
-     coordinator scatters the original query and each shard answers
-     from its own slice in one round. *)
-  let scatter_q = "ans(X, Y, Z) :- e(X, Y), e(X, Z), Y != Z." in
-  (* General join: round 1 gathers semijoin-reduced per-atom reducers,
-     round 2 joins them at the coordinator. *)
-  let exchange_q = "ans(X, Z) :- e(X, Y), e(Y, Z), X != Z." in
-  let clients = 4 and requests = 30 in
-  let measure shards =
-    let kill (pid, _, log) =
-      (try Unix.kill pid Sys.sigkill with _ -> ());
-      (try ignore (Unix.waitpid [] pid) with _ -> ());
-      try Sys.remove log with _ -> ()
-    in
-    (* every process serves [clients] concurrent connections: the
-       coordinator pools one connection per shard per session, so each
-       shard sees up to [clients] sessions *)
-    let workers = string_of_int clients in
-    let children =
-      List.init shards (fun _ ->
-          spawn_paradb [ "serve"; "--port"; "0"; "--workers"; workers ])
-    in
-    Fun.protect ~finally:(fun () -> List.iter kill children) @@ fun () ->
-    let front =
-      spawn_paradb
-        [
-          "coordinator"; "--port"; "0"; "--workers"; workers; "--shards";
-          String.concat ","
-            (List.map (fun (_, port, _) -> string_of_int port) children);
-        ]
-    in
-    Fun.protect ~finally:(fun () -> kill front) @@ fun () ->
-    let _, port, _ = front in
-    let rows =
-      Client.with_connection ~timeout:60.0 ~port (fun c ->
-          ignore (expect c (Printf.sprintf "LOAD g %s" path));
-          (* warm both paths once per shard count *)
-          ignore (expect c ("EVAL g auto " ^ scatter_q));
-          ignore (expect c ("EVAL g auto " ^ exchange_q));
-          List.length (expect c ("EVAL g auto " ^ scatter_q)))
-    in
-    let qps query =
-      let t0 = Unix.gettimeofday () in
-      let domains =
-        List.init clients (fun _ ->
-            Domain.spawn (fun () ->
-                Client.with_connection ~timeout:60.0 ~port (fun c ->
-                    for _ = 1 to requests do
-                      ignore (expect c ("EVAL g auto " ^ query))
-                    done)))
-      in
-      List.iter Domain.join domains;
-      float_of_int (clients * requests) /. (Unix.gettimeofday () -. t0)
-    in
-    (rows, qps scatter_q, qps exchange_q)
-  in
-  let counts = [ 1; 2; 4 ] in
-  let results = List.map (fun s -> (s, measure s)) counts in
-  let base_of f =
-    match results with (_, r) :: _ -> f r | [] -> assert false
-  in
-  let scatter_1 = base_of (fun (_, s, _) -> s) in
-  let exchange_1 = base_of (fun (_, _, x) -> x) in
-  List.iter
-    (fun (shards, (rows, scatter_qps, exchange_qps)) ->
-      B.record
-        [
-          ("name", B.J_string "cluster-scaling");
-          ("shards", B.J_int shards);
-          ("n", B.J_int (Database.size db));
-          ("rows", B.J_int rows);
-          ("clients", B.J_int clients);
-          ("requests", B.J_int (clients * requests));
-          ("scatter_qps", B.J_float scatter_qps);
-          ("exchange_qps", B.J_float exchange_qps);
-          ("scatter_speedup", B.J_float (scatter_qps /. scatter_1));
-          ("exchange_speedup", B.J_float (exchange_qps /. exchange_1));
-        ])
-    results;
-  B.print_table
-    ~header:
-      [ "shards"; "rows"; "scatter qps"; "speedup"; "exchange qps"; "speedup" ]
-    (List.map
-       (fun (shards, (rows, s, x)) ->
-         [
-           string_of_int shards;
-           string_of_int rows;
-           Printf.sprintf "%.1f" s;
-           Printf.sprintf "%.2fx" (s /. scatter_1);
-           Printf.sprintf "%.1f" x;
-           Printf.sprintf "%.2fx" (x /. exchange_1);
-         ])
-       results);
-  print_endline
-    "\nEvery answer set is bit-for-bit the single-node one (the cluster\n\
-     engine of the differential oracle fuzzes exactly this contract).\n\
-     Scatter sends the whole query to each shard and unions fact\n\
-     payloads; exchange ships semijoin-reduced per-atom reducers and\n\
-     joins at the coordinator.  Scaling requires hardware parallelism:\n\
-     shard processes split the per-request evaluation, so the curve\n\
-     climbs with the number of cores available to host them."
-
-(* ------------------------------------------------------------------ *)
 (* ORDER-INDEX: growing the dictionary order index *)
 
 (* The order index behind compiled [<] and the answer encoder is built
@@ -2322,124 +1858,12 @@ let experiments =
     ("count-overhead", count_overhead);
     ("order-index-growth", order_index_growth);
     ("compile-atom-order", compile_atom_order);
-    ("server-throughput", server_throughput);
     ("durability-overhead", durability_overhead);
-    ("cluster-scaling", cluster_scaling);
     ("cold-load", cold_load);
   ]
 
-(* Bechamel micro-benchmarks: one Test.make per table/figure, small
-   representative instances so each fits a sampling quota. *)
-let bechamel_suite () =
-  let open Bechamel in
-  let clique_instance = lazy (Clique_to_cq.reduce (Graph.gnp (rng 1) 14 0.3) ~k:3) in
-  let t2_instance =
-    lazy
-      ( Generators.edge_database (rng 2) ~nodes:120 ~edges:480,
-        Generators.chain_query ~length:3 ~neq:[ (0, 2); (1, 3); (0, 3) ] )
-  in
-  let t3_instance = lazy (Clique_to_comparisons.reduce (Graph.gnp (rng 3) 6 0.5) ~k:2) in
-  let ham_instance = lazy (Hamiltonian_to_neq.reduce (Graph.gnp (rng 4) 5 0.5)) in
-  let fo_instance =
-    lazy
-      (let c = Qgen_db.monotone_circuit (rng 5) ~n_inputs:3 ~n_gates:4 in
-       Circuit_to_fo.reduce c ~k:2)
-  in
-  let vardi_instance =
-    lazy (Vardi.layered_instance (rng 6) ~layers:4 ~width:3 ~edge_prob:0.5)
-  in
-  let pos_instance =
-    lazy
-      (let phi = Formula.random (rng 7) ~n_vars:5 ~depth:2 in
-       Wformula_to_positive.reduce ~n_vars:5 phi ~k:2)
-  in
-  let family = Hashing.Random_trials { trials = 30; seed = 9 } in
-  let tests =
-    [
-      Test.make ~name:"fig1-partial-order"
-        (Staged.stage (fun () ->
-             let q, db = Lazy.force clique_instance in
-             ignore (Cq_naive.is_satisfiable db q)));
-      Test.make ~name:"t1-conjunctive"
-        (Staged.stage (fun () ->
-             let q, db = Lazy.force clique_instance in
-             ignore (Cq_to_wsat.reduce db q)));
-      Test.make ~name:"t1-conjunctive-v"
-        (Staged.stage (fun () ->
-             let q, db = Lazy.force clique_instance in
-             ignore (Bounded_vars.reduce db q)));
-      Test.make ~name:"t1-positive"
-        (Staged.stage (fun () ->
-             let fo, db = Lazy.force pos_instance in
-             ignore (Fo_naive.sentence_holds db fo)));
-      Test.make ~name:"t1-first-order"
-        (Staged.stage (fun () ->
-             let fo, db = Lazy.force fo_instance in
-             ignore (Fo_naive.sentence_holds db fo)));
-      Test.make ~name:"datalog-vardi"
-        (Staged.stage (fun () ->
-             ignore
-               (Paradb_datalog.Engine.goal_holds (Lazy.force vardi_instance)
-                  (Vardi.program ~k:2))));
-      Test.make ~name:"t2-engine-decide"
-        (Staged.stage (fun () ->
-             let db, q = Lazy.force t2_instance in
-             ignore (Engine.is_satisfiable ~family db q)));
-      Test.make ~name:"t2-engine-evaluate"
-        (Staged.stage (fun () ->
-             let db, q = Lazy.force t2_instance in
-             ignore (Engine.evaluate ~family db q)));
-      Test.make ~name:"t2-naive-baseline"
-        (Staged.stage (fun () ->
-             let db, q = Lazy.force t2_instance in
-             ignore (Cq_naive.is_satisfiable db q)));
-      Test.make ~name:"ham-np"
-        (Staged.stage (fun () ->
-             let q, db = Lazy.force ham_instance in
-             ignore (Engine.is_satisfiable db q)));
-      Test.make ~name:"t3-comparisons"
-        (Staged.stage (fun () ->
-             let q, db = Lazy.force t3_instance in
-             ignore (Cq_naive.is_satisfiable db q)));
-      Test.make ~name:"w2-dominating"
-        (Staged.stage (fun () ->
-             let g = Graph.gnp (rng 15) 8 0.3 in
-             let fo, db = Dominating_to_fo.reduce g ~k:2 in
-             ignore (Fo_naive.sentence_holds db fo)));
-      Test.make ~name:"cm-containment"
-        (Staged.stage (fun () ->
-             let q1 =
-               Parser.parse_cq "ans(X) :- e(X, Y), e(Y, Z), e(X, U), e(U, V)."
-             in
-             ignore (Paradb_containment.Containment.minimize q1)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"paradb" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "\n### Bechamel micro-benchmarks (ns per run)\n";
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> B.pretty_seconds (e /. 1e9)
-          | _ -> "-"
-        in
-        [ name; est ] :: acc)
-      results []
-  in
-  B.print_table ~header:[ "benchmark"; "time/run" ]
-    (List.sort compare rows)
-
 let usage () =
-  print_endline
-    "usage: main.exe [--list | --only <id> | --bechamel] [--json <file>]";
+  print_endline "usage: main.exe [--list | --only <id>] [--json <file>]";
   print_endline "experiments:";
   List.iter (fun (name, _) -> Printf.printf "  %s\n" name) experiments
 
@@ -2463,9 +1887,6 @@ let () =
     | "--list" :: rest ->
         mode := `List;
         parse rest
-    | "--bechamel" :: rest ->
-        mode := `Bechamel;
-        parse rest
     | "--only" :: id :: rest ->
         only := Some id;
         parse rest
@@ -2481,7 +1902,6 @@ let () =
   if !json <> None then B.json_enabled := true;
   (match !mode with
   | `List -> List.iter (fun (name, _) -> print_endline name) experiments
-  | `Bechamel -> bechamel_suite ()
   | `Run -> (
       match !only with
       | None ->

@@ -15,14 +15,15 @@ val graph_database : Paradb_graph.Graph.t -> Paradb_relational.Database.t
 val path_query : k:int -> Paradb_query.Cq.t
 
 (** [budget], here and on every search below, is polled per coloring
-    trial and per DP step ({!Budget.Exhausted} propagates). *)
+    trial and per DP step ({!Paradb_telemetry.Budget.Exhausted}
+    propagates). *)
 val has_simple_path :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?family:Hashing.family -> Paradb_graph.Graph.t -> int -> bool
 
 (** A witness path (any), found by full evaluation. *)
 val find_simple_path :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?family:Hashing.family -> Paradb_graph.Graph.t -> int -> int list option
 
 (** {1 The direct Alon–Yuster–Zwick dynamic program}
@@ -38,16 +39,16 @@ val find_simple_path :
     pairwise-distinct colors, under the given vertex coloring
     ([colors.(v) ∈ [0..k-1]]), or [None]. *)
 val colorful_path :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   Paradb_graph.Graph.t -> int array -> int -> int list option
 
 (** [find_simple_path_dp ?trials ?seed g k] — random colorings (default
     [3·e^k] trials) + the colorful-path DP; one-sided error like the
     paper's randomized driver. *)
 val find_simple_path_dp :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?trials:int -> ?seed:int -> Paradb_graph.Graph.t -> int -> int list option
 
 val has_simple_path_dp :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?trials:int -> ?seed:int -> Paradb_graph.Graph.t -> int -> bool

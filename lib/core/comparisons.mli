@@ -31,10 +31,10 @@ val is_acyclic_with_comparisons : Paradb_query.Cq.t -> bool
     only [≠] constraints remain on an acyclic body; otherwise fall back
     to naive evaluation (inherently [n^{O(q)}]: Theorem 3). *)
 val evaluate :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t ->
   Paradb_relational.Relation.t
 
 val is_satisfiable :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t -> bool

@@ -9,6 +9,7 @@ module Yannakakis = Paradb_yannakakis.Yannakakis
 module Metrics = Paradb_telemetry.Metrics
 module Trace = Paradb_telemetry.Trace
 module Tel_clock = Paradb_telemetry.Clock
+module Budget = Paradb_telemetry.Budget
 open Paradb_query
 
 let log_src = Logs.Src.create "paradb.engine" ~doc:"Theorem-2 engine"

@@ -43,14 +43,15 @@ val new_stats : unit -> stats
 
     [budget] (here and on every driver below) is polled once per
     coloring trial and inside the task build's semijoin passes; expiry
-    raises {!Budget.Exhausted} — except that a satisfiability run which
-    has already found a witness returns it, since an incomplete sweep
-    only invalidates full unions and definitive "no"s.  Parallel trial
-    workers observe expiry with a non-raising check and exit their drain
-    loops; the coordinating domain raises after joining them, so no
-    helper domain is ever leaked. *)
+    raises {!Paradb_telemetry.Budget.Exhausted} — except that a
+    satisfiability run which has already found a witness returns it,
+    since an incomplete sweep only invalidates full unions and
+    definitive "no"s.  Parallel trial workers observe expiry with a
+    non-raising check and exit their drain loops; the coordinating
+    domain raises after joining them, so no helper domain is ever
+    leaked. *)
 val is_satisfiable :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?prereduce:bool -> ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t -> bool
 
@@ -60,14 +61,14 @@ val is_satisfiable :
     never contribute to any [Q_h], so this is sound and pays for itself
     whenever the family runs more than a few colorings. *)
 val evaluate :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?prereduce:bool -> ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t ->
   Paradb_relational.Relation.t
 
 (** [t ∈ Q(d)]? *)
 val decide :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t ->
   Paradb_relational.Tuple.t -> bool
@@ -80,13 +81,13 @@ val decide :
     [|V1 ∪ vars φ| + |consts φ|], exactly as in the paper. *)
 
 val is_satisfiable_formula :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t ->
   Paradb_query.Ineq_formula.t -> bool
 
 val evaluate_formula :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t ->
   Paradb_query.Ineq_formula.t -> Paradb_relational.Relation.t
@@ -104,13 +105,13 @@ val split_constant_conjuncts :
     root-checked, so the hash range stays bounded by the variable count
     whenever the residual formula is constant-free. *)
 val evaluate_formula_v :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t ->
   Paradb_query.Ineq_formula.t -> Paradb_relational.Relation.t
 
 val is_satisfiable_formula_v :
-  ?budget:Budget.t ->
+  ?budget:Paradb_telemetry.Budget.t ->
   ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t ->
   Paradb_query.Ineq_formula.t -> bool

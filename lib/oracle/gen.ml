@@ -409,10 +409,6 @@ let instance ~seed ~index ~max_vars ~max_tuples =
   in
   { seed; index; label; db; shape }
 
-let pp_shape ppf = function
-  | Query q -> Cq.pp ppf q
-  | Sentence f -> Fo.pp ppf f
-
 let shape_to_string = function
   | Query q -> Cq.to_string q
   | Sentence f -> Fo.to_string f

@@ -39,7 +39,6 @@ val classes : string list
 val instance :
   seed:int -> index:int -> max_vars:int -> max_tuples:int -> instance
 
-val pp_shape : Format.formatter -> shape -> unit
 val shape_to_string : shape -> string
 
 (** Relational atoms of the query ([0] for sentences) — the shrink

@@ -38,16 +38,6 @@ let matches a tuple =
     in
     go 0 Binding.empty a.args
 
-let satisfied_by binding a tuple =
-  if Tuple.arity tuple <> arity a then false
-  else
-    List.for_all2
-      (fun term v ->
-        match Binding.apply_term binding term with
-        | Some w -> Value.equal v w
-        | None -> false)
-      a.args (Tuple.to_list tuple)
-
 let pp ppf a =
   Format.fprintf ppf "%s(%a)" a.rel
     (Format.pp_print_list

@@ -21,9 +21,5 @@ val substitute : Binding.t -> t -> t
     construction); [None] otherwise. *)
 val matches : t -> Paradb_relational.Tuple.t -> Binding.t option
 
-(** [satisfied_by binding a tuple] — the fully instantiated atom equals
-    the tuple. *)
-val satisfied_by : Binding.t -> t -> Paradb_relational.Tuple.t -> bool
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -300,13 +300,6 @@ let parse_cq s =
   finish st;
   Cq.make ~name ~constraints ~head atoms
 
-let parse_rule s =
-  let st = stream_of s in
-  let name, head, atoms, constraints = parse_clause st in
-  finish st;
-  if constraints <> [] then fail "parser: constraints not allowed in rules";
-  Rule.make (Atom.make name head) atoms
-
 let parse_program s ~goal =
   let st = stream_of s in
   let rec go acc =

@@ -17,9 +17,6 @@ exception Parse_error of string
     constraint atoms, with or without the trailing dot. *)
 val parse_cq : string -> Cq.t
 
-(** [parse_rule s] — a pure Datalog rule (no constraints). *)
-val parse_rule : string -> Rule.t
-
 (** [parse_program s ~goal] — a dot-separated list of rules. *)
 val parse_program : string -> goal:string -> Program.t
 

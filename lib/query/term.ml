@@ -18,10 +18,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let is_var = function
-  | Var _ -> true
-  | Const _ -> false
-
 let vars terms =
   let rec go seen acc = function
     | [] -> List.rev acc

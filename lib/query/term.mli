@@ -10,7 +10,6 @@ val int : int -> t
 val str : string -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_var : t -> bool
 val vars : t list -> string list
 
 (** [apply binding t] replaces a variable by its bound value, if any. *)

@@ -1,5 +1,6 @@
 (** A blocking client for the {!Protocol} wire format, shared by
-    [paradb client] and the server-throughput bench. *)
+    [paradb client], the cluster coordinator, the oracle and the
+    benchmarks. *)
 
 type t
 

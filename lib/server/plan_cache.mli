@@ -8,8 +8,7 @@
     particular, a compiled pipeline can never run against data it was
     not compiled for).  Capacity is a hard
     bound: inserting into a full cache evicts the least recently used
-    plan.  Hit/miss/eviction counters feed the [STATS] report and the
-    server-throughput bench. *)
+    plan.  Hit/miss/eviction counters feed the [STATS] report. *)
 
 type t
 

@@ -288,6 +288,19 @@ let payload_of = function
 
 let contains = Test_support.contains
 
+(* The value of one [name value] line of a STATS payload. *)
+let stats_field stats name =
+  match
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ k; v ] when k = name -> int_of_string_opt v
+        | _ -> None)
+      stats
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "STATS lacks %s" name
+
 let test_session_dispatch () =
   let shared = Session.make_shared ~cache_capacity:8 () in
   let session = Session.create shared in
@@ -330,19 +343,7 @@ let test_session_dispatch () =
   Alcotest.(check bool) "check reports class" true
     (List.exists (fun l -> contains l "class: acyclic") check_payload);
   (* STATS *)
-  let field_of stats name =
-    match
-      List.find_map
-        (fun l ->
-          match String.split_on_char ' ' l with
-          | [ k; v ] when k = name -> int_of_string_opt v
-          | _ -> None)
-        stats
-    with
-    | Some v -> v
-    | None -> Alcotest.failf "STATS lacks %s" name
-  in
-  let field name = field_of (payload_of (run "STATS")) name in
+  let field name = stats_field (payload_of (run "STATS")) name in
   (* hits: renamed query + repeated fpt eval before the FACT; misses:
      naive cold, fpt cold, and naive again after FACT bumped the
      generation (generation-scoped keys strand the old entry) *)
@@ -433,6 +434,56 @@ let test_compiled_cache_staleness () =
     (List.length rows);
   Alcotest.(check bool) "replacement rows, not stale ones" true
     (List.exists (fun r -> contains r "7") rows)
+
+(* A warm request is served from the plan cache: it counts a hit and
+   compiles no pipeline.  Governance armed on every axis but never
+   tripped changes no byte of an answer.  Each session runs one EVAL and
+   one COUNT cold, then both again warm. *)
+let test_warm_hits_skip_compile_and_governance_is_transparent () =
+  let module Metrics = Paradb_telemetry.Metrics in
+  let module Guard = Paradb_server.Guard in
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let compile_work () =
+    ( counter "compile.pipelines",
+      counter "compile.count_pipelines",
+      (Metrics.histogram_read (Metrics.histogram "planner.compile_ns")).count
+    )
+  in
+  let query = "ans(X, Z) :- e(X, Y), e(Y, Z), X != Z." in
+  let requests = [ "EVAL g auto " ^ query; "COUNT g auto " ^ query ] in
+  let payloads ?limits () =
+    let session =
+      Session.create (Session.make_shared ?limits ~cache_capacity:8 ())
+    in
+    let run line = Option.get (fst (Session.handle_line session line)) in
+    ignore (summary_of (run "LOAD g ../examples/graph.facts"));
+    let hits () = stats_field (payload_of (run "STATS")) "server.cache_hits" in
+    let serve () = List.map (fun r -> payload_of (run r)) requests in
+    let before_cold = compile_work () in
+    let cold = serve () in
+    let before_warm = compile_work () and hits_before = hits () in
+    let warm = serve () in
+    Alcotest.(check bool) "cold run compiles" true (before_warm <> before_cold);
+    Alcotest.(check bool) "warm run compiles nothing" true
+      (compile_work () = before_warm);
+    Alcotest.(check int) "warm run hits the cache twice" 2
+      (hits () - hits_before);
+    Alcotest.(check (list (list string))) "warm payloads = cold" cold warm;
+    cold
+  in
+  let governed =
+    payloads
+      ~limits:
+        {
+          Guard.default_limits with
+          deadline_ns = Some 60_000_000_000;
+          max_rows = Some 1_000_000;
+          idle_timeout = Some 300.0;
+        }
+      ()
+  in
+  Alcotest.(check (list (list string))) "governed payloads = ungoverned"
+    (payloads ()) governed
 
 (* EXPLAIN renders the planner's physical plan without touching any
    database *)
@@ -909,6 +960,9 @@ let () =
           Alcotest.test_case "dispatch" `Quick test_session_dispatch;
           Alcotest.test_case "compiled cache never serves a stale snapshot"
             `Quick test_compiled_cache_staleness;
+          Alcotest.test_case
+            "warm hits skip compile, governance is transparent" `Quick
+            test_warm_hits_skip_compile_and_governance_is_transparent;
           Alcotest.test_case "explain verb" `Quick test_explain_verb;
           Alcotest.test_case "count verb" `Quick test_count_verb;
           Alcotest.test_case "digest verb" `Quick test_digest_verb;
