@@ -1194,7 +1194,6 @@ let durability_overhead () =
   let module Protocol = Paradb_server.Protocol in
   let module Durability = Paradb_storage.Durability in
   let module Store = Paradb_storage.Store in
-  Unix.putenv "PARADB_DOMAINS" "1";
   let expect c line =
     match Client.request_line c line with
     | Protocol.Ok_ _ -> ()

@@ -618,10 +618,6 @@ let run_serve host port workers cache_size trace data_dir durability
     1
   end
   else begin
-    (* keep all parallelism in the worker pool unless the user asks for
-       trial fan-out too *)
-    if Sys.getenv_opt "PARADB_DOMAINS" = None then
-      Unix.putenv "PARADB_DOMAINS" "1";
     (* flush any async-mode fsyncs still queued, so a clean shutdown
        leaves nothing owed to the disk *)
     run_server limits ~trace ?durability
@@ -1198,7 +1194,7 @@ let main_cmd =
   let doc =
     "Parameterized query evaluation (Papadimitriou & Yannakakis, PODS 1997)"
   in
-  Cmd.group (Cmd.info "paradb" ~version:"1.25.0" ~doc ~exits)
+  Cmd.group (Cmd.info "paradb" ~version:"1.26.0" ~doc ~exits)
     [
       eval_cmd; check_cmd; datalog_cmd; generate_cmd; compact_cmd; serve_cmd;
       coordinator_cmd; client_cmd; stats_cmd; fuzz_cmd;

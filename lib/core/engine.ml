@@ -34,11 +34,6 @@ type stats = {
 
 let new_stats () = { trials = 0; successes = 0; peak_rows = 0 }
 
-let merge_stats into s =
-  into.trials <- into.trials + s.trials;
-  into.successes <- into.successes + s.successes;
-  if s.peak_rows > into.peak_rows then into.peak_rows <- s.peak_rows
-
 let observe stats rel =
   let n = Relation.cardinality rel in
   if n > stats.peak_rows then stats.peak_rows <- n;
@@ -340,8 +335,8 @@ let algorithm1 ?stats task h = algorithm1_trial ?stats task (prep_trial h)
 
 (* Algorithm 2: top-down semijoin pass, then bottom-up join-and-project
    (a child keeps the parent's Y set and the head variables); returns
-   Q_h(d)'s projection onto the head variables.  No budget: trials run
-   on worker domains, which drain without raising. *)
+   Q_h(d)'s projection onto the head variables.  No budget of its own:
+   the trial driver polls once per coloring. *)
 let algorithm2 task p =
   let tree = task.tree in
   let p =
@@ -369,123 +364,38 @@ let default_family = Hashing.Multiplicative_sweep
 (* ------------------------------------------------------------------ *)
 (* The trial driver.
 
-   Independent colorings fan out across domains: trials are prepared
-   (= dictionary-interning) sequentially in chunks, then each chunk is
-   drained by [domain_count] workers pulling trial indexes off an atomic
-   counter.  Merging is a set union (evaluation) or a disjunction
-   (satisfiability), both order-insensitive, so parallel runs return
-   bit-identical answers to sequential ones.  [PARADB_DOMAINS=1] opts
-   out. *)
-
-let domain_count () = Paradb_telemetry.Env.domains ()
-
-let rec seq_take n acc seq =
-  if n = 0 then (List.rev acc, seq)
-  else
-    match Seq.uncons seq with
-    | None -> (List.rev acc, Seq.empty)
-    | Some (x, rest) -> seq_take (n - 1) (x :: acc) rest
-
-(* Run [run] over every coloring of [functions].  [run st trial] returns
-   [Some r] on a successful trial; results are folded with [merge] into
-   [init].  With [stop_on_hit] the remaining trials are abandoned after
-   the first success (one witness settles satisfiability). *)
+   One coloring at a time, prepared lazily as the family's sequence is
+   consumed.  [run trial] returns [Some r] on a successful trial;
+   results are folded with [merge] into [init].  The budget is polled
+   before every trial.  With [stop_on_hit] the remaining trials are
+   abandoned after the first success (one witness settles the answer),
+   so an expiry after that witness cannot discard it. *)
 let run_trials ?budget ~stats ~stop_on_hit functions ~init ~merge ~run =
-  (* Instrument every coloring uniformly, sequential or fanned out:
-     a span (free when tracing is off) plus global trial counters and a
-     per-trial latency histogram. *)
-  let run st trial =
-    let sp = Trace.start "engine.trial" in
-    let t0 = Tel_clock.now_ns () in
-    let r = run st trial in
-    Metrics.observe m_trial_ns (Tel_clock.now_ns () - t0);
-    Metrics.incr m_trials;
-    let hit = Option.is_some r in
-    if hit then Metrics.incr m_successes;
-    Trace.finish ~attrs:[ ("nonempty", string_of_bool hit) ] sp;
-    r
+  let rec go acc fns =
+    match Seq.uncons fns with
+    | None -> acc
+    | Some (h, rest) -> (
+        Budget.poll budget;
+        let trial = prep_trial h in
+        stats.trials <- stats.trials + 1;
+        (* a span (free when tracing is off) plus global trial counters
+           and a per-trial latency histogram *)
+        let sp = Trace.start "engine.trial" in
+        let t0 = Tel_clock.now_ns () in
+        let r = run trial in
+        Metrics.observe m_trial_ns (Tel_clock.now_ns () - t0);
+        Metrics.incr m_trials;
+        let hit = Option.is_some r in
+        Trace.finish ~attrs:[ ("nonempty", string_of_bool hit) ] sp;
+        match r with
+        | None -> go acc rest
+        | Some r ->
+            Metrics.incr m_successes;
+            stats.successes <- stats.successes + 1;
+            let acc = merge acc r in
+            if stop_on_hit then acc else go acc rest)
   in
-  let nd = domain_count () in
-  let acc = ref init in
-  (* Non-raising per-trial test for the parallel drain loops: helper
-     domains must exit cleanly (an exception crossing [Domain.join]
-     would leak its siblings), so they only observe expiry here and the
-     coordinator raises after joining. *)
-  let budget_expired () =
-    match budget with Some b -> Budget.expired b | None -> false
-  in
-  if nd <= 1 then begin
-    (try
-       Seq.iter
-         (fun h ->
-           Budget.poll budget;
-           let trial = prep_trial h in
-           stats.trials <- stats.trials + 1;
-           match run stats trial with
-           | Some r ->
-               stats.successes <- stats.successes + 1;
-               acc := merge !acc r;
-               if stop_on_hit then raise Exit
-           | None -> ())
-         functions
-     with Exit -> ());
-    !acc
-  end
-  else begin
-    let chunk_size = nd * 4 in
-    let rec loop fns =
-      match seq_take chunk_size [] fns with
-      | [], _ -> ()
-      | batch, rest ->
-          let work = Array.of_list (List.map prep_trial batch) in
-          let next = Atomic.make 0 in
-          let found = Atomic.make false in
-          let worker () =
-            let st = new_stats () in
-            let out = ref [] in
-            let rec drain () =
-              if not (stop_on_hit && Atomic.get found) && not (budget_expired ())
-              then begin
-                let i = Atomic.fetch_and_add next 1 in
-                if i < Array.length work then begin
-                  st.trials <- st.trials + 1;
-                  (match run st work.(i) with
-                  | Some r ->
-                      st.successes <- st.successes + 1;
-                      out := r :: !out;
-                      if stop_on_hit then Atomic.set found true
-                  | None -> ());
-                  drain ()
-                end
-              end
-            in
-            drain ();
-            (st, !out)
-          in
-          let helpers =
-            Array.init
-              (min (nd - 1) (max 0 (Array.length work - 1)))
-              (fun _ -> Domain.spawn worker)
-          in
-          let mine = worker () in
-          let results = mine :: Array.to_list (Array.map Domain.join helpers) in
-          List.iter
-            (fun (st, out) ->
-              merge_stats stats st;
-              List.iter (fun r -> acc := merge !acc r) out)
-            results;
-          if not (stop_on_hit && Atomic.get found) then begin
-            (* With a witness in hand the answer is already valid; an
-               incomplete sweep is only wrong when we must union every
-               trial (evaluation) or report a definitive "no". *)
-            Budget.poll budget;
-            loop rest
-          end
-    in
-    loop functions;
-    if not (stop_on_hit && !acc <> init) then Budget.poll budget;
-    !acc
-  end
+  go init functions
 
 let run_satisfiable ?budget ?prereduce ~family ~stats db q formula =
   if q.Cq.body = [] then
@@ -505,8 +415,8 @@ let run_satisfiable ?budget ?prereduce ~family ~stats db q formula =
       let found =
         run_trials ?budget ~stats ~stop_on_hit:true functions ~init:false
           ~merge:(fun _ _ -> true)
-          ~run:(fun st trial ->
-            match algorithm1_trial ~stats:st task trial with
+          ~run:(fun trial ->
+            match algorithm1_trial ~stats task trial with
             | Some _ -> Some ()
             | None -> None)
       in
@@ -541,11 +451,13 @@ let run_evaluate ?budget ?prereduce ~family ~stats db q formula =
     else begin
       let domain = hash_domain db task in
       let functions = Hashing.functions family ~domain ~k:task.separation in
+      (* Every successful coloring of a Boolean head yields the same
+         single row, so its first witness settles the answer. *)
       answer
-        (run_trials ?budget ~stats ~stop_on_hit:false functions
-           ~init:Tuple.Set.empty ~merge:Tuple.Set.union
-           ~run:(fun st trial ->
-             match algorithm1_trial ~stats:st task trial with
+        (run_trials ?budget ~stats ~stop_on_hit:(task.head_vars = [])
+           functions ~init:Tuple.Set.empty ~merge:Tuple.Set.union
+           ~run:(fun trial ->
+             match algorithm1_trial ~stats task trial with
              | None -> None
              | Some p -> Some (Yannakakis.head_rows task.head (algorithm2 task p))))
     end

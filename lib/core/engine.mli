@@ -41,21 +41,18 @@ val new_stats : unit -> stats
     (exact); pass a [Random_trials] family for the paper's randomized
     one-sided-error driver.
 
-    [budget] (here and on every driver below) is polled once per
-    coloring trial and inside the task build's semijoin passes; expiry
-    raises {!Paradb_telemetry.Budget.Exhausted} — except that a
-    satisfiability run which has already found a witness returns it,
-    since an incomplete sweep only invalidates full unions and
-    definitive "no"s.  Parallel trial workers observe expiry with a
-    non-raising check and exit their drain loops; the coordinating
-    domain raises after joining them, so no helper domain is ever
-    leaked. *)
+    Colorings run one at a time, and the first successful one ends
+    the sweep.  [budget] (here and on every driver below) is polled
+    before each coloring and inside the task build's semijoin passes;
+    expiry raises {!Paradb_telemetry.Budget.Exhausted}. *)
 val is_satisfiable :
   ?budget:Paradb_telemetry.Budget.t ->
   ?prereduce:bool -> ?family:Hashing.family -> ?stats:stats ->
   Paradb_relational.Database.t -> Paradb_query.Cq.t -> bool
 
-(** Full evaluation [Q(d)] (union of [Q_h(d)] over the family).
+(** Full evaluation [Q(d)] (union of [Q_h(d)] over the family).  A
+    Boolean head (no head variables) stops at the first successful
+    coloring, since every witness yields the same single row.
     [prereduce] (default true) runs one h-independent semijoin reducer
     pass over the base relations before any coloring — dangling tuples
     never contribute to any [Q_h], so this is sound and pays for itself

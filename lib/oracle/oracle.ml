@@ -51,11 +51,6 @@ let validate_engine_names names =
              (String.concat ", " Engines.names)))
     names
 
-(* Per-query trial fan-out is pure overhead on thousands of tiny
-   instances; keep the engine sequential unless the caller insists. *)
-let pin_domains () =
-  if Sys.getenv_opt "PARADB_DOMAINS" = None then Unix.putenv "PARADB_DOMAINS" "1"
-
 let wanted cfg name =
   match cfg.engines with None -> true | Some names -> List.mem name names
 
@@ -82,7 +77,6 @@ let ref_slot (mode : Engines.mode) =
 let run ?(progress = fun _ -> ()) cfg =
   Option.iter validate_engine_names cfg.engines;
   Mutate.validate ();
-  pin_domains ();
   let with_serve = wanted cfg "serve" || wanted cfg "count-serve" in
   let serve = if with_serve then Some (Serve.start ()) else None in
   let with_cluster = wanted cfg "cluster" || wanted cfg "count-cluster" in
@@ -169,7 +163,6 @@ let run ?(progress = fun _ -> ()) cfg =
    for "serve", a fresh in-process server) against the reference. *)
 let replay path =
   Mutate.validate ();
-  pin_domains ();
   let case = Case_file.read path in
   let inst = Case_file.to_instance case in
   let with_serve =

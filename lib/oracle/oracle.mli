@@ -38,9 +38,7 @@ type report = {
   shrink_steps : int;
 }
 
-(** Run the campaign.  Sets [PARADB_DOMAINS=1] unless already set (the
-    per-query trial fan-out is pure overhead on thousands of tiny
-    instances), validates [PARADB_MUTATE] and engine names
+(** Run the campaign.  Validates [PARADB_MUTATE] and engine names
     ([Invalid_argument] on a typo), and starts/stops an in-process
     server when the ["serve"] engine is selected.  [progress] is called
     with each case index before it runs. *)

@@ -95,8 +95,8 @@ let analyze requested q =
     if engine = E_fpt && Cq.neq_only nq then (Ineq.partition nq).Ineq.k else 0
   in
   (* Pre-intern the query's constants: evaluation then only reads the
-     dictionary, which is the discipline the engine's parallel trials
-     already rely on (Dictionary's concurrency contract). *)
+     dictionary, so the server's worker domains can share it
+     (Dictionary's concurrency contract). *)
   List.iter (fun v -> ignore (Dictionary.intern Dictionary.global v)) (constants q);
   {
     query = nq;

@@ -4,11 +4,8 @@
     Each worker accepts connections directly off the shared listening
     socket (the kernel serializes [accept]) and runs one blocking
     session at a time, so up to [workers] sessions progress in parallel.
-    Parallelism across queries comes from the pool; the fpt engine's own
-    trial parallelism reads [PARADB_DOMAINS] exactly as in one-shot
-    mode.  [paradb serve] sets [PARADB_DOMAINS=1] when the variable is
-    unset, keeping the domain count bounded by the pool size; set it in
-    the environment to fan trials out as well.
+    Parallelism across queries comes from the pool alone: each query,
+    the fpt engine's colorings included, runs on its worker's domain.
 
     Safety of concurrent sessions rests on three facts: database
     snapshots are immutable (see {!Catalog}), the plan cache and stats

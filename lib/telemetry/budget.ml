@@ -1,7 +1,6 @@
 (* Cooperative cancellation: a per-request deadline checked at loop
    checkpoints.  The struct is immutable except for the [cancelled]
-   atomic, so a budget can be shared freely across domains — parallel
-   trial workers read it without synchronization beyond the atomic. *)
+   atomic, so a budget can be shared freely across domains. *)
 
 exception Exhausted of { budget_ns : int; elapsed_ns : int }
 

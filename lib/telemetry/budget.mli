@@ -35,8 +35,8 @@ val cancel : t -> unit
 
 val is_cancelled : t -> bool
 
-(** Non-raising test — for parallel workers that must exit their drain
-    loop cleanly and let the coordinator raise after the join. *)
+(** Non-raising test: has the deadline passed or the budget been
+    cancelled? *)
 val expired : t -> bool
 
 (** Raise {!Exhausted} if expired or cancelled. *)

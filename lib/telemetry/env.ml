@@ -8,9 +8,6 @@ let positive_int ~name ~default =
           invalid_arg
             (Printf.sprintf "%s: expected a positive integer, got %S" name raw))
 
-let domains () =
-  positive_int ~name:"PARADB_DOMAINS" ~default:Domain.recommended_domain_count
-
 let faults () =
   match Sys.getenv_opt "PARADB_FAULTS" with
   | None -> None

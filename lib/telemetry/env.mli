@@ -6,9 +6,6 @@
     silent fallbacks that [Sys.getenv_opt] call sites used to hide.
 
     Variables:
-    - [PARADB_DOMAINS] — positive integer; the engine's per-query trial
-      parallelism ([1] disables the fan-out).  Default:
-      [Domain.recommended_domain_count ()].
     - [PARADB_TRACE] — path of the JSONL trace file; setting it turns
       tracing on (see {!Trace.init_from_env}).
     - [PARADB_FAULTS] — comma-separated [key:value] fault-injection
@@ -22,9 +19,6 @@
 val positive_int : name:string -> default:(unit -> int) -> int
 (** Read variable [name] as a positive integer; [default] when unset.
     Raises [Invalid_argument] on a malformed or non-positive value. *)
-
-val domains : unit -> int
-(** [PARADB_DOMAINS], defaulting to [Domain.recommended_domain_count]. *)
 
 val faults : unit -> (string * float) list option
 (** [PARADB_FAULTS] as validated [key:value] pairs ([None] when unset).

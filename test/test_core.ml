@@ -197,6 +197,42 @@ let test_engine_stats () =
   Alcotest.(check bool) "tried >= 1" true (stats.Engine.trials >= 1);
   Alcotest.(check bool) "found" true (stats.Engine.successes >= 1)
 
+(* A Boolean head settles at its first successful coloring; a head with
+   variables must union every coloring of the family. *)
+let test_engine_boolean_first_witness () =
+  let gdb =
+    Parser.parse_facts
+      "e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(5, 6). e(6, 1). e(1, 4). \
+       e(2, 5). e(5, 4). e(4, 6). e(6, 4). e(5, 5)."
+  in
+  let boolean = Parser.parse_cq "ans() :- e(X, Y), e(Y, Z), X != Z." in
+  let headed = Parser.parse_cq "ans(X, Z) :- e(X, Y), e(Y, Z), X != Z." in
+  let family_size =
+    Seq.length
+      (Hashing.functions Hashing.Multiplicative_sweep
+         ~domain:(Value.Set.elements (Database.domain gdb))
+         ~k:(Ineq.partition boolean).Ineq.k)
+  in
+  let sat = Engine.new_stats () and ev = Engine.new_stats () in
+  Alcotest.(check bool) "satisfiable" true
+    (Engine.is_satisfiable ~stats:sat gdb boolean);
+  let r = Engine.evaluate ~stats:ev gdb boolean in
+  Alcotest.(check int) "trials as for is_satisfiable" sat.Engine.trials
+    ev.Engine.trials;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d trial(s) below the family's %d" ev.Engine.trials
+       family_size)
+    true
+    (ev.Engine.trials < family_size);
+  Alcotest.(check bool) "boolean matches naive" true
+    (Relation.set_equal r (Cq_naive.evaluate gdb boolean));
+  let hv = Engine.new_stats () in
+  let r = Engine.evaluate ~stats:hv gdb headed in
+  Alcotest.(check int) "head variables run the whole family" family_size
+    hv.Engine.trials;
+  Alcotest.(check bool) "headed matches naive" true
+    (Relation.set_equal r (Cq_naive.evaluate gdb headed))
+
 let test_engine_unsat_early_empty () =
   let q = Parser.parse_cq "g(E) :- ep(E, zzz), ep(E, P2), zzz != P2." in
   (* "zzz" never appears as a project: base relation empty *)
@@ -567,6 +603,8 @@ let () =
           Alcotest.test_case "cyclic rejected" `Quick test_engine_cyclic_rejected;
           Alcotest.test_case "no constraints" `Quick test_engine_no_constraints_is_yannakakis;
           Alcotest.test_case "stats" `Quick test_engine_stats;
+          Alcotest.test_case "boolean first witness" `Quick
+            test_engine_boolean_first_witness;
           Alcotest.test_case "empty base" `Quick test_engine_unsat_early_empty;
           Alcotest.test_case "decide" `Quick test_decide;
           Alcotest.test_case "per-coloring soundness" `Quick test_single_coloring_soundness;

@@ -347,7 +347,6 @@ let test_protocol_fuzz =
    budget while a concurrent well-behaved connection is bit-identical *)
 
 let test_deadline_acceptance () =
-  Unix.putenv "PARADB_DOMAINS" "1";
   let db = edge_db ~seed:4242 ~nodes:1000 ~edges:6000 in
   let path = write_temp_facts (Fact_format.to_string db) in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -516,7 +515,6 @@ let test_graceful_stop_aborts_stragglers () =
    well-behaved answers stay bit-identical *)
 
 let test_chaos () =
-  Unix.putenv "PARADB_DOMAINS" "1";
   let db = edge_db ~seed:99 ~nodes:800 ~edges:4000 in
   let path = write_temp_facts (Fact_format.to_string db) in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->

@@ -651,9 +651,6 @@ let test_digest_verb () =
    single-shot evaluation (acceptance criterion) *)
 
 let test_concurrent_sessions () =
-  (* bound the domain count: parallelism comes from the pool, not the
-     fpt engine's trial fan-out *)
-  Unix.putenv "PARADB_DOMAINS" "1";
   let rng = Random.State.make [| 42 |] in
   let db =
     Paradb_workload.Generators.edge_database rng ~nodes:40 ~edges:160
